@@ -88,18 +88,11 @@ def _optimal_p(rows) -> tuple[list[Poly], list[LaurentSeries]]:
     return ps, resid
 
 
-def _row_series(Y: SeriesMatrix, q: list[Poly], theta) -> list[LaurentSeries]:
-    qs = [LaurentSeries.from_poly(qi) for qi in q]
-    out = []
-    for i in range(Y.m):
-        acc = LaurentSeries.zero(Y.field)
-        for j in range(Y.n):
-            if not q[j].is_zero():
-                acc = acc + Y.entry(i, j) * qs[j]
-        if theta is not None:
-            acc = acc + theta[i]
-        out.append(acc)
-    return out
+def _witness_for(Y: SeriesMatrix, theta, q: list[Poly]):
+    """Witness (optimal p, q) and the residual rows of Y q + p + theta."""
+    rows = matvec_affine(Y, q, [Poly.zero(Y.field)] * Y.m, theta)
+    ps, resid = _optimal_p(rows)
+    return Witness(tuple(ps), tuple(q)), resid
 
 
 class _ColumnProductCache:
@@ -140,21 +133,19 @@ def witness_error_degs(Y: SeriesMatrix, theta, w: Witness) -> tuple[DegValue, ..
 # ---------------------------------------------------------------------------
 
 
-def _dirichlet_nullspace(Y: SeriesMatrix, t: DirichletTarget, degree_bounds):
-    """Nullspace of the map q -> (fractional digits of Y_i q down to -t_i)."""
-    layout = []  # (coordinate j, coefficient s) per unknown column
-    for j, dj in enumerate(degree_bounds):
-        for s in range(dj + 1):
-            layout.append((j, s))
-    ncols = len(layout)
-    if ncols == 0:
-        return [], layout
-    rows = []
-    for i in range(Y.m):
-        for c in range(1, t.row_part[i] + 1):
-            row = [Y.entry(i, j).coeff(-c - s) for (j, s) in layout]
-            rows.append(row)
-    return nullspace(Y.field, rows, ncols), layout
+def _constraints(Y: SeriesMatrix, degree_bounds, depths):
+    """Unknown layout and rows of the map q -> (digits -1..-depths[i] of Y_i q).
+
+    The unknowns are the coefficients s <= degree_bounds[j] of each q_j,
+    listed as (j, s); the digit of Y_ij q_j at -c gets Y_ij's digit at -c-s.
+    """
+    layout = [(j, s) for j, dj in enumerate(degree_bounds) for s in range(dj + 1)]
+    rows = [
+        [Y.entry(i, j).coeff(-c - s) for (j, s) in layout]
+        for i, k in enumerate(depths)
+        for c in range(1, k + 1)
+    ]
+    return layout, rows
 
 
 def _vector_to_q(field: Fq, vec, layout, n: int) -> list[Poly]:
@@ -183,13 +174,13 @@ def dirichlet_solve(
         raise ValueError("target dimensions do not match the matrix")
 
     def attempt(bounds):
-        basis, layout = _dirichlet_nullspace(Y, t, bounds)
+        layout, rows = _constraints(Y, bounds, t.row_part)
+        basis = nullspace(Y.field, rows, len(layout))
         if not basis:
             return None
         q = _vector_to_q(Y.field, basis[0], layout, Y.n)
-        rows = _row_series(Y, q, None)
-        ps, resid = _optimal_p(rows)
-        return Witness(tuple(ps), tuple(q)), tuple(r.deg() for r in resid)
+        w, resid = _witness_for(Y, None, q)
+        return w, tuple(r.deg() for r in resid)
 
     strict_bounds = [b - 1 for b in t.col_part]
     if mode == "strict":
@@ -229,21 +220,16 @@ def _verify_dirichlet(Y, t, w: Witness, degs, strict: bool):
 
 def _kernel_feasible(Y, theta, D: int, k: int):
     """Is there q != 0 with deg q_j <= D and all row digits -1..-k zero?"""
-    layout = [(j, s) for j in range(Y.n) for s in range(D + 1)]
+    layout, rows = _constraints(Y, [D] * Y.n, [k] * Y.m)
     ncols = len(layout)
     if k == 0:
         vec = [0] * ncols
         vec[0] = 1
         return vec, layout
-    rows, rhs = [], []
-    homogeneous = theta is None or all(th.is_exact_zero() for th in theta)
-    for i in range(Y.m):
-        for c in range(1, k + 1):
-            rows.append([Y.entry(i, j).coeff(-c - s) for (j, s) in layout])
-            rhs.append(0 if homogeneous else Y.field.neg(theta[i].coeff(-c)))
-    if homogeneous:
+    if theta is None or all(th.is_exact_zero() for th in theta):
         basis = nullspace(Y.field, rows, ncols)
         return (basis[0], layout) if basis else (None, layout)
+    rhs = [Y.field.neg(th.coeff(-c)) for th in theta for c in range(1, k + 1)]
     x, basis = solve_affine(Y.field, rows, rhs, ncols)
     if x is None:
         return None, layout
@@ -325,9 +311,7 @@ def _best_error_kernel(Y: SeriesMatrix, theta, T: int) -> BestError:
         feasible(K)
         vec = solutions[K]
     q = _vector_to_q(Y.field, vec, layout, Y.n)
-    rows = _row_series(Y, q, theta)
-    ps, resid = _optimal_p(rows)
-    w = Witness(tuple(ps), tuple(q))
+    w, resid = _witness_for(Y, theta, q)
     obj = deg_max(r.deg() for r in resid)
 
     if K == cap:
@@ -477,20 +461,8 @@ def _iter_mult_q(field: Fq, n: int, budget: int):
             if not all(p.is_zero() for p in prefix):
                 yield list(prefix)
             return
-        yield from extend(prefix + [Poly.zero(field)], j + 1, remaining)
-        for deg in range(remaining + 1):
-            base = field.q**deg
-            for lead in range(1, field.q):
-                for rest in range(base):
-                    coeffs = []
-                    v = rest
-                    for _ in range(deg):
-                        coeffs.append(v % field.q)
-                        v //= field.q
-                    coeffs.append(lead)
-                    yield from extend(
-                        prefix + [Poly(field, coeffs)], j + 1, remaining - deg
-                    )
+        for poly in _iter_coordinate_polys(field, remaining):
+            yield from extend(prefix + [poly], j + 1, remaining - max(0, poly.deg))
 
     yield from extend([], 0, budget)
 

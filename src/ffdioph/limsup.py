@@ -122,6 +122,27 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
+def _uv_pairs(params: TsetParams, a, b, limit):
+    """Every (u, v) grid pair with a*sigma(u) + b*sigma(v) <= limit.
+
+    In dual mode u and v are scalars standing for the constant tuples
+    (u,)*m and (v,)*n.  The order is fixed: callers report in it.
+    """
+    m, n = params.m, params.n
+    if params.mode == "dual":
+        for u in range(limit // (a * m) + 1):
+            for v in range(limit // (b * n) + 1):
+                if a * m * u + b * n * v <= limit:
+                    yield u, v
+        return
+    for su in range(limit // a + 1):
+        for sv in range(limit // b + 1):
+            if a * su + b * sv <= limit:
+                for u in _compositions(su, m):
+                    for v in _compositions(sv, n):
+                        yield u, v
+
+
 def tset_enumerate(
     params: TsetParams, sigma_bound: int, tau: Fraction
 ) -> TsetEnumeration:
@@ -143,26 +164,7 @@ def tset_enumerate(
     if sigma_bound >= 0:
         slack = max(0, n - m)
         G = Fraction(m + eta * n, 1) / (eta + 1) * (sigma_bound + slack)
-        if params.mode == "dual":
-            uv_cap = int(G / (m * n)) if G >= 0 else -1
-            pairs = (
-                (u, v)
-                for u in range(uv_cap + 1)
-                for v in range(uv_cap + 1)
-                if n * (m * u) + m * (n * v) <= G
-            )
-        else:
-            su_cap = int(G / n)
-            sv_cap = int(G / m)
-            pairs = (
-                (u, v)
-                for su in range(su_cap + 1)
-                for sv in range(sv_cap + 1)
-                if n * su + m * sv <= G
-                for u in _compositions(su, m)
-                for v in _compositions(sv, n)
-            )
-        for u, v in pairs:
+        for u, v in _uv_pairs(params, n, m, G):
             got = xi_and_t(u, v, params)
             if got is None:
                 continue
@@ -193,23 +195,8 @@ def audit_grid(params: TsetParams, uv_budget: int) -> CheckReport:
     lower_failures = []
     corrected_failures = []
     accepted = 0
-    if params.mode == "dual":
-        pairs = (
-            (u, v)
-            for u in range(uv_budget + 1)
-            for v in range(uv_budget + 1)
-            if m * u + n * v <= uv_budget
-        )
-    else:
-        pairs = (
-            (u, v)
-            for su in range(uv_budget + 1)
-            for sv in range(uv_budget - su + 1)
-            for u in _compositions(su, m)
-            for v in _compositions(sv, n)
-        )
     slack = max(0, n - m)
-    for u, v in pairs:
+    for u, v in _uv_pairs(params, 1, 1, uv_budget):
         got = xi_and_t(u, v, params)
         if got is None:
             continue

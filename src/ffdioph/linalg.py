@@ -1,9 +1,12 @@
 """Dense Gaussian elimination over F_q.
 
-Two code paths behind one API: a generic one driven by an ``Fq`` context and
-a bit-packed one for GF(2) where each row is a Python int (bit j = column j).
-Basis vectors come out in a canonical order (free columns ascending, unit
-entry at the free column), so results are deterministic.
+One reduction per row representation -- bit-packed Python ints for GF(2)
+(bit j = column j) and element lists driven by an ``Fq`` context for every
+other field -- both behind ``_rref``, whose pivot rows feed one basis
+extraction, ``_basis``.  ``solve_affine`` reduces the augmented system
+[A | b] with the same core.  Basis vectors come out in a canonical order
+(free columns ascending, unit entry at the free column), so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -66,47 +69,59 @@ def _rref_gf2(rows: list[int], ncols: int):
     return R, pivots
 
 
-def _pack_gf2(rows: list[list[int]]) -> list[int]:
-    out = []
-    for row in rows:
-        v = 0
-        for j, c in enumerate(row):
-            if c:
-                v |= 1 << j
-        out.append(v)
-    return out
+def _rref(field: Fq, rows: list[list[int]], ncols: int, rhs=None):
+    """Reduce A, or [A | b] when rhs is given; return (pivot rows, pivot columns).
 
-
-def nullspace(field: Fq, rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Canonical basis of {x : A x = 0}."""
+    GF(2) rows come back packed into ints (bit j = column j), all others as
+    element lists.  The b column sits at index ncols and becomes a pivot
+    exactly when A x = b is inconsistent.
+    """
+    width = ncols if rhs is None else ncols + 1
     if field.is_gf2():
-        R, pivots = _rref_gf2(_pack_gf2(rows), ncols)
-        pivset = set(pivots)
-        basis = []
-        for free in range(ncols):
-            if free in pivset:
-                continue
-            vec = [0] * ncols
-            vec[free] = 1
-            fbit = 1 << free
-            for r, pc in enumerate(pivots):
-                if R[r] & fbit:
-                    vec[pc] = 1
-            basis.append(vec)
-        return basis
-    R, pivots = _rref_generic(field, rows, ncols)
+        packed = []
+        for i, row in enumerate(rows):
+            v = 0
+            for j, c in enumerate(row):
+                if c:
+                    v |= 1 << j
+            if rhs is not None and rhs[i]:
+                v |= 1 << ncols
+            packed.append(v)
+        R, pivots = _rref_gf2(packed, width)
+    else:
+        if rhs is not None:
+            rows = [list(r) + [b] for r, b in zip(rows, rhs)]
+        R, pivots = _rref_generic(field, rows, width)
+    return R[: len(pivots)], pivots
+
+
+def _basis(field: Fq, R, pivots: list[int], ncols: int) -> list[list[int]]:
+    """Canonical basis of {x : A x = 0} from the reduced rows of A."""
     pivset = set(pivots)
+    gf2 = field.is_gf2()
     basis = []
     for free in range(ncols):
         if free in pivset:
             continue
         vec = [0] * ncols
         vec[free] = 1
-        for r, pc in enumerate(pivots):
-            if R[r][free]:
-                vec[pc] = field.neg(R[r][free])
+        if gf2:
+            bit = 1 << free
+            for row, pc in zip(R, pivots):
+                if row & bit:
+                    vec[pc] = 1
+        else:
+            for row, pc in zip(R, pivots):
+                if row[free]:
+                    vec[pc] = field.neg(row[free])
         basis.append(vec)
     return basis
+
+
+def nullspace(field: Fq, rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Canonical basis of {x : A x = 0}."""
+    R, pivots = _rref(field, rows, ncols)
+    return _basis(field, R, pivots, ncols)
 
 
 def solve_affine(
@@ -117,55 +132,14 @@ def solve_affine(
     The nullspace basis of A is returned even when the system is
     inconsistent, since callers often need it anyway.
     """
-    if field.is_gf2():
-        aug = _pack_gf2(rows)
-        for i, b in enumerate(rhs):
-            if b:
-                aug[i] |= 1 << ncols
-        R, pivots = _rref_gf2(aug, ncols)
-        pivset = set(pivots)
-        rank = len(pivots)
-        rhs_bit = 1 << ncols
-        inconsistent = any(R[r] & rhs_bit for r in range(rank, len(R)))
-        basis = []
-        for free in range(ncols):
-            if free in pivset:
-                continue
-            vec = [0] * ncols
-            vec[free] = 1
-            fbit = 1 << free
-            for r, pc in enumerate(pivots):
-                if R[r] & fbit:
-                    vec[pc] = 1
-            basis.append(vec)
-        if inconsistent:
-            return None, basis
-        x = [0] * ncols
-        for r, pc in enumerate(pivots):
-            if R[r] & rhs_bit:
-                x[pc] = 1
-        return x, basis
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    R, pivots = _rref_generic(field, aug, ncols)
-    pivset = set(pivots)
-    rank = len(pivots)
-    inconsistent = any(R[r][ncols] != 0 for r in range(rank, len(R)))
-    basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for r, pc in enumerate(pivots):
-            if R[r][free]:
-                vec[pc] = field.neg(R[r][free])
-        basis.append(vec)
-    if inconsistent:
-        return None, basis
+    R, pivots = _rref(field, rows, ncols, rhs)
+    if pivots and pivots[-1] == ncols:
+        return None, _basis(field, R, pivots[:-1], ncols)
+    gf2 = field.is_gf2()
     x = [0] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][ncols]
-    return x, basis
+    for row, pc in zip(R, pivots):
+        x[pc] = row >> ncols & 1 if gf2 else row[ncols]
+    return x, _basis(field, R, pivots, ncols)
 
 
 def matvec_mod(field: Fq, rows: list[list[int]], x: list[int]) -> list[int]:

@@ -50,10 +50,6 @@ class SeriesMatrix:
         """Shallowest entry floor: the binding precision of the matrix."""
         return max(s.floor for r in self.rows for s in r)
 
-    def known_lo(self):
-        """Deepest exponent guaranteed known in every entry."""
-        return self.floor()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SeriesMatrix) and self.rows == other.rows
 
@@ -100,10 +96,6 @@ def norms(vec, kind: str):
             raise ValueError("prod_plus norm applies to polynomial vectors")
         return prod_plus_deg(vec)
     raise ValueError(f"unknown norm kind {kind!r}")
-
-
-def poly_vec_is_zero(qvec) -> bool:
-    return all(q.is_zero() for q in qvec)
 
 
 def matvec_affine(

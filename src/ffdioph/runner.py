@@ -204,14 +204,8 @@ def _dirichlet_instance(cfg: ExperimentConfig, idx: int) -> dict:
     m = rng.randrange(1, cfg.m + 1)
     n = rng.randrange(1, cfg.n + 1)
     t = _random_balanced_target(m, n, cfg.sigma_bound, rng)
-    Y = SeriesMatrix(
-        [
-            [
-                random_series(F, cfg.floor, derive_rng(cfg.seed, "dirichlet", idx, i, j))
-                for j in range(n)
-            ]
-            for i in range(m)
-        ]
+    Y = generate_matrix(
+        {"kind": "random"}, F, m, n, cfg.floor, cfg.seed, f"dirichlet/{idx}"
     )
     res = dirichlet_solve(Y, t, "relaxed")
     # independent re-verification of both inequality blocks
@@ -349,16 +343,8 @@ def _plane_block(cfg: ExperimentConfig, F, pair: MembershipPair, idx: int) -> di
                 "plane-Y",
             )
         else:
-            Y = SeriesMatrix(
-                [
-                    [
-                        random_series(
-                            F, cfg.floor, derive_rng(cfg.seed, "plane-rand", idx, s, i, j)
-                        )
-                        for j in range(pn)
-                    ]
-                    for i in range(pm)
-                ]
+            Y = generate_matrix(
+                {"kind": "random"}, F, pm, pn, cfg.floor, cfg.seed, f"plane-rand/{idx}/{s}"
             )
         rep = cell_plane_identity_check(Y, theta, t, alpha, tau)
         total += 1

@@ -182,10 +182,6 @@ class LaurentSeries:
             return self.floor
         return self.top - len(self.coeffs) + 1
 
-    def known_lo(self):
-        """Lowest exponent with a known digit (NEG_INF when exact)."""
-        return self.floor
-
     def coeff(self, e: int) -> int:
         """Digit at exponent e; raises if e is below the floor."""
         if self.floor != NEG_INF and e < self.floor:
@@ -364,20 +360,6 @@ class LaurentSeries:
         }
         frac = LaurentSeries.from_terms(self.field, frac_terms, self.floor)
         return poly, frac
-
-    def agrees_with(self, other: "LaurentSeries") -> bool:
-        """Equality on the digits both sides know."""
-        self._check(other)
-        lo = max(self.floor, other.floor)
-        tops = [t for t in (self.top, other.top) if t != NEG_INF]
-        if not tops:
-            return True
-        hi = max(tops)
-        if lo == NEG_INF:
-            lo = min(
-                s._stored_lo() for s in (self, other) if s.top != NEG_INF
-            )
-        return all(self.coeff(e) == other.coeff(e) for e in range(hi, lo - 1, -1))
 
     def __eq__(self, other) -> bool:
         return (

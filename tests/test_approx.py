@@ -19,6 +19,7 @@ from ffdioph.generators import cf_series, derive_rng, random_series
 
 F2 = Fq(2)
 F3 = Fq(3)
+F4 = Fq(2, 2)
 
 
 def S(text, field=F2, floor=NEG_INF):
@@ -124,16 +125,35 @@ def test_best_error_exact_hit():
     assert best_error(Y, None, 2, "brute").B == DegValue.exact(NEG_INF)
 
 
-def test_kernel_equals_brute_random():
-    for i in range(30):
-        Y = single(random_series(F2, -40, derive_rng(5150, "oracle", i)))
-        for T in range(1, 8):
-            k = best_error(Y, None, T, "kernel")
-            b = best_error(Y, None, T, "brute")
+@pytest.mark.parametrize(
+    "field, m, n, shifted, T_max, count",
+    [
+        pytest.param(F2, 1, 1, False, 7, 30, id="F2-1x1"),
+        pytest.param(F3, 1, 2, False, 5, 6, id="F3-1x2"),
+        pytest.param(F3, 1, 2, True, 5, 6, id="F3-1x2-shifted"),
+        pytest.param(F4, 1, 1, False, 4, 6, id="F4-1x1"),
+        pytest.param(F4, 1, 1, True, 4, 6, id="F4-1x1-shifted"),
+        pytest.param(F2, 2, 1, False, 7, 6, id="F2-2x1"),
+        pytest.param(F2, 2, 1, True, 7, 6, id="F2-2x1-shifted"),
+    ],
+)
+def test_kernel_equals_brute_random(field, m, n, shifted, T_max, count):
+    # generic fields and the shifted (solve_affine) path against the oracle
+    for i in range(count):
+        rng = derive_rng(5150, "oracle", i)
+        Y = SeriesMatrix(
+            [[random_series(field, -40, rng) for _ in range(n)] for _ in range(m)]
+        )
+        theta = (
+            tuple(random_series(field, -40, rng) for _ in range(m)) if shifted else None
+        )
+        for T in range(1, T_max + 1):
+            k = best_error(Y, theta, T, "kernel")
+            b = best_error(Y, theta, T, "brute")
             assert k.B == b.B
             # witness error degrees agree as well
-            dk = max(d.value for d in witness_error_degs(Y, None, k.witness))
-            db = max(d.value for d in witness_error_degs(Y, None, b.witness))
+            dk = max(d.value for d in witness_error_degs(Y, theta, k.witness))
+            db = max(d.value for d in witness_error_degs(Y, theta, b.witness))
             assert dk == db
 
 

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,12 +10,21 @@ from ffdioph.config import ExperimentConfig
 from ffdioph.runner import report_json_bytes, run_config
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(args, cwd):
+    # the child runs in cwd, so a relative PYTHONPATH would not find the package
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
     return subprocess.run(
         [sys.executable, "-m", "ffdioph.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
         timeout=300,
     )
 

@@ -32,7 +32,7 @@ def test_nullspace_matches_enumeration(field):
         assert len(brute) == field.q ** len(basis) - 1
 
 
-@pytest.mark.parametrize("field", [Fq(2), Fq(3)])
+@pytest.mark.parametrize("field", [Fq(2), Fq(3), Fq(2, 2), Fq(3, 2)])
 def test_solve_affine_matches_enumeration(field):
     import random
 
@@ -43,6 +43,7 @@ def test_solve_affine_matches_enumeration(field):
         rows = [[rng.randrange(field.q) for _ in range(ncols)] for _ in range(nrows)]
         rhs = [rng.randrange(field.q) for _ in range(nrows)]
         x, basis = solve_affine(field, rows, rhs, ncols)
+        assert basis == nullspace(field, rows, ncols)
         brute = [
             list(v)
             for v in itertools.product(field.elements(), repeat=ncols)
