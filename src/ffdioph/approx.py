@@ -306,11 +306,7 @@ def _best_error_kernel(Y: SeriesMatrix, theta, T: int) -> BestError:
                 hi = mid
     K = lo
 
-    vec = solutions.get(K)
-    if vec is None:
-        feasible(K)
-        vec = solutions[K]
-    q = _vector_to_q(Y.field, vec, layout, Y.n)
+    q = _vector_to_q(Y.field, solutions[K], layout, Y.n)
     w, resid = _witness_for(Y, theta, q)
     obj = deg_max(r.deg() for r in resid)
 

@@ -118,8 +118,8 @@ def _cmd_verify(args) -> int:
 def _cmd_gen(args) -> int:
     cfg = _load_config(args, None)
     F = cfg.fq()
-    Y = generate_matrix(cfg.Y_spec, F, cfg.m, cfg.n, cfg.floor, cfg.seed, "gen/Y")
-    theta = generate_theta(cfg.theta_spec, F, cfg.m, cfg.floor, cfg.seed)
+    Y = generate_matrix(cfg.Y, F, cfg.m, cfg.n, cfg.floor, cfg.seed, "gen/Y")
+    theta = generate_theta(cfg.theta, F, cfg.m, cfg.floor, cfg.seed)
     payload = {
         "field": cfg.field,
         "dims": [cfg.m, cfg.n],

@@ -1,183 +1,151 @@
 """Experiment configuration: a flat JSON object with exact rationals as
 "num/den" strings.
 
-Schema (all keys optional unless marked; defaults in parentheses):
+Schema (every key is optional; `ExperimentConfig` declares the defaults):
 
-    suite          str      which suite to run ("estimate"); one of
+    suite          str      which suite to run; one of
                             estimate | dirichlet | audit-tset | transference | limsup
-    seed           int      master seed (0); all randomness derives from it
-    workers        int      parallel worker processes (1); never affects output bytes
-    field          str      field spec, "p=2" or "p=3" or "p=2,d=2,modulus=..." ("p=2")
-    dims           [m, n]   matrix shape ([1, 1]); the dirichlet suite treats
-                            these as maxima for its random shapes
-    floor          int      precision floor (-2*T_max at least; default -80)
-    T_max          int      profile horizon (24)
-    Y              spec     matrix spec ({"kind": "random"}); see generators
-    theta          spec     shift spec ("0")
-    eta            "a/b"    level of the index-tuple family ("1")
-    eps            "a/b"    premise margin ("1")
-    tau            "a/b"    cell scale slope (null = tau0(eps)/2)
-    tol_bz         "a/b"    transpose-bound diagnostic tolerance ("3/10")
-    tol_dyson      "a/b"    exponent-one diagnostic tolerance ("1/4")
-    method         str      best-error path, "kernel" | "brute" ("kernel")
-    profile_kind   str      "standard" | "multiplicative" ("standard")
-    instances      int      randomized-suite instance count (20)
-    sigma_bound    int      target size for dirichlet / level cutoff for tset (8)
-    uv_budget      int      grid budget for the tset audit (20)
-    mode           str      tset mode, "multiplicative" | "dual" ("multiplicative")
-    mult_T_max     int      horizon for the multiplicative dominance check (10)
-    plane_samples  int      sampled matrices per plane-identity instance (20)
-    plant_T        int      premise horizon for planted witnesses (4)
-    sigma_threshold int     finitely-many-exceptions cutoff (8)
+    seed           int      master seed; all randomness derives from it
+    workers        int      parallel worker processes; never affects output bytes
+    field          str      field spec, "p=2" or "p=3" or "p=2,d=2,modulus=..."
+    dims           [m, n]   matrix shape; the dirichlet suite treats these as
+                            maxima for its random shapes
+    floor          int      precision floor, at most -2*T_max
+    T_max          int      profile horizon
+    Y              spec     matrix spec; see generators
+    theta          spec     shift spec
+    eta            "a/b"    level of the index-tuple family
+    eps            "a/b"    premise margin
+    tau            "a/b"    cell scale slope; null = tau0(eps)/2 (1/8 for audit-tset)
+    tol_bz         "a/b"    transpose-bound diagnostic tolerance
+    tol_dyson      "a/b"    exponent-one diagnostic tolerance
+    method         str      best-error path, "kernel" | "brute"
+    profile_kind   str      "standard" | "multiplicative"
+    instances      int      randomized-suite instance count
+    sigma_bound    int      target size for dirichlet / level cutoff for tset
+    uv_budget      int      grid budget for the tset audit
+    mode           str      tset mode, "multiplicative" | "dual"
+    mult_T_max     int      horizon for the multiplicative dominance check
+    plane_samples  int      sampled matrices per plane-identity instance
+    plant_T        int      premise horizon for planted witnesses
+    sigma_threshold int     finitely-many-exceptions cutoff
 
-`workers` is excluded from the config echo in reports so that identical
-configurations produce byte-identical reports at any worker count.
+Only `tau` may be null.  `workers` is excluded from the config echo in
+reports so that identical configurations produce byte-identical reports at
+any worker count.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError
 from .field import Fq, parse_field_spec
 
-SUITES = ("estimate", "dirichlet", "audit-tset", "transference", "limsup")
-
-_DEFAULTS = {
-    "suite": "estimate",
-    "seed": 0,
-    "workers": 1,
-    "field": "p=2",
-    "dims": [1, 1],
-    "floor": -80,
-    "T_max": 24,
-    "Y": {"kind": "random"},
-    "theta": "0",
-    "eta": "1",
-    "eps": "1",
-    "tau": None,
-    "tol_bz": "3/10",
-    "tol_dyson": "1/4",
-    "method": "kernel",
-    "profile_kind": "standard",
-    "instances": 20,
-    "sigma_bound": 8,
-    "uv_budget": 20,
-    "mode": "multiplicative",
-    "mult_T_max": 10,
-    "plane_samples": 20,
-    "plant_T": 4,
-    "sigma_threshold": 8,
+_CHOICES = {
+    "suite": ("estimate", "dirichlet", "audit-tset", "transference", "limsup"),
+    "method": ("kernel", "brute"),
+    "profile_kind": ("standard", "multiplicative"),
+    "mode": ("multiplicative", "dual"),
 }
 
 
-def _rational(value, key: str) -> Fraction | None:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse(key: str, kind: str, value):
+    """One raw JSON value, checked and converted by its field's declared type."""
     if value is None:
-        return None
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad rational for {key!r}: {value!r}") from exc
+        if kind == "Fraction | None":
+            return None
+        raise ConfigError(f"{key} must not be null")
+    if kind == "int":
+        if not _is_int(value):
+            raise ConfigError(f"{key} must be an integer")
+        return value
+    if kind.startswith("Fraction"):
+        try:
+            return Fraction(str(value))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad rational for {key!r}: {value!r}") from exc
+    if kind == "str":
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise ConfigError(f"unknown {key} {value!r}; pick from {_CHOICES[key]}")
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string")
+        return value
+    if kind == "tuple[int, int]":
+        if (
+            not isinstance(value, (list, tuple))
+            or len(value) != 2
+            or any(not _is_int(x) or x < 1 for x in value)
+        ):
+            raise ConfigError(f"{key} must be a pair of positive integers")
+        return tuple(value)
+    if kind == "object":
+        return value  # Y and theta specs, interpreted by the generators
+    raise TypeError(f"no parser for config field type {kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    suite: str
-    seed: int
-    workers: int
-    field: str
-    m: int
-    n: int
-    floor: int
-    T_max: int
-    Y_spec: object
-    theta_spec: object
-    eta: Fraction
-    eps: Fraction
-    tau: Fraction | None
-    tol_bz: Fraction
-    tol_dyson: Fraction
-    method: str
-    profile_kind: str
-    instances: int
-    sigma_bound: int
-    uv_budget: int
-    mode: str
-    mult_T_max: int
-    plane_samples: int
-    plant_T: int
-    sigma_threshold: int
+    """Field names are the JSON keys; field defaults are the config defaults."""
+
+    suite: str = "estimate"
+    seed: int = 0
+    workers: int = 1
+    field: str = "p=2"
+    dims: tuple[int, int] = (1, 1)
+    floor: int = -80
+    T_max: int = 24
+    Y: object = dataclasses.field(default_factory=lambda: {"kind": "random"})
+    theta: object = "0"
+    eta: Fraction = Fraction(1)
+    eps: Fraction = Fraction(1)
+    tau: Fraction | None = None
+    tol_bz: Fraction = Fraction(3, 10)
+    tol_dyson: Fraction = Fraction(1, 4)
+    method: str = "kernel"
+    profile_kind: str = "standard"
+    instances: int = 20
+    sigma_bound: int = 8
+    uv_budget: int = 20
+    mode: str = "multiplicative"
+    mult_T_max: int = 10
+    plane_samples: int = 20
+    plant_T: int = 4
+    sigma_threshold: int = 8
+
+    @property
+    def m(self) -> int:
+        return self.dims[0]
+
+    @property
+    def n(self) -> int:
+        return self.dims[1]
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = set(raw) - set(_DEFAULTS)
+        kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(raw) - set(kinds)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        d = dict(_DEFAULTS)
-        d.update(raw)
-        if d["suite"] not in SUITES:
-            raise ConfigError(f"unknown suite {d['suite']!r}; pick from {SUITES}")
-        dims = d["dims"]
-        if (
-            not isinstance(dims, (list, tuple))
-            or len(dims) != 2
-            or any(not isinstance(x, int) or x < 1 for x in dims)
-        ):
-            raise ConfigError("dims must be a pair of positive integers")
-        for key in ("seed", "workers", "floor", "T_max", "instances",
-                    "sigma_bound", "uv_budget", "mult_T_max",
-                    "plane_samples", "plant_T", "sigma_threshold"):
-            if not isinstance(d[key], int):
-                raise ConfigError(f"{key} must be an integer")
-        if d["workers"] < 1:
+        cfg = cls(**{k: _parse(k, kinds[k], v) for k, v in raw.items()})
+        if cfg.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if d["T_max"] < 1:
+        if cfg.T_max < 1:
             raise ConfigError("T_max must be >= 1")
-        if d["floor"] > -2 * d["T_max"]:
+        if cfg.floor > -2 * cfg.T_max:
             raise ConfigError(
-                f"floor must be <= -2*T_max = {-2 * d['T_max']}, got {d['floor']}"
+                f"floor must be <= -2*T_max = {-2 * cfg.T_max}, got {cfg.floor}"
             )
-        if d["method"] not in ("kernel", "brute"):
-            raise ConfigError("method must be 'kernel' or 'brute'")
-        if d["profile_kind"] not in ("standard", "multiplicative"):
-            raise ConfigError("profile_kind must be standard or multiplicative")
-        if d["mode"] not in ("multiplicative", "dual"):
-            raise ConfigError("mode must be multiplicative or dual")
-        eta = _rational(d["eta"], "eta")
-        if eta < 1:
+        if cfg.eta < 1:
             raise ConfigError("eta must be >= 1")
-        eps = _rational(d["eps"], "eps")
-        if eps is not None and eps <= 0:
+        if cfg.eps <= 0:
             raise ConfigError("eps must be positive")
-        cfg = cls(
-            suite=d["suite"],
-            seed=d["seed"],
-            workers=d["workers"],
-            field=d["field"],
-            m=dims[0],
-            n=dims[1],
-            floor=d["floor"],
-            T_max=d["T_max"],
-            Y_spec=d["Y"],
-            theta_spec=d["theta"],
-            eta=eta,
-            eps=eps,
-            tau=_rational(d["tau"], "tau"),
-            tol_bz=_rational(d["tol_bz"], "tol_bz"),
-            tol_dyson=_rational(d["tol_dyson"], "tol_dyson"),
-            method=d["method"],
-            profile_kind=d["profile_kind"],
-            instances=d["instances"],
-            sigma_bound=d["sigma_bound"],
-            uv_budget=d["uv_budget"],
-            mode=d["mode"],
-            mult_T_max=d["mult_T_max"],
-            plane_samples=d["plane_samples"],
-            plant_T=d["plant_T"],
-            sigma_threshold=d["sigma_threshold"],
-        )
         cfg.fq()  # validate the field spec eagerly
         if cfg.suite == "limsup" and cfg.m != 1 and cfg.n != 1:
             raise ConfigError("the limsup suite needs m = 1 or n = 1")
@@ -202,40 +170,20 @@ class ExperimentConfig:
         return parse_field_spec(self.field)
 
     def replace(self, **kw) -> "ExperimentConfig":
-        raw = self.echo_dict()
-        raw["workers"] = self.workers
-        raw.update(kw)
-        return ExperimentConfig.from_dict(raw)
+        return ExperimentConfig.from_dict(
+            {**self.echo_dict(), "workers": self.workers, **kw}
+        )
 
     def echo_dict(self) -> dict:
-        """Config echo for reports: stable keys, no worker count."""
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "field": self.field,
-            "dims": [self.m, self.n],
-            "floor": self.floor,
-            "T_max": self.T_max,
-            "Y": self.Y_spec,
-            "theta": self.theta_spec,
-            "eta": str(self.eta),
-            "eps": str(self.eps),
-            "tau": None if self.tau is None else str(self.tau),
-            "tol_bz": str(self.tol_bz),
-            "tol_dyson": str(self.tol_dyson),
-            "method": self.method,
-            "profile_kind": self.profile_kind,
-            "instances": self.instances,
-            "sigma_bound": self.sigma_bound,
-            "uv_budget": self.uv_budget,
-            "mode": self.mode,
-            "mult_T_max": self.mult_T_max,
-            "plane_samples": self.plane_samples,
-            "plant_T": self.plant_T,
-            "sigma_threshold": self.sigma_threshold,
-        }
-
-    def to_json(self) -> str:
-        d = self.echo_dict()
-        d["workers"] = self.workers
-        return json.dumps(d, sort_keys=True)
+        """Config echo for reports: every key but the worker count, in JSON form."""
+        out = {}
+        for f in dataclasses.fields(self):
+            if f.name == "workers":
+                continue
+            value = getattr(self, f.name)
+            if isinstance(value, Fraction):
+                value = str(value)
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[f.name] = value
+        return out

@@ -36,8 +36,6 @@ class ExponentProfile:
     n: int
     T_max: int
     entries: tuple[ProfileEntry, ...]
-    theta: tuple | None = None
-    witnesses: tuple = ()
 
     def entry(self, T: int) -> ProfileEntry:
         return self.entries[T - 1]
@@ -76,7 +74,6 @@ def profile(
     if kind not in ("standard", "multiplicative"):
         raise ValueError(f"unknown profile kind {kind!r}")
     entries = []
-    witnesses = []
     for T in range(1, T_max + 1):
         try:
             if kind == "standard":
@@ -84,20 +81,10 @@ def profile(
             else:
                 be = best_error_mult(Y, theta, T)
             entries.append(ProfileEntry(T, be.B))
-            witnesses.append(be.witness)
         except PrecisionExhaustedError:
             # the trivial bound deg <= -1 per row survives any truncation
             entries.append(ProfileEntry(T, DegValue(-Y.m, True)))
-            witnesses.append(None)
-    return ExponentProfile(
-        kind,
-        Y.m,
-        Y.n,
-        T_max,
-        tuple(entries),
-        None if theta is None else tuple(theta),
-        tuple(witnesses),
-    )
+    return ExponentProfile(kind, Y.m, Y.n, T_max, tuple(entries))
 
 
 def estimate(prof: ExponentProfile) -> ExponentEstimate:

@@ -141,14 +141,3 @@ def solve_affine(
         x[pc] = row >> ncols & 1 if gf2 else row[ncols]
     return x, _basis(field, R, pivots, ncols)
 
-
-def matvec_mod(field: Fq, rows: list[list[int]], x: list[int]) -> list[int]:
-    """A x over F_q, for verification in tests."""
-    out = []
-    for row in rows:
-        acc = 0
-        for c, xi in zip(row, x):
-            if c and xi:
-                acc = field.add(acc, field.mul(c, xi))
-        out.append(acc)
-    return out

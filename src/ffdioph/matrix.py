@@ -6,7 +6,7 @@ ignores small polynomial coordinates.
 from __future__ import annotations
 
 from .field import Fq
-from .poly import NEG_INF, Poly
+from .poly import NEG_INF
 from .series import DegValue, LaurentSeries, deg_max, deg_sum
 
 
@@ -40,15 +40,8 @@ class SeriesMatrix:
     def entry(self, i: int, j: int) -> LaurentSeries:
         return self.rows[i][j]
 
-    def row(self, i: int) -> tuple[LaurentSeries, ...]:
-        return self.rows[i]
-
     def transpose(self) -> "SeriesMatrix":
         return SeriesMatrix(tuple(zip(*self.rows)))
-
-    def floor(self):
-        """Shallowest entry floor: the binding precision of the matrix."""
-        return max(s.floor for r in self.rows for s in r)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SeriesMatrix) and self.rows == other.rows
@@ -79,23 +72,6 @@ def prod_plus_deg(qvec) -> int:
         if d != NEG_INF and d > 0:
             total += d
     return total
-
-
-def norms(vec, kind: str):
-    """Dispatch on the three norm kinds used by the solvers.
-
-    kind="sup"/"prod" expect series vectors and return DegValue;
-    kind="prod_plus" expects a polynomial vector and returns an int.
-    """
-    if kind == "sup":
-        return sup_deg(vec)
-    if kind == "prod":
-        return prod_deg(vec)
-    if kind == "prod_plus":
-        if not all(isinstance(q, Poly) for q in vec):
-            raise ValueError("prod_plus norm applies to polynomial vectors")
-        return prod_plus_deg(vec)
-    raise ValueError(f"unknown norm kind {kind!r}")
 
 
 def matvec_affine(

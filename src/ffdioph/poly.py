@@ -100,10 +100,6 @@ class Poly:
                         out[i + j] = F.add(out[i + j], F.mul(x, y))
         return Poly(F, out)
 
-    def scale(self, c: int) -> "Poly":
-        F = self.field
-        return Poly(F, [F.mul(c, x) for x in self.coeffs])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)

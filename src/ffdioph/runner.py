@@ -152,9 +152,9 @@ def profile_rows(prof: ExponentProfile) -> list[dict]:
 def _estimate_instance(cfg: ExperimentConfig, idx: int) -> dict:
     F = cfg.fq()
     Y = generate_matrix(
-        cfg.Y_spec, F, cfg.m, cfg.n, cfg.floor, cfg.seed, f"estimate/{idx}/Y"
+        cfg.Y, F, cfg.m, cfg.n, cfg.floor, cfg.seed, f"estimate/{idx}/Y"
     )
-    theta = generate_theta(cfg.theta_spec, F, cfg.m, cfg.floor, cfg.seed * 1000003 + idx)
+    theta = generate_theta(cfg.theta, F, cfg.m, cfg.floor, cfg.seed * 1000003 + idx)
     prof = profile(Y, theta, cfg.T_max, cfg.profile_kind, cfg.method)
     out = {
         "index": idx,
@@ -236,19 +236,21 @@ def _transference_instance(cfg: ExperimentConfig, idx: int) -> dict:
         {"kind": "random"}, F, cfg.m, cfg.n, cfg.floor, cfg.seed, f"transference/{idx}/Y"
     )
     theta = generate_theta(
-        cfg.theta_spec if cfg.theta_spec != "0" else {"kind": "random"},
+        cfg.theta if cfg.theta != "0" else {"kind": "random"},
         F,
         cfg.m,
         cfg.floor,
         cfg.seed * 7919 + idx,
     )
     hom = profile(Y, None, cfg.T_max, "standard", cfg.method)
+    hom_t = profile(Y.transpose(), None, cfg.T_max, "standard", cfg.method)
+    inhom = profile(Y, theta, cfg.T_max, "standard", cfg.method)
     bound = check_dirichlet_bound(hom)
     std_small = profile(Y, theta, cfg.mult_T_max, "standard", cfg.method)
     mult_small = profile(Y, theta, cfg.mult_T_max, "multiplicative")
     dominance = check_mult_dominance(std_small, mult_small)
-    bz = check_bz(Y, theta, cfg.T_max, cfg.tol_bz, cfg.method)
-    dyson = check_dyson(Y, cfg.T_max, cfg.tol_dyson, cfg.method)
+    bz = check_bz(inhom, hom_t, cfg.tol_bz)
+    dyson = check_dyson(hom, hom_t, cfg.tol_dyson)
     return {
         "index": idx,
         "dirichlet_bound": jsonable(bound),
@@ -386,9 +388,8 @@ _SUITE_TASKS = {
 }
 
 
-def _run_one(args: tuple[str, int]) -> dict:
-    cfg_json, idx = args
-    cfg = ExperimentConfig.from_dict(json.loads(cfg_json))
+def _run_one(args: tuple[ExperimentConfig, int]) -> dict:
+    cfg, idx = args
     task = _SUITE_TASKS[cfg.suite]
     try:
         return task(cfg, idx)
@@ -407,8 +408,7 @@ def run_config(cfg: ExperimentConfig) -> tuple[dict, int]:
     if cfg.suite == "audit-tset":
         results = [_audit_tset_payload(cfg)]
     else:
-        cfg_json = cfg.to_json()
-        args = [(cfg_json, i) for i in range(cfg.instances)]
+        args = [(cfg, i) for i in range(cfg.instances)]
         if cfg.workers > 1:
             with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
                 results = list(pool.map(_run_one, args))

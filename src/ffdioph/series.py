@@ -39,9 +39,6 @@ class DegValue:
     def censored_at(cls, v: int) -> "DegValue":
         return cls(v, True)
 
-    def is_neg_inf(self) -> bool:
-        return self.value == NEG_INF
-
     def shift(self, k: int) -> "DegValue":
         if self.value == NEG_INF:
             return self
@@ -272,14 +269,6 @@ class LaurentSeries:
                 idx = top - e
                 out[idx] = F.add(out[idx], F.mul(a, b))
         return LaurentSeries(F, top, out, floor)
-
-    def scale(self, c: int) -> "LaurentSeries":
-        F = self.field
-        if c == 0:
-            return LaurentSeries.zero(F, self.floor)
-        return LaurentSeries(
-            F, self.top, [F.mul(c, x) for x in self.coeffs], self.floor
-        )
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by X^k."""

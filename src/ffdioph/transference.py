@@ -5,7 +5,8 @@ that hold on every instance (the pigeonhole lower bound, multiplicative
 dominance) are checked exactly and a failure is a hard error in the suite.
 Asymptotic statements (the transpose inequalities, the exponent-one
 biconditional) can only be probed through finite-horizon proxies, so those
-checks take a tolerance and are labeled diagnostics.
+checks take a tolerance and are labeled diagnostics.  Every check judges
+profiles computed by the caller, so one profile can serve several checks.
 """
 
 from __future__ import annotations
@@ -18,12 +19,8 @@ from .exponents import (
     ExponentEstimate,
     ExponentProfile,
     estimate,
-    profile,
 )
-from .matrix import SeriesMatrix
 from .poly import NEG_INF
-
-DEFAULT_TOL = Fraction(3, 10)
 
 
 @dataclass(frozen=True)
@@ -90,28 +87,25 @@ def check_mult_dominance(
     )
 
 
-def _estimates_for_bz(Y: SeriesMatrix, theta, T_max: int, method: str):
-    inhom = estimate(profile(Y, theta, T_max, "standard", method))
-    transposed = estimate(
-        profile(Y.transpose(), None, T_max, "standard", method)
-    )
-    return inhom, transposed
+def _check_transpose_pair(prof: ExponentProfile, prof_t: ExponentProfile) -> None:
+    if prof.kind != "standard" or prof_t.kind != "standard":
+        raise ValueError("transpose checks apply to standard profiles")
+    if (prof.m, prof.n, prof.T_max) != (prof_t.n, prof_t.m, prof_t.T_max):
+        raise ValueError("profiles are not of a matrix and its transpose")
 
 
 def check_bz(
-    Y: SeriesMatrix,
-    theta,
-    T_max: int,
-    tol: Fraction = DEFAULT_TOL,
-    method: str = "kernel",
+    prof: ExponentProfile, prof_t: ExponentProfile, tol: Fraction
 ) -> CheckReport:
     """Transpose lower bounds on the inhomogeneous proxies.
 
+    prof is the profile of (Y, theta), prof_t the homogeneous profile of Y^t.
     Checks omega(Y,theta) >= 1/omega_hat(Y^t) - tol and
     omega_hat(Y,theta) >= 1/omega(Y^t) - tol on window proxies.
     """
+    _check_transpose_pair(prof, prof_t)
     try:
-        inhom, transposed = _estimates_for_bz(Y, theta, T_max, method)
+        inhom, transposed = estimate(prof), estimate(prof_t)
     except EstimateWindowError as exc:
         return CheckReport(
             name="bz",
@@ -144,15 +138,15 @@ def check_bz(
 
 
 def check_dyson(
-    Y: SeriesMatrix,
-    T_max: int,
-    tol: Fraction = Fraction(1, 4),
-    method: str = "kernel",
+    prof: ExponentProfile, prof_t: ExponentProfile, tol: Fraction
 ) -> CheckReport:
-    """Exponent-one biconditional between Y and its transpose, at tolerance."""
+    """Exponent-one biconditional between Y and its transpose, at tolerance.
+
+    prof and prof_t are the homogeneous profiles of Y and Y^t.
+    """
+    _check_transpose_pair(prof, prof_t)
     try:
-        est = estimate(profile(Y, None, T_max, "standard", method))
-        est_t = estimate(profile(Y.transpose(), None, T_max, "standard", method))
+        est, est_t = estimate(prof), estimate(prof_t)
     except EstimateWindowError as exc:
         return CheckReport(
             name="dyson",

@@ -395,8 +395,9 @@ def test_a11_bz_dyson_diagnostics():
     for i in range(20):
         Y = rand_matrix(F3, 1, 2, 60_000 + i, -60)
         theta = (random_series(F3, -60, derive_rng(311, "a11", i)),)
-        bz = check_bz(Y, theta, 24, Fraction(3, 10))
-        dy = check_dyson(Y, 24, Fraction(1, 4))
+        hom_t = profile(Y.transpose(), None, 24)
+        bz = check_bz(profile(Y, theta, 24), hom_t, Fraction(3, 10))
+        dy = check_dyson(profile(Y, None, 24), hom_t, Fraction(1, 4))
         if bz.holds and dy.holds:
             both_hold += 1
     report(11, both_hold >= 18, f"bz+dyson diagnostics hold on {both_hold}/20 instances (labeled diagnostic)")

@@ -111,6 +111,14 @@ def test_invalid_config_exit_code(tmp_path):
     assert "unknown suite" in res.stderr
 
 
+def test_null_config_value_exit_code(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"eta": null}')
+    res = run_cli(["estimate", "--config", str(bad)], tmp_path)
+    assert res.returncode == 3
+    assert "eta must not be null" in res.stderr
+
+
 def test_malformed_literal_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(

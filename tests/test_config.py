@@ -25,6 +25,33 @@ def test_unknown_key_rejected():
         ExperimentConfig.from_dict({"bogus": 1})
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"eta": None},
+        {"eps": None},
+        {"tol_bz": None},
+        {"tol_dyson": None},
+        {"field": None},
+        {"theta": None},
+        {"seed": True},
+        {"instances": False},
+        {"dims": [1, True]},
+        {"field": 2},
+    ],
+)
+def test_null_and_bool_rejected(raw):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_replace_keeps_parsed_values():
+    cfg = ExperimentConfig.from_dict({"eps": "1/2", "tol_bz": "1/5", "dims": [1, 2]})
+    cfg2 = cfg.replace(seed=4)
+    assert (cfg2.eps, cfg2.tol_bz, cfg2.m, cfg2.n) == (Fraction(1, 2), Fraction(1, 5), 1, 2)
+    assert cfg2.echo_dict() == dict(cfg.echo_dict(), seed=4)
+
+
 def test_floor_invariant():
     ExperimentConfig.from_dict({"T_max": 10, "floor": -20})
     with pytest.raises(ConfigError):

@@ -3,7 +3,19 @@ import itertools
 import pytest
 
 from ffdioph import Fq
-from ffdioph.linalg import matvec_mod, nullspace, solve_affine
+from ffdioph.linalg import nullspace, solve_affine
+
+
+def matvec_mod(field, rows, x):
+    """A x over F_q."""
+    out = []
+    for row in rows:
+        acc = 0
+        for c, xi in zip(row, x):
+            if c and xi:
+                acc = field.add(acc, field.mul(c, xi))
+        out.append(acc)
+    return out
 
 
 def brute_nullspace(field, rows, ncols):

@@ -10,10 +10,11 @@ from ffdioph import (
     Poly,
     SeriesMatrix,
     matvec_affine,
-    norms,
     parse_poly_literal,
     parse_series_literal,
+    prod_deg,
     prod_plus_deg,
+    sup_deg,
 )
 
 F2 = Fq(2)
@@ -25,22 +26,15 @@ def S(text, field=F2):
 
 def test_norm_examples():
     vec = (S("X^2 + 1"), S("X^-1"))
-    assert norms(vec, "sup") == DegValue.exact(2)
-    assert norms(vec, "prod") == DegValue.exact(1)
+    assert sup_deg(vec) == DegValue.exact(2)
+    assert prod_deg(vec) == DegValue.exact(1)
     qv = (parse_poly_literal("X^2", F2), Poly.zero(F2))
-    assert norms(qv, "prod_plus") == 2
+    assert prod_plus_deg(qv) == 2
 
 
 def test_prod_with_zero_entry():
     vec = (S("X^2"), LaurentSeries.zero(F2))
-    assert norms(vec, "prod") == DegValue.exact(NEG_INF)
-
-
-def test_norm_kind_validation():
-    with pytest.raises(ValueError):
-        norms((S("X"),), "prod_plus")
-    with pytest.raises(ValueError):
-        norms((S("X"),), "bogus")
+    assert prod_deg(vec) == DegValue.exact(NEG_INF)
 
 
 def test_degree_product_bounds():
@@ -53,8 +47,8 @@ def test_degree_product_bounds():
                 rng.randrange(-6, 5): rng.randrange(1, 2) for _ in range(rng.randrange(0, 4))
             }
             vec.append(LaurentSeries.from_terms(F2, terms))
-        sup = norms(tuple(vec), "sup").value
-        prod = norms(tuple(vec), "prod").value
+        sup = sup_deg(tuple(vec)).value
+        prod = prod_deg(tuple(vec)).value
         assert prod <= m * sup or prod == NEG_INF
         qv = tuple(
             Poly(F2, [rng.randrange(2) for _ in range(rng.randrange(0, 5))])

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,11 @@ def rand_matrix(m, n, seed, floor=-50):
             for i in range(m)
         ]
     )
+
+
+def transpose_pair(Y, theta, T_max):
+    """Profile of (Y, theta) and homogeneous profile of Y^t, as the checks take them."""
+    return profile(Y, theta, T_max), profile(Y.transpose(), None, T_max)
 
 
 def test_dirichlet_bound_golden_equality():
@@ -74,13 +80,13 @@ def test_bz_zero_shift_zero_tol_structural():
     # floor, so it must hold for any uncensored finite profile
     for i in range(5):
         Y = rand_matrix(1, 2, 3000 + i)
-        rep = check_bz(Y, None, 16, Fraction(0))
+        rep = check_bz(*transpose_pair(Y, None, 16), Fraction(0))
         assert rep.holds
 
 
 def test_bz_infinite_short_circuit():
     Y = single(parse_series_literal("X^-1", F2))
-    rep = check_bz(Y, None, 12, Fraction(3, 10))
+    rep = check_bz(*transpose_pair(Y, None, 12), Fraction(3, 10))
     assert rep.holds and "infinite" in rep.note
 
 
@@ -88,29 +94,42 @@ def test_bz_inhomogeneous_diagnostic():
     for i in range(4):
         Y = rand_matrix(1, 2, 4000 + i)
         theta = (random_series(F2, -50, derive_rng(4000 + i, "th")),)
-        rep = check_bz(Y, theta, 20, Fraction(3, 10))
+        rep = check_bz(*transpose_pair(Y, theta, 20), Fraction(3, 10))
         assert rep.holds
         assert rep.details["margin_lower"] >= 0
 
 
 def test_dyson_square_one_symmetric():
     Y = single(random_series(F2, -50, derive_rng(7, "d")))
-    rep = check_dyson(Y, 16, Fraction(1, 4))
+    rep = check_dyson(*transpose_pair(Y, None, 16), Fraction(1, 4))
     assert rep.holds  # Y equals its own transpose when m = n = 1
 
 
 def test_dyson_biconditional_far_side():
     # lacunary series: proxy well above 1 on both orientations
     Y = single(lacunary_series(F2, 3, -80))
-    rep = check_dyson(Y, 20, Fraction(1, 4))
+    rep = check_dyson(*transpose_pair(Y, None, 20), Fraction(1, 4))
     assert rep.holds
     assert rep.details == {} or not rep.details.get("near_one", True)
 
 
 def test_dyson_inconclusive_when_censored():
     Y = single(random_series(F2, -24, derive_rng(8, "c")))
-    rep = check_dyson(Y, 12, Fraction(1, 4))
+    rep = check_dyson(*transpose_pair(Y, None, 12), Fraction(1, 4))
     assert rep.holds in (True, None)
+
+
+@pytest.mark.parametrize("check", [check_bz, check_dyson])
+def test_transpose_checks_kind_and_shape(check):
+    Y = rand_matrix(1, 2, 6000)
+    prof, prof_t = transpose_pair(Y, None, 8)
+    check(prof, prof_t, Fraction(1, 4))  # a matrix and its transpose
+    with pytest.raises(ValueError):
+        check(dataclasses.replace(prof, kind="multiplicative"), prof_t, Fraction(1, 4))
+    with pytest.raises(ValueError):
+        check(prof, prof, Fraction(1, 4))  # 1x2 against 1x2, not its transpose
+    with pytest.raises(ValueError):
+        check(prof, profile(Y.transpose(), None, 7), Fraction(1, 4))
 
 
 def test_chain_mult_above_standard_proxy():
