@@ -5,6 +5,10 @@ vectors q (polynomials) with p chosen optimally per row.  Two independent
 routes are provided: a linear-algebra kernel path (the fractional digits of
 Y q are F_q-linear in the coefficients of q) and a brute-force enumeration
 used as an oracle.  They must agree exactly.
+
+The kernel path finds the deepest digit depth K at which some q != 0 zeroes
+digits -1..-K of every row of Y q + theta: one ``linalg.Echelon`` takes in
+the rows of depth 1, 2, ... and stops at the first infeasible depth.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import PrecisionExhaustedError
 from .field import Fq
-from .linalg import nullspace, solve_affine
+from .linalg import Echelon, nullspace, solve_affine
 from .matrix import SeriesMatrix, matvec_affine, prod_plus_deg
 from .poly import NEG_INF, Poly
 from .series import DegValue, LaurentSeries, deg_max, deg_sum
@@ -133,15 +137,22 @@ def witness_error_degs(Y: SeriesMatrix, theta, w: Witness) -> tuple[DegValue, ..
 # ---------------------------------------------------------------------------
 
 
-def _constraints(Y: SeriesMatrix, degree_bounds, depths):
-    """Unknown layout and rows of the map q -> (digits -1..-depths[i] of Y_i q).
+def _layout(degree_bounds) -> list[tuple[int, int]]:
+    """Unknowns: the coefficients s <= degree_bounds[j] of each q_j, as (j, s)."""
+    return [(j, s) for j, dj in enumerate(degree_bounds) for s in range(dj + 1)]
 
-    The unknowns are the coefficients s <= degree_bounds[j] of each q_j,
-    listed as (j, s); the digit of Y_ij q_j at -c gets Y_ij's digit at -c-s.
-    """
-    layout = [(j, s) for j, dj in enumerate(degree_bounds) for s in range(dj + 1)]
+
+def _digit_row(Y: SeriesMatrix, layout, i: int, c: int) -> list[int]:
+    """Row of the map q -> digit -c of Y_i q: Y_ij q_j's digit at -c gets
+    Y_ij's digit at -c-s from the unknown (j, s)."""
+    return [Y.entry(i, j).coeff(-c - s) for (j, s) in layout]
+
+
+def _constraints(Y: SeriesMatrix, degree_bounds, depths):
+    """Unknown layout and rows of the map q -> (digits -1..-depths[i] of Y_i q)."""
+    layout = _layout(degree_bounds)
     rows = [
-        [Y.entry(i, j).coeff(-c - s) for (j, s) in layout]
+        _digit_row(Y, layout, i, c)
         for i, k in enumerate(depths)
         for c in range(1, k + 1)
     ]
@@ -222,23 +233,14 @@ def _kernel_feasible(Y, theta, D: int, k: int):
     """Is there q != 0 with deg q_j <= D and all row digits -1..-k zero?"""
     layout, rows = _constraints(Y, [D] * Y.n, [k] * Y.m)
     ncols = len(layout)
-    if k == 0:
-        vec = [0] * ncols
-        vec[0] = 1
-        return vec, layout
     if theta is None or all(th.is_exact_zero() for th in theta):
         basis = nullspace(Y.field, rows, ncols)
         return (basis[0], layout) if basis else (None, layout)
     rhs = [Y.field.neg(th.coeff(-c)) for th in theta for c in range(1, k + 1)]
     x, basis = solve_affine(Y.field, rows, rhs, ncols)
-    if x is None:
-        return None, layout
-    if any(x):
-        return x, layout
-    if basis:
-        combined = [Y.field.add(a, b) for a, b in zip(x, basis[0])]
-        return combined, layout
-    return None, layout  # only solution is q = 0, which is not allowed
+    if x is not None and not any(x):
+        x = basis[0] if basis else None  # q = 0 is not allowed
+    return x, layout
 
 
 def _search_caps(Y: SeriesMatrix, theta, D: int):
@@ -269,44 +271,32 @@ def _search_caps(Y: SeriesMatrix, theta, D: int):
     return max(1, -lo + 1), True
 
 
+def _deepest_feasible_depth(Y: SeriesMatrix, theta, D: int, cap: int) -> int:
+    """Largest k <= cap at which _kernel_feasible(Y, theta, D, k) succeeds.
+
+    Feasibility only shrinks as depth grows, so one elimination takes in the
+    m rows of depth c = 1, 2, ... and stops at the first infeasible depth.
+    """
+    layout = _layout([D] * Y.n)
+    ech = Echelon(Y.field, len(layout))
+    for c in range(1, cap + 1):
+        for i in range(Y.m):
+            b = 0 if theta is None else Y.field.neg(theta[i].coeff(-c))
+            ech.insert(_digit_row(Y, layout, i, c), b)
+        if not ech.has_nonzero_solution():
+            return c - 1
+    return cap
+
+
 def _best_error_kernel(Y: SeriesMatrix, theta, T: int) -> BestError:
     D = (T - 1) // Y.n
     cap, exact_inputs = _search_caps(Y, theta, D)
-    solutions: dict[int, list[int]] = {}
-    layout = None
+    K = _deepest_feasible_depth(Y, theta, D, cap)
+    vec, layout = _kernel_feasible(Y, theta, D, K)
+    if vec is None:
+        raise AssertionError(f"depth {K} passed the scan but has no solution")
 
-    def feasible(k: int) -> bool:
-        nonlocal layout
-        vec, layout = _kernel_feasible(Y, theta, D, k)
-        if vec is not None:
-            solutions[k] = vec
-            return True
-        return False
-
-    # bracket the deepest feasible depth, then bisect
-    lo = 0
-    feasible(0)
-    hi = None
-    step = 1
-    while hi is None:
-        k = min(lo + step, cap)
-        if feasible(k):
-            lo = k
-            if k == cap:
-                break
-            step *= 2
-        else:
-            hi = k
-    if hi is not None:
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-    K = lo
-
-    q = _vector_to_q(Y.field, solutions[K], layout, Y.n)
+    q = _vector_to_q(Y.field, vec, layout, Y.n)
     w, resid = _witness_for(Y, theta, q)
     obj = deg_max(r.deg() for r in resid)
 

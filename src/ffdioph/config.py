@@ -146,7 +146,7 @@ class ExperimentConfig:
             raise ConfigError("eta must be >= 1")
         if cfg.eps <= 0:
             raise ConfigError("eps must be positive")
-        cfg.fq()  # validate the field spec eagerly
+        cfg.fq()  # validate the field spec eagerly; the field is kept
         if cfg.suite == "limsup" and cfg.m != 1 and cfg.n != 1:
             raise ConfigError("the limsup suite needs m = 1 or n = 1")
         return cfg
@@ -167,7 +167,12 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def fq(self) -> Fq:
-        return parse_field_spec(self.field)
+        """The field, built once; not a dataclass field, so not echoed."""
+        F = self.__dict__.get("_fq")
+        if F is None:
+            F = parse_field_spec(self.field)
+            object.__setattr__(self, "_fq", F)
+        return F
 
     def replace(self, **kw) -> "ExperimentConfig":
         return ExperimentConfig.from_dict(

@@ -67,7 +67,8 @@ def profile(
     """Best-error degrees for all horizons up to T_max.
 
     Precision exhaustion in a single entry is recorded as a censored value
-    rather than aborting the whole profile.
+    rather than aborting the whole profile.  Raises AssertionError if an
+    exact entry exceeds an earlier exact one.
     """
     if T_max < 1:
         raise ValueError("T_max must be >= 1")
@@ -84,6 +85,14 @@ def profile(
         except PrecisionExhaustedError:
             # the trivial bound deg <= -1 per row survives any truncation
             entries.append(ProfileEntry(T, DegValue(-Y.m, True)))
+    # exact values never rise with T: a larger horizon admits more q
+    exact = [e for e in entries if not e.censored]
+    for prev, e in zip(exact, exact[1:]):
+        if e.B.value > prev.B.value:
+            raise AssertionError(
+                f"profile rises at T={e.T}: B({e.T}) = {e.B.value} "
+                f"exceeds B({prev.T}) = {prev.B.value}"
+            )
     return ExponentProfile(kind, Y.m, Y.n, T_max, tuple(entries))
 
 

@@ -1,12 +1,15 @@
-"""Dense Gaussian elimination over F_q.
+"""Gaussian elimination over F_q, one row at a time.
 
-One reduction per row representation -- bit-packed Python ints for GF(2)
-(bit j = column j) and element lists driven by an ``Fq`` context for every
-other field -- both behind ``_rref``, whose pivot rows feed one basis
-extraction, ``_basis``.  ``solve_affine`` reduces the augmented system
-[A | b] with the same core.  Basis vectors come out in a canonical order
-(free columns ascending, unit entry at the free column), so results are
-deterministic.
+``Echelon`` is the one elimination core: the reduced row echelon form of
+the rows inserted so far, one fully reduced row per pivot column, kept as a
+bit-packed int on GF(2) (bit j = column j) and as an element list driven by
+an ``Fq`` context on every other field.  Column ``ncols`` carries an
+optional right-hand side b of A x = b; it becomes a pivot exactly when the
+rows so far are inconsistent.  The reduced form of a row space is unique,
+so results do not depend on row order, and a caller can test feasibility
+after each batch of rows without starting over.  ``nullspace`` and
+``solve_affine`` wrap one ``Echelon`` each; basis vectors come out in a
+canonical order (free columns ascending, unit entry at the free column).
 """
 
 from __future__ import annotations
@@ -14,114 +17,110 @@ from __future__ import annotations
 from .field import Fq
 
 
-def _rref_generic(field: Fq, rows: list[list[int]], ncols: int):
-    R = [list(r) for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(rank, len(R)):
-            if R[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        R[rank], R[sel] = R[sel], R[rank]
-        inv = field.inv(R[rank][col])
-        if inv != 1:
-            R[rank] = [field.mul(inv, c) for c in R[rank]]
-        for r in range(len(R)):
-            if r != rank and R[r][col] != 0:
-                f = R[r][col]
-                row_r, row_p = R[r], R[rank]
-                for j in range(col, len(row_r)):
-                    if row_p[j]:
-                        row_r[j] = field.sub(row_r[j], field.mul(f, row_p[j]))
-        pivots.append(col)
-        rank += 1
-        if rank == len(R):
-            break
-    return R, pivots
+class Echelon:
+    """Reduced row echelon form of [A | b], grown by ``insert``."""
 
+    def __init__(self, field: Fq, ncols: int):
+        self.field = field
+        self.ncols = ncols
+        self.gf2 = field.is_gf2()
+        self.pivots: dict[int, object] = {}  # pivot column -> reduced row
+        self._mask = 0  # GF(2): bit set of the pivot columns
 
-def _rref_gf2(rows: list[int], ncols: int):
-    R = list(rows)
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        bit = 1 << col
-        sel = None
-        for r in range(rank, len(R)):
-            if R[r] & bit:
-                sel = r
-                break
-        if sel is None:
-            continue
-        R[rank], R[sel] = R[sel], R[rank]
-        piv = R[rank]
-        for r in range(len(R)):
-            if r != rank and R[r] & bit:
-                R[r] ^= piv
-        pivots.append(col)
-        rank += 1
-        if rank == len(R):
-            break
-    return R, pivots
-
-
-def _rref(field: Fq, rows: list[list[int]], ncols: int, rhs=None):
-    """Reduce A, or [A | b] when rhs is given; return (pivot rows, pivot columns).
-
-    GF(2) rows come back packed into ints (bit j = column j), all others as
-    element lists.  The b column sits at index ncols and becomes a pivot
-    exactly when A x = b is inconsistent.
-    """
-    width = ncols if rhs is None else ncols + 1
-    if field.is_gf2():
-        packed = []
-        for i, row in enumerate(rows):
-            v = 0
-            for j, c in enumerate(row):
-                if c:
-                    v |= 1 << j
-            if rhs is not None and rhs[i]:
-                v |= 1 << ncols
-            packed.append(v)
-        R, pivots = _rref_gf2(packed, width)
-    else:
-        if rhs is not None:
-            rows = [list(r) + [b] for r, b in zip(rows, rhs)]
-        R, pivots = _rref_generic(field, rows, width)
-    return R[: len(pivots)], pivots
-
-
-def _basis(field: Fq, R, pivots: list[int], ncols: int) -> list[list[int]]:
-    """Canonical basis of {x : A x = 0} from the reduced rows of A."""
-    pivset = set(pivots)
-    gf2 = field.is_gf2()
-    basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        if gf2:
-            bit = 1 << free
-            for row, pc in zip(R, pivots):
-                if row & bit:
-                    vec[pc] = 1
+    def insert(self, row: list[int], b: int = 0) -> None:
+        """Add the equation row . x = b."""
+        if self.gf2:
+            self._insert_gf2(row, b)
         else:
-            for row, pc in zip(R, pivots):
-                if row[free]:
-                    vec[pc] = field.neg(row[free])
-        basis.append(vec)
-    return basis
+            self._insert_generic(list(row) + [b])
+
+    def _insert_gf2(self, row: list[int], b: int) -> None:
+        v = 1 << self.ncols if b else 0
+        for j, c in enumerate(row):
+            if c:
+                v |= 1 << j
+        # pivot rows are zero on each other's pivot columns, so clearing the
+        # pivot bits v starts with clears all of them
+        hits = v & self._mask
+        while hits:
+            low = hits & -hits
+            v ^= self.pivots[low.bit_length() - 1]
+            hits ^= low
+        if not v:
+            return
+        low = v & -v
+        col = low.bit_length() - 1
+        for pc, r in self.pivots.items():
+            if r & low:
+                self.pivots[pc] = r ^ v
+        self.pivots[col] = v
+        self._mask |= low
+
+    def _insert_generic(self, r: list[int]) -> None:
+        F = self.field
+        for pc, p in self.pivots.items():
+            f = r[pc]
+            if f:
+                for j in range(pc, len(r)):
+                    if p[j]:
+                        r[j] = F.sub(r[j], F.mul(f, p[j]))
+        col = next((j for j, c in enumerate(r) if c), None)
+        if col is None:
+            return
+        inv = F.inv(r[col])
+        if inv != 1:
+            r = [F.mul(inv, c) for c in r]
+        for p in self.pivots.values():
+            f = p[col]
+            if f:
+                for j in range(col, len(r)):
+                    if r[j]:
+                        p[j] = F.sub(p[j], F.mul(f, r[j]))
+        self.pivots[col] = r
+
+    def _entry(self, row, j: int) -> int:
+        return row >> j & 1 if self.gf2 else row[j]
+
+    def has_nonzero_solution(self) -> bool:
+        """Is there x != 0 with A x = b for the rows so far?"""
+        if self.ncols in self.pivots:
+            return False  # inconsistent
+        if len(self.pivots) < self.ncols:
+            return True  # a free column exists
+        return any(self._entry(r, self.ncols) for r in self.pivots.values())
+
+    def solution(self) -> list[int] | None:
+        """The particular solution (zero at every free column), or None."""
+        if self.ncols in self.pivots:
+            return None
+        x = [0] * self.ncols
+        for pc, r in self.pivots.items():
+            x[pc] = self._entry(r, self.ncols)
+        return x
+
+    def basis(self) -> list[list[int]]:
+        """Canonical basis of {x : A x = 0}."""
+        rows = [(pc, r) for pc, r in self.pivots.items() if pc < self.ncols]
+        basis = []
+        for free in range(self.ncols):
+            if free in self.pivots:
+                continue
+            vec = [0] * self.ncols
+            vec[free] = 1
+            for pc, r in rows:
+                c = self._entry(r, free)
+                if c:
+                    vec[pc] = self.field.neg(c)
+            basis.append(vec)
+        return basis
 
 
 def nullspace(field: Fq, rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Canonical basis of {x : A x = 0}."""
-    R, pivots = _rref(field, rows, ncols)
-    return _basis(field, R, pivots, ncols)
+    ech = Echelon(field, ncols)
+    for row in rows:
+        ech.insert(row)
+    return ech.basis()
 
 
 def solve_affine(
@@ -132,12 +131,7 @@ def solve_affine(
     The nullspace basis of A is returned even when the system is
     inconsistent, since callers often need it anyway.
     """
-    R, pivots = _rref(field, rows, ncols, rhs)
-    if pivots and pivots[-1] == ncols:
-        return None, _basis(field, R, pivots[:-1], ncols)
-    gf2 = field.is_gf2()
-    x = [0] * ncols
-    for row, pc in zip(R, pivots):
-        x[pc] = row >> ncols & 1 if gf2 else row[ncols]
-    return x, _basis(field, R, pivots, ncols)
-
+    ech = Echelon(field, ncols)
+    for row, b in zip(rows, rhs):
+        ech.insert(row, b)
+    return ech.solution(), ech.basis()

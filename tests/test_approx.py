@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ffdioph import (
@@ -155,6 +157,45 @@ def test_kernel_equals_brute_random(field, m, n, shifted, T_max, count):
             dk = max(d.value for d in witness_error_degs(Y, theta, k.witness))
             db = max(d.value for d in witness_error_degs(Y, theta, b.witness))
             assert dk == db
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, Fq(3, 2)], ids=["F2", "F3", "F4", "F9"])
+def test_kernel_depth_scan_matches_linear_probe(field):
+    # the one-pass depth scan against a probe of every depth 0..cap
+    from ffdioph.approx import _kernel_feasible, _search_caps
+
+    branches = set()
+    for i in range(8):
+        rng = derive_rng(2718, "scan", field.q, i)
+        m, n = rng.randrange(1, 3), rng.randrange(1, 3)
+        floor = rng.choice([-3, -5, -10])
+        exact = i % 2 == 0
+
+        def entry():
+            s = random_series(field, floor, rng)
+            return LaurentSeries(field, -1, list(s.coeffs), NEG_INF) if exact else s
+
+        Y = SeriesMatrix([[entry() for _ in range(n)] for _ in range(m)])
+        theta = tuple(entry() for _ in range(m)) if i % 4 >= 2 else None
+        for T in range(1, 8):
+            D = (T - 1) // n
+            cap, exact_inputs = _search_caps(Y, theta, D)
+            assert exact_inputs == exact
+            feasible = [
+                _kernel_feasible(Y, theta, D, k)[0] is not None for k in range(cap + 1)
+            ]
+            K = feasible.index(False) - 1 if False in feasible else cap
+            assert not any(feasible[K + 1 :])  # feasibility is monotone in depth
+            B = best_error(Y, theta, T, "kernel").B
+            if K < cap:
+                assert B == DegValue.exact(-(K + 1) * m)
+            elif exact:
+                assert B == DegValue.exact(NEG_INF)
+            else:
+                assert B.censored
+            branches.add((K == cap, exact, theta is not None))
+    # K < cap and K == cap, each on exact and truncated, homogeneous and shifted
+    assert branches == set(itertools.product((False, True), repeat=3))
 
 
 def test_monotone_in_horizon():

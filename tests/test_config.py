@@ -52,6 +52,17 @@ def test_replace_keeps_parsed_values():
     assert cfg2.echo_dict() == dict(cfg.echo_dict(), seed=4)
 
 
+def test_field_built_once_and_sent_with_the_config():
+    import pickle
+
+    cfg = ExperimentConfig.from_dict({"field": "p=3,d=2", "dims": [1, 2]})
+    assert cfg.fq() is cfg.fq()
+    echo = cfg.echo_dict()
+    sent = pickle.loads(pickle.dumps(cfg))
+    assert sent == cfg and sent.fq() == cfg.fq()
+    assert sent.echo_dict() == echo == ExperimentConfig.from_dict(echo).echo_dict()
+
+
 def test_floor_invariant():
     ExperimentConfig.from_dict({"T_max": 10, "floor": -20})
     with pytest.raises(ConfigError):

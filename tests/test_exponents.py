@@ -121,3 +121,26 @@ def test_mult_profile_equals_standard_square_one():
     ps = profile(Y, None, 8, "standard", "brute")
     pm = profile(Y, None, 8, "multiplicative")
     assert [e.B for e in ps.entries] == [e.B for e in pm.entries]
+
+
+@pytest.mark.parametrize("kind", ["standard", "multiplicative"])
+def test_profile_rejects_a_rising_exact_entry(monkeypatch, kind):
+    import ffdioph.exponents as exponents
+    from ffdioph.approx import BestError
+
+    def fake(values):
+        def best(Y, theta, T, method="kernel"):
+            return BestError(T, values[T - 1], None, "fake")
+
+        return best
+
+    rising = [DegValue.exact(-3), DegValue.censored_at(-1), DegValue.exact(-2)]
+    monkeypatch.setattr(exponents, "best_error", fake(rising))
+    monkeypatch.setattr(exponents, "best_error_mult", fake(rising))
+    Y = single(LaurentSeries.zero(F2))
+    with pytest.raises(AssertionError, match=r"T=3: B\(3\) = -2 exceeds B\(1\) = -3"):
+        profile(Y, None, 3, kind)
+    # a censored value only bounds the truth from above, so it may sit higher
+    monkeypatch.setattr(exponents, "best_error", fake(rising[:2]))
+    monkeypatch.setattr(exponents, "best_error_mult", fake(rising[:2]))
+    assert profile(Y, None, 2, kind).entry(2).censored

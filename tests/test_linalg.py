@@ -26,16 +26,31 @@ def brute_nullspace(field, rows, ncols):
     return sols
 
 
-@pytest.mark.parametrize("field", [Fq(2), Fq(3), Fq(2, 2)])
+def reordered(rng, rows, rhs):
+    """(rows, rhs) shuffled, and again with some equations repeated."""
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    repeats = order + [rng.randrange(len(rows)) for _ in range(len(rows))]
+    return [
+        ([rows[i] for i in idx], [rhs[i] for i in idx]) for idx in (order, repeats)
+    ]
+
+
+@pytest.mark.parametrize("field", [Fq(2), Fq(3), Fq(2, 2), Fq(3, 2)])
 def test_nullspace_matches_enumeration(field):
     import random
 
     rng = random.Random(f"linalg:{field.q}")
+    shuffler = random.Random(f"reorder:{field.q}")
     for _ in range(25):
         nrows = rng.randrange(0, 4)
         ncols = rng.randrange(1, 5)
         rows = [[rng.randrange(field.q) for _ in range(ncols)] for _ in range(nrows)]
         basis = nullspace(field, rows, ncols)
+        # the reduced form of a row space is unique, so row order and
+        # repeated rows do not change the canonical basis
+        for rows2, _ in reordered(shuffler, rows, [0] * nrows):
+            assert nullspace(field, rows2, ncols) == basis
         for vec in basis:
             assert any(vec)
             assert all(v == 0 for v in matvec_mod(field, rows, vec))
@@ -49,6 +64,7 @@ def test_solve_affine_matches_enumeration(field):
     import random
 
     rng = random.Random(f"affine:{field.q}")
+    shuffler = random.Random(f"reorder:{field.q}")
     for _ in range(40):
         nrows = rng.randrange(1, 4)
         ncols = rng.randrange(1, 4)
@@ -56,6 +72,8 @@ def test_solve_affine_matches_enumeration(field):
         rhs = [rng.randrange(field.q) for _ in range(nrows)]
         x, basis = solve_affine(field, rows, rhs, ncols)
         assert basis == nullspace(field, rows, ncols)
+        for rows2, rhs2 in reordered(shuffler, rows, rhs):
+            assert solve_affine(field, rows2, rhs2, ncols) == (x, basis)
         brute = [
             list(v)
             for v in itertools.product(field.elements(), repeat=ncols)
