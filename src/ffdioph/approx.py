@@ -6,9 +6,13 @@ routes are provided: a linear-algebra kernel path (the fractional digits of
 Y q are F_q-linear in the coefficients of q) and a brute-force enumeration
 used as an oracle.  They must agree exactly.
 
-The kernel path finds the deepest digit depth K at which some q != 0 zeroes
-digits -1..-K of every row of Y q + theta: one ``linalg.Echelon`` takes in
-the rows of depth 1, 2, ... and stops at the first infeasible depth.
+The kernel path finds the deepest digit depth K at which some q != 0 with
+deg q_j <= D_j zeroes digits -1..-K of every row of Y q + theta: one
+``linalg.Echelon`` takes in the rows of depth 1, 2, ... and stops at the
+first infeasible depth.  The standard objective bounds every column by the
+same D; the multiplicative one (m = 1) takes the least result over the
+shapes (D_1..D_n) with sum D_j = T-1, and hands any horizon at which a
+shape's scan reaches its precision cap to the enumeration.
 """
 
 from __future__ import annotations
@@ -229,9 +233,9 @@ def _verify_dirichlet(Y, t, w: Witness, degs, strict: bool):
 # ---------------------------------------------------------------------------
 
 
-def _kernel_feasible(Y, theta, D: int, k: int):
-    """Is there q != 0 with deg q_j <= D and all row digits -1..-k zero?"""
-    layout, rows = _constraints(Y, [D] * Y.n, [k] * Y.m)
+def _kernel_feasible(Y, theta, bounds, k: int):
+    """Is there q != 0 with deg q_j <= bounds[j] and all row digits -1..-k zero?"""
+    layout, rows = _constraints(Y, bounds, [k] * Y.m)
     ncols = len(layout)
     if theta is None or all(th.is_exact_zero() for th in theta):
         basis = nullspace(Y.field, rows, ncols)
@@ -243,8 +247,9 @@ def _kernel_feasible(Y, theta, D: int, k: int):
     return x, layout
 
 
-def _search_caps(Y: SeriesMatrix, theta, D: int):
-    """(cap, exact) where cap is the deepest searchable digit depth.
+def _search_caps(Y: SeriesMatrix, theta, bounds):
+    """(cap, exact) where cap is the deepest searchable digit depth when
+    deg q_j <= bounds[j].
 
     With any truncated entry, cap is the deepest depth whose constraints are
     decidable and exact=False.  With all-exact entries, cap is one past the
@@ -254,9 +259,9 @@ def _search_caps(Y: SeriesMatrix, theta, D: int):
     caps = []
     stored_lo = []
     for row in Y.rows:
-        for s in row:
+        for s, dj in zip(row, bounds):
             if s.floor != NEG_INF:
-                caps.append(-s.floor - D)
+                caps.append(-s.floor - dj)
             elif not s.is_exact_zero():
                 stored_lo.append(s.top - len(s.coeffs) + 1)
     if theta is not None:
@@ -271,13 +276,13 @@ def _search_caps(Y: SeriesMatrix, theta, D: int):
     return max(1, -lo + 1), True
 
 
-def _deepest_feasible_depth(Y: SeriesMatrix, theta, D: int, cap: int) -> int:
-    """Largest k <= cap at which _kernel_feasible(Y, theta, D, k) succeeds.
+def _deepest_feasible_depth(Y: SeriesMatrix, theta, bounds, cap: int) -> int:
+    """Largest k <= cap at which _kernel_feasible(Y, theta, bounds, k) succeeds.
 
     Feasibility only shrinks as depth grows, so one elimination takes in the
     m rows of depth c = 1, 2, ... and stops at the first infeasible depth.
     """
-    layout = _layout([D] * Y.n)
+    layout = _layout(bounds)
     ech = Echelon(Y.field, len(layout))
     for c in range(1, cap + 1):
         for i in range(Y.m):
@@ -288,16 +293,19 @@ def _deepest_feasible_depth(Y: SeriesMatrix, theta, D: int, cap: int) -> int:
     return cap
 
 
-def _best_error_kernel(Y: SeriesMatrix, theta, T: int) -> BestError:
-    D = (T - 1) // Y.n
-    cap, exact_inputs = _search_caps(Y, theta, D)
-    K = _deepest_feasible_depth(Y, theta, D, cap)
-    vec, layout = _kernel_feasible(Y, theta, D, K)
+def _kernel_witness(Y: SeriesMatrix, theta, bounds, K: int):
+    """Witness and residual rows for a q found at depth K of the scan."""
+    vec, layout = _kernel_feasible(Y, theta, bounds, K)
     if vec is None:
         raise AssertionError(f"depth {K} passed the scan but has no solution")
+    return _witness_for(Y, theta, _vector_to_q(Y.field, vec, layout, Y.n))
 
-    q = _vector_to_q(Y.field, vec, layout, Y.n)
-    w, resid = _witness_for(Y, theta, q)
+
+def _best_error_kernel(Y: SeriesMatrix, theta, T: int) -> BestError:
+    bounds = [(T - 1) // Y.n] * Y.n
+    cap, exact_inputs = _search_caps(Y, theta, bounds)
+    K = _deepest_feasible_depth(Y, theta, bounds, cap)
+    w, resid = _kernel_witness(Y, theta, bounds, K)
     obj = deg_max(r.deg() for r in resid)
 
     if K == cap:
@@ -435,7 +443,17 @@ def best_error(
 
 
 # ---------------------------------------------------------------------------
-# Multiplicative variant (brute force only: the objective is not linear)
+# Multiplicative variant
+#
+# The admissible set {q != 0 : sum_j max(0, deg q_j) <= T-1} is the union of
+# the boxes deg q_j <= D_j over the shapes D_j >= 0, sum_j D_j = T-1.  For
+# m = 1 the objective is the degree of the one row, so on each box it is the
+# kernel scan's -(K+1) with per-column bounds, and B_mult(T) is the least of
+# these.  That is exact while every box's scan stops below its cap: each q
+# then has a known nonzero digit at some depth <= cap, so no candidate is
+# censored.  When some box reaches its cap (an exact hit or a censored
+# value), the enumeration decides that T.  For m >= 2 the objective is a sum
+# of row degrees and only the enumeration is implemented.
 # ---------------------------------------------------------------------------
 
 
@@ -453,11 +471,7 @@ def _iter_mult_q(field: Fq, n: int, budget: int):
     yield from extend([], 0, budget)
 
 
-def best_error_mult(Y: SeriesMatrix, theta, T: int) -> BestError:
-    """Multiplicative analogue: minimize the product degree of the rows over
-    q != 0 with plus-product degree <= T-1."""
-    if T < 1:
-        raise ValueError("horizon T must be >= 1")
+def _best_error_mult_brute(Y: SeriesMatrix, theta, T: int) -> BestError:
     budget = T - 1
     best = _BruteBest(budget)
     cache = _ColumnProductCache(Y, theta)
@@ -470,3 +484,50 @@ def best_error_mult(Y: SeriesMatrix, theta, T: int) -> BestError:
         best.offer(obj, q, ps)
     B_deg, w = best.result()
     return BestError(T, B_deg, w, "brute")
+
+
+def _mult_shapes(n: int, budget: int):
+    """Per-column degree bounds (D_1..D_n), each >= 0, summing to budget."""
+    if n == 1:
+        yield [budget]
+        return
+    for d in range(budget + 1):
+        for rest in _mult_shapes(n - 1, budget - d):
+            yield [d] + rest
+
+
+def _best_error_mult_kernel(Y: SeriesMatrix, theta, T: int) -> BestError:
+    best_K, best_bounds = -1, None
+    for bounds in _mult_shapes(Y.n, T - 1):
+        cap, _ = _search_caps(Y, theta, bounds)
+        K = _deepest_feasible_depth(Y, theta, bounds, cap)
+        if K == cap:
+            return _best_error_mult_brute(Y, theta, T)
+        if K > best_K:
+            best_K, best_bounds = K, bounds
+    w, resid = _kernel_witness(Y, theta, best_bounds, best_K)
+    obj = deg_sum(r.deg() for r in resid)
+    if obj.value != -best_K - 1 or obj.censored:
+        raise AssertionError("kernel witness does not attain its depth")
+    return BestError(T, obj, w, "kernel")
+
+
+def best_error_mult(
+    Y: SeriesMatrix, theta, T: int, method: str = "kernel"
+) -> BestError:
+    """Multiplicative analogue: minimize the product degree of the rows over
+    q != 0 with plus-product degree <= T-1.
+
+    method="kernel" takes the least kernel scan over the degree shapes when
+    m = 1, and falls back to the enumeration for any T at which some shape's
+    scan reaches its cap, so exact hits and censored values are the
+    enumeration's.  For m >= 2 both methods enumerate.  method="brute"
+    always enumerates; it is the oracle for the kernel route.
+    """
+    if T < 1:
+        raise ValueError("horizon T must be >= 1")
+    if method == "kernel" and Y.m == 1:
+        return _best_error_mult_kernel(Y, theta, T)
+    if method in ("kernel", "brute"):
+        return _best_error_mult_brute(Y, theta, T)
+    raise ValueError(f"unknown method {method!r}")

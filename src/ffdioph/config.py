@@ -13,13 +13,17 @@ Schema (every key is optional; `ExperimentConfig` declares the defaults):
     floor          int      precision floor, at most -2*T_max
     T_max          int      profile horizon
     Y              spec     matrix spec; see generators
-    theta          spec     shift spec
+    theta          spec     shift spec; in the transference suite the default
+                            "0" draws a random shift per instance, while
+                            "zero" and 0 give the zero shift
     eta            "a/b"    level of the index-tuple family
     eps            "a/b"    premise margin
     tau            "a/b"    cell scale slope; null = tau0(eps)/2 (1/8 for audit-tset)
     tol_bz         "a/b"    transpose-bound diagnostic tolerance
     tol_dyson      "a/b"    exponent-one diagnostic tolerance
-    method         str      best-error path, "kernel" | "brute"
+    method         str      best-error path, "kernel" | "brute", for both
+                            profile kinds (the multiplicative kernel path
+                            covers m = 1 and enumerates for m >= 2)
     profile_kind   str      "standard" | "multiplicative"
     instances      int      randomized-suite instance count
     sigma_bound    int      target size for dirichlet / level cutoff for tset
@@ -41,7 +45,7 @@ import dataclasses
 import json
 from fractions import Fraction
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .field import Fq, parse_field_spec
 
 _CHOICES = {
@@ -146,7 +150,10 @@ class ExperimentConfig:
             raise ConfigError("eta must be >= 1")
         if cfg.eps <= 0:
             raise ConfigError("eps must be positive")
-        cfg.fq()  # validate the field spec eagerly; the field is kept
+        try:
+            cfg.fq()  # validate the field spec eagerly; the field is kept
+        except (ParseError, ValueError) as exc:
+            raise ConfigError(f"bad field spec {cfg.field!r}: {exc}") from exc
         if cfg.suite == "limsup" and cfg.m != 1 and cfg.n != 1:
             raise ConfigError("the limsup suite needs m = 1 or n = 1")
         return cfg

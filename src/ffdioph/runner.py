@@ -10,6 +10,7 @@ bytes reproducible.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -230,6 +231,12 @@ def _dirichlet_instance(cfg: ExperimentConfig, idx: int) -> dict:
     }
 
 
+def _profile_prefix(prof: ExponentProfile, T_max: int) -> ExponentProfile:
+    """The profile's entries up to T_max; an entry does not depend on the
+    horizon it was computed under."""
+    return dataclasses.replace(prof, T_max=T_max, entries=prof.entries[:T_max])
+
+
 def _transference_instance(cfg: ExperimentConfig, idx: int) -> dict:
     F = cfg.fq()
     Y = generate_matrix(
@@ -243,11 +250,15 @@ def _transference_instance(cfg: ExperimentConfig, idx: int) -> dict:
         cfg.seed * 7919 + idx,
     )
     hom = profile(Y, None, cfg.T_max, "standard", cfg.method)
-    hom_t = profile(Y.transpose(), None, cfg.T_max, "standard", cfg.method)
-    inhom = profile(Y, theta, cfg.T_max, "standard", cfg.method)
+    Y_t = Y.transpose()
+    hom_t = hom if Y_t == Y else profile(Y_t, None, cfg.T_max, "standard", cfg.method)
+    inhom_all = profile(
+        Y, theta, max(cfg.T_max, cfg.mult_T_max), "standard", cfg.method
+    )
+    inhom = _profile_prefix(inhom_all, cfg.T_max)
     bound = check_dirichlet_bound(hom)
-    std_small = profile(Y, theta, cfg.mult_T_max, "standard", cfg.method)
-    mult_small = profile(Y, theta, cfg.mult_T_max, "multiplicative")
+    std_small = _profile_prefix(inhom_all, cfg.mult_T_max)
+    mult_small = profile(Y, theta, cfg.mult_T_max, "multiplicative", cfg.method)
     dominance = check_mult_dominance(std_small, mult_small)
     bz = check_bz(inhom, hom_t, cfg.tol_bz)
     dyson = check_dyson(hom, hom_t, cfg.tol_dyson)

@@ -18,6 +18,8 @@ from ffdioph import (
     witness_error_degs,
 )
 from ffdioph.generators import cf_series, derive_rng, random_series
+from ffdioph.matrix import prod_plus_deg
+from ffdioph.series import deg_sum
 
 F2 = Fq(2)
 F3 = Fq(3)
@@ -178,11 +180,12 @@ def test_kernel_depth_scan_matches_linear_probe(field):
         Y = SeriesMatrix([[entry() for _ in range(n)] for _ in range(m)])
         theta = tuple(entry() for _ in range(m)) if i % 4 >= 2 else None
         for T in range(1, 8):
-            D = (T - 1) // n
-            cap, exact_inputs = _search_caps(Y, theta, D)
+            bounds = [(T - 1) // n] * n
+            cap, exact_inputs = _search_caps(Y, theta, bounds)
             assert exact_inputs == exact
             feasible = [
-                _kernel_feasible(Y, theta, D, k)[0] is not None for k in range(cap + 1)
+                _kernel_feasible(Y, theta, bounds, k)[0] is not None
+                for k in range(cap + 1)
             ]
             K = feasible.index(False) - 1 if False in feasible else cap
             assert not any(feasible[K + 1 :])  # feasibility is monotone in depth
@@ -272,7 +275,10 @@ def test_mult_equals_standard_when_square_one():
     for i in range(8):
         Y = single(random_series(F2, -40, derive_rng(13, "mult", i)))
         for T in range(1, 7):
-            assert best_error_mult(Y, None, T).B == best_error(Y, None, T, "brute").B
+            assert (
+                best_error_mult(Y, None, T, "brute").B
+                == best_error(Y, None, T, "brute").B
+            )
 
 
 def test_mult_admissibility_wider():
@@ -292,12 +298,45 @@ def test_mult_example_1x2():
     assert be.B == DegValue.exact(NEG_INF)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=["F2", "F3", "F4"])
+def test_mult_kernel_equals_brute(field, n):
+    # the shape-by-shape kernel route against the enumeration; the shallow
+    # floors make some shape reach its cap, so the fallback runs as well
+    T_max = {2: (8, 6, 5), 3: (6, 4, 3), 4: (4, 3, 2)}[field.q][n - 1]
+    cases = []
+    for floor in (-8, -12, -20, -40):
+        for shifted in (False, True):
+            rng = derive_rng(6021, "mult-oracle", field.q, n, floor, shifted)
+            Y = SeriesMatrix([[random_series(field, floor, rng) for _ in range(n)]])
+            theta = (random_series(field, floor, rng),) if shifted else None
+            cases.append((Y, theta))
+    # a different floor per column, so each column's cap has its own bound
+    rng = derive_rng(6021, "mult-oracle-mixed", field.q, n)
+    Y = SeriesMatrix([[random_series(field, f, rng) for f in (-8, -40, -12)[:n]]])
+    cases.append((Y, (random_series(field, -40, rng),)))
+    # exact inputs, as in test_mult_example_1x2: an exact hit at T = 2
+    exact = ["X^-1", "X^-3", "X^-2 + X^-5"][:n]
+    cases.append((SeriesMatrix([[S(text, field) for text in exact]]), None))
+    routes = set()
+    for Y, theta in cases:
+        for T in range(1, T_max + 1):
+            k = best_error_mult(Y, theta, T, "kernel")
+            b = best_error_mult(Y, theta, T, "brute")
+            assert (k.B.value, k.censored) == (b.B.value, b.censored)
+            routes.add(k.method)
+            if k.method == "kernel":
+                assert prod_plus_deg(k.witness.q) <= T - 1
+                assert deg_sum(witness_error_degs(Y, theta, k.witness)) == k.B
+    assert routes == {"kernel", "brute"}
+
+
 def test_mult_dominated_by_standard():
     for i in range(6):
         Y = SeriesMatrix(
             [[random_series(F2, -40, derive_rng(17, "dom", i, j)) for j in range(2)]]
         )
         for T in range(1, 7):
-            bm = best_error_mult(Y, None, T).B.value
+            bm = best_error_mult(Y, None, T, "brute").B.value
             bs = best_error(Y, None, T, "brute").B.value
             assert bm <= bs

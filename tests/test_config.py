@@ -75,8 +75,11 @@ def test_eta_bound():
 
 
 def test_bad_field_spec():
-    with pytest.raises(Exception):
-        ExperimentConfig.from_dict({"field": "p=4"})
+    # a non-prime characteristic, a degree with no built-in modulus, and a
+    # malformed spec are all configuration errors
+    for spec in ("p=4", "p=2,d=5", "x"):
+        with pytest.raises(ConfigError, match="bad field spec"):
+            ExperimentConfig.from_dict({"field": spec})
 
 
 def test_limsup_needs_row_or_column():
