@@ -9,7 +9,9 @@ used as an oracle.  They must agree exactly.
 The kernel path finds the deepest digit depth K at which some q != 0 with
 deg q_j <= D_j zeroes digits -1..-K of every row of Y q + theta: one
 ``linalg.Echelon`` takes in the rows of depth 1, 2, ... and stops at the
-first infeasible depth.  The standard objective bounds every column by the
+first infeasible depth.  Constraint rows are slices of a digit table that
+each call fills once (``_digit_table``, from ``LaurentSeries.digits``), not
+digit by digit.  The standard objective bounds every column by the
 same D; the multiplicative one (m = 1) takes the least result over the
 shapes (D_1..D_n) with sum D_j = T-1, and hands any horizon at which a
 shape's scan reaches its precision cap to the enumeration.
@@ -146,21 +148,30 @@ def _layout(degree_bounds) -> list[tuple[int, int]]:
     return [(j, s) for j, dj in enumerate(degree_bounds) for s in range(dj + 1)]
 
 
-def _digit_row(Y: SeriesMatrix, layout, i: int, c: int) -> list[int]:
-    """Row of the map q -> digit -c of Y_i q: Y_ij q_j's digit at -c gets
-    Y_ij's digit at -c-s from the unknown (j, s)."""
-    return [Y.entry(i, j).coeff(-c - s) for (j, s) in layout]
+def _digit_table(Y: SeriesMatrix, degree_bounds, depths) -> list[list[list[int]]]:
+    """tab[i][j] = Y_ij's digits at -1, -2, ..., -(depths[i] + degree_bounds[j]):
+    every digit the rows of depth 1..depths[i] read, and none at depth 0."""
+    return [
+        [s.digits(-1, -(k + d)) if k else [] for s, d in zip(row, degree_bounds)]
+        for row, k in zip(Y.rows, depths)
+    ]
+
+
+def _table_row(tab, degree_bounds, i: int, c: int) -> list[int]:
+    """Row of the map q -> digit -c of Y_i q, in _layout order: the unknown
+    (j, s) gets Y_ij's digit at -c-s, which is tab[i][j][c-1+s]."""
+    return [x for t, d in zip(tab[i], degree_bounds) for x in t[c - 1 : c + d]]
 
 
 def _constraints(Y: SeriesMatrix, degree_bounds, depths):
     """Unknown layout and rows of the map q -> (digits -1..-depths[i] of Y_i q)."""
-    layout = _layout(degree_bounds)
+    tab = _digit_table(Y, degree_bounds, depths)
     rows = [
-        _digit_row(Y, layout, i, c)
+        _table_row(tab, degree_bounds, i, c)
         for i, k in enumerate(depths)
         for c in range(1, k + 1)
     ]
-    return layout, rows
+    return _layout(degree_bounds), rows
 
 
 def _vector_to_q(field: Fq, vec, layout, n: int) -> list[Poly]:
@@ -240,7 +251,7 @@ def _kernel_feasible(Y, theta, bounds, k: int):
     if theta is None or all(th.is_exact_zero() for th in theta):
         basis = nullspace(Y.field, rows, ncols)
         return (basis[0], layout) if basis else (None, layout)
-    rhs = [Y.field.neg(th.coeff(-c)) for th in theta for c in range(1, k + 1)]
+    rhs = [Y.field.neg(d) for th in theta for d in th.digits(-1, -k)]
     x, basis = solve_affine(Y.field, rows, rhs, ncols)
     if x is not None and not any(x):
         x = basis[0] if basis else None  # q = 0 is not allowed
@@ -282,12 +293,12 @@ def _deepest_feasible_depth(Y: SeriesMatrix, theta, bounds, cap: int) -> int:
     Feasibility only shrinks as depth grows, so one elimination takes in the
     m rows of depth c = 1, 2, ... and stops at the first infeasible depth.
     """
-    layout = _layout(bounds)
-    ech = Echelon(Y.field, len(layout))
+    ech = Echelon(Y.field, len(_layout(bounds)))
+    tab = _digit_table(Y, bounds, [cap] * Y.m)
     for c in range(1, cap + 1):
         for i in range(Y.m):
             b = 0 if theta is None else Y.field.neg(theta[i].coeff(-c))
-            ech.insert(_digit_row(Y, layout, i, c), b)
+            ech.insert(_table_row(tab, bounds, i, c), b)
         if not ech.has_nonzero_solution():
             return c - 1
     return cap

@@ -68,10 +68,12 @@ def profile(
 
     method picks the best-error route for both kinds, "kernel" or "brute"
     (see ``best_error`` and ``best_error_mult``: the multiplicative kernel
-    route covers m = 1 and enumerates for m >= 2).  Precision exhaustion in
-    a single entry is recorded as a censored value rather than aborting the
-    whole profile.  Raises AssertionError if an exact entry exceeds an
-    earlier exact one.
+    route covers m = 1 and enumerates for m >= 2).  For the standard kind
+    both routes depend on T only through the degree bound D = (T-1)//n, so
+    ``best_error`` runs once per D, at T = n*D + 1, and the other horizons
+    with that D share its entry.  Precision exhaustion in a single entry is
+    recorded as a censored value rather than aborting the whole profile.
+    Raises AssertionError if an exact entry exceeds an earlier exact one.
     """
     if T_max < 1:
         raise ValueError("T_max must be >= 1")
@@ -79,6 +81,10 @@ def profile(
         raise ValueError(f"unknown profile kind {kind!r}")
     entries = []
     for T in range(1, T_max + 1):
+        if kind == "standard" and (T - 1) % Y.n:
+            # same degree bound D = (T-1)//n as T-1: reuse its entry
+            entries.append(ProfileEntry(T, entries[-1].B))
+            continue
         try:
             if kind == "standard":
                 be: BestError = best_error(Y, theta, T, method=method)

@@ -192,6 +192,28 @@ class LaurentSeries:
             return self.coeffs[idx]
         return 0  # exact series, below stored range
 
+    def digits(self, hi: int, lo: int) -> list[int]:
+        """Digits at exponents hi, hi-1, ..., lo, sliced from the stored ones.
+
+        Same rule as ``coeff``: zeros above ``top`` and below the stored range
+        of an exact series, and PrecisionExhaustedError if lo is below a finite
+        floor.  An empty window (hi < lo) is [] and reads nothing.
+        """
+        if hi < lo:
+            return []
+        if self.floor != NEG_INF and lo < self.floor:
+            raise PrecisionExhaustedError(
+                f"digit at exponent {lo} is below the floor {self.floor}"
+            )
+        width = hi - lo + 1
+        if self.top == NEG_INF:
+            return [0] * width
+        start = self.top - hi  # index of exponent hi in coeffs
+        out = [0] * min(width, max(0, -start))
+        out.extend(self.coeffs[max(0, start) : max(0, self.top - lo + 1)])
+        out.extend([0] * (width - len(out)))
+        return out
+
     def terms(self) -> dict[int, int]:
         if self.top == NEG_INF:
             return {}

@@ -7,6 +7,7 @@ from ffdioph import (
     Fq,
     LaurentSeries,
     NEG_INF,
+    PrecisionExhaustedError,
     SeriesMatrix,
     estimate,
     parse_series_literal,
@@ -22,12 +23,28 @@ def single(entry):
     return SeriesMatrix([[entry]])
 
 
-def test_profile_golden_cf():
-    prof = profile(single(cf_series(F2, [1], -40)), None, 6, "standard", "kernel")
-    assert [e.B.value for e in prof.entries] == [-1, -2, -3, -4, -5, -6]
-    est = estimate(prof)
-    assert est.omega_proxy == 1 and est.omega_hat_proxy == 1
-    assert not est.infinite and not est.censored
+def cf_profile(degs, T_max):
+    """B(T) = -d_{k+1} where d_k <= T-1 < d_{k+1}, the d_k (d_0 = 0) being the
+    partial sums of the cycled partial-quotient degrees: the best q of degree
+    <= T-1 is the convergent denominator of degree d_k, with error degree
+    -d_{k+1}."""
+    sums = [0]
+    while sums[-1] <= T_max:
+        sums.append(sums[-1] + degs[(len(sums) - 1) % len(degs)])
+    return [-next(d for d in sums if d > T - 1) for T in range(1, T_max + 1)]
+
+
+@pytest.mark.parametrize("field", [F2, Fq(3), Fq(2, 2)], ids=["F2", "F3", "F4"])
+@pytest.mark.parametrize(
+    "degs", [[1], [2], [1, 3], [3, 1, 2], [5]], ids=lambda d: ",".join(map(str, d))
+)
+def test_profile_golden_cf(field, degs):
+    prof = profile(single(cf_series(field, degs, -60)), None, 16, "standard", "kernel")
+    assert [e.B for e in prof.entries] == [DegValue.exact(b) for b in cf_profile(degs, 16)]
+    if degs == [1]:
+        est = estimate(prof)
+        assert est.omega_proxy == 1 and est.omega_hat_proxy == 1
+        assert not est.infinite and not est.censored
 
 
 def test_profile_zero_matrix_infinite():
@@ -144,3 +161,48 @@ def test_profile_rejects_a_rising_exact_entry(monkeypatch, kind):
     monkeypatch.setattr(exponents, "best_error", fake(rising[:2]))
     monkeypatch.setattr(exponents, "best_error_mult", fake(rising[:2]))
     assert profile(Y, None, 2, kind).entry(2).censored
+
+
+@pytest.mark.parametrize("method", ["kernel", "brute"])
+@pytest.mark.parametrize("floor", [-40, -6])
+@pytest.mark.parametrize("n, T_max, calls", [(1, 6, 6), (2, 9, 5), (3, 7, 3)])
+def test_profile_solves_each_degree_bound_once(monkeypatch, n, T_max, calls, floor, method):
+    import ffdioph.exponents as exponents
+
+    real = exponents.best_error
+    seen = []
+
+    def spy(Y, theta, T, method="kernel"):
+        seen.append(T)
+        return real(Y, theta, T, method=method)
+
+    def fresh(T):
+        try:
+            return real(Y, theta, T, method).B
+        except PrecisionExhaustedError:
+            return DegValue.censored_at(-Y.m)
+
+    monkeypatch.setattr(exponents, "best_error", spy)
+    Y = SeriesMatrix(
+        [[random_series(F2, floor, derive_rng(31, "once", n, j)) for j in range(n)]]
+    )
+    theta = (random_series(F2, floor, derive_rng(31, "once-theta", n)),)
+    prof = profile(Y, theta, T_max, "standard", method)
+    assert seen == [n * D + 1 for D in range(calls)]
+    assert [e.B for e in prof.entries] == [fresh(T) for T in range(1, T_max + 1)]
+
+
+def test_profile_reuses_a_censored_degree_bound(monkeypatch):
+    import ffdioph.exponents as exponents
+
+    seen = []
+
+    def exhausted(Y, theta, T, method="kernel"):
+        seen.append(T)
+        raise PrecisionExhaustedError("no digits")
+
+    monkeypatch.setattr(exponents, "best_error", exhausted)
+    Y = SeriesMatrix([[LaurentSeries.zero(F2)] * 2])
+    prof = profile(Y, None, 4, "standard")
+    assert seen == [1, 3]
+    assert [e.B for e in prof.entries] == [DegValue.censored_at(-1)] * 4

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ffdioph import (
     DegValue,
@@ -195,6 +195,38 @@ def test_coeff_below_floor_raises():
     f = S("X^-1", floor=-3)
     with pytest.raises(PrecisionExhaustedError):
         f.coeff(-4)
+
+
+def _read(read):
+    """(raised, digits) for a read that may hit a precision floor."""
+    try:
+        return False, read()
+    except PrecisionExhaustedError:
+        return True, None
+
+
+@given(
+    exact_series(F3),
+    st.one_of(st.none(), st.integers(-8, 5)),
+    st.integers(-12, 8),
+    st.integers(-12, 8),
+)
+@example(S("X^-1 + X^-3", F3), None, 7, 2)  # window above top
+@example(S("X^2 + 2X^-1", F3), None, -3, -9)  # below an exact stored range
+@example(S("X^2 + 2X^-1", F3), -4, -3, -4)  # down to the floor
+@example(S("X^2 + 2X^-1", F3), -4, 0, -5)  # one digit below the floor
+@example(LaurentSeries.zero(F3), None, 3, -3)  # exact zero
+@example(LaurentSeries.zero(F3), -2, 1, -3)  # censored zero, below its floor
+@example(S("X^-1", F3), -3, -5, -4)  # hi < lo reads nothing
+def test_digits_slice_matches_coeff(f, floor, hi, lo):
+    if floor is not None:
+        f = f.truncate(floor)
+    got = _read(lambda: f.digits(hi, lo))
+    assert got == _read(lambda: [f.coeff(e) for e in range(hi, lo - 1, -1)])
+    if hi >= lo:
+        assert got[0] == _read(lambda: f.coeff(lo))[0]
+    else:
+        assert got == (False, [])
 
 
 def test_matching_sub_censors_not_zero():
