@@ -6,6 +6,11 @@ coordinate vector (c0, c1, ..., c_{d-1}) relative to the power basis of the
 modulus as c0 + c1*p + ... + c_{d-1}*p^(d-1).  All arithmetic goes through a
 shared ``Fq`` context object, which keeps element values hashable, cheap to
 copy and safe to share between workers.
+
+A field with q <= ``TABLE_LIMIT`` builds add, sub and mul tables and neg and
+inv vectors once, when constructed, and each operation is then one lookup;
+a larger field (a big user modulus) loops over base-p digits on every call.
+The tables are part of the context, so they travel with it to workers.
 """
 
 from __future__ import annotations
@@ -20,6 +25,11 @@ _BUILTIN_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
     (2, 3): (1, 1, 0, 1),  # X^3 + X + 1 over F_2  -> F_8
     (3, 2): (1, 0, 1),  # X^2 + 1     over F_3  -> F_9
 }
+
+# Fields with at most this many elements do all arithmetic by table lookup
+# (three q x q tables and two vectors, built in ``Fq.__init__``); larger
+# fields loop over base-p digits on every call.
+TABLE_LIMIT = 64
 
 
 def is_prime(n: int) -> bool:
@@ -93,7 +103,7 @@ class Fq:
     workers; every operation is a pure function of its arguments.
     """
 
-    __slots__ = ("p", "d", "q", "modulus")
+    __slots__ = ("p", "d", "q", "modulus", "_add", "_sub", "_mul", "_neg", "_inv")
 
     def __init__(self, p: int, d: int = 1, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -119,6 +129,43 @@ class Fq:
         self.d = d
         self.q = p**d
         self.modulus = modulus
+        self._add = self._sub = self._mul = self._neg = self._inv = None
+        if self.q <= TABLE_LIMIT:
+            self._build_tables()
+
+    def _build_tables(self) -> None:
+        """Fill the lookup tables from the digit-loop arithmetic.
+
+        Products come from the powers of a primitive element g: with
+        a = g^i and b = g^j, a*b = g^((i+j) mod (q-1)) and 1/a = g^(-i).
+        """
+        q = self.q
+        els = range(q)
+        self._add = [[self._add_digits(a, b) for b in els] for a in els]
+        self._neg = [self._neg_digits(a) for a in els]
+        self._sub = [[row[nb] for nb in self._neg] for row in self._add]
+        power = self._primitive_powers()
+        log = [0] * q
+        for k, x in enumerate(power):
+            log[x] = k
+        n = q - 1
+        self._mul = [[0] * q] + [
+            [0] + [power[(log[a] + log[b]) % n] for b in range(1, q)]
+            for a in range(1, q)
+        ]
+        # inv[0] is never read: inv() rejects zero first
+        self._inv = [0] + [power[-log[a] % n] for a in range(1, q)]
+
+    def _primitive_powers(self) -> list[int]:
+        """[g^0, g^1, ..., g^(q-2)] for the least primitive element g."""
+        for g in range(1, self.q):
+            power, x = [1], g
+            while x != 1:
+                power.append(x)
+                x = self._mul_digits(x, g)
+            if len(power) == self.q - 1:
+                return power
+        raise AssertionError("the multiplicative group of F_q is cyclic")
 
     # -- element codec -------------------------------------------------
 
@@ -143,8 +190,45 @@ class Fq:
         return range(self.q)
 
     # -- arithmetic ----------------------------------------------------
+    # Arguments must be elements, i.e. ints in range(q): a table lookup does
+    # not reduce its index, and a negative one would wrap silently.
 
     def add(self, a: int, b: int) -> int:
+        t = self._add
+        return t[a][b] if t is not None else self._add_digits(a, b)
+
+    def neg(self, a: int) -> int:
+        t = self._neg
+        return t[a] if t is not None else self._neg_digits(a)
+
+    def sub(self, a: int, b: int) -> int:
+        t = self._sub
+        return t[a][b] if t is not None else self._add_digits(a, self._neg_digits(b))
+
+    def mul(self, a: int, b: int) -> int:
+        t = self._mul
+        return t[a][b] if t is not None else self._mul_digits(a, b)
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("zero has no inverse in F_q")
+        t = self._inv
+        if t is not None:
+            return t[a]
+        if self.d == 1:
+            return pow(a, self.p - 2, self.p)
+        # a^(q-2) by square-and-multiply
+        result, base, e = 1, a, self.q - 2
+        while e:
+            if e & 1:
+                result = self._mul_digits(result, base)
+            base = self._mul_digits(base, base)
+            e >>= 1
+        return result
+
+    # -- digit loops: fill the tables, and serve fields above TABLE_LIMIT --
+
+    def _add_digits(self, a: int, b: int) -> int:
         if self.d == 1:
             return (a + b) % self.p
         p, val, mult = self.p, 0, 1
@@ -155,7 +239,7 @@ class Fq:
             mult *= p
         return val
 
-    def neg(self, a: int) -> int:
+    def _neg_digits(self, a: int) -> int:
         if self.d == 1:
             return (-a) % self.p
         p, val, mult = self.p, 0, 1
@@ -165,10 +249,7 @@ class Fq:
             mult *= p
         return val
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
+    def _mul_digits(self, a: int, b: int) -> int:
         if self.d == 1:
             return (a * b) % self.p
         if a == 0 or b == 0:
@@ -189,20 +270,6 @@ class Fq:
                 for i in range(self.d):
                     prod[k - self.d + i] = (prod[k - self.d + i] - c * mod[i]) % p
         return self.from_coords(prod[: self.d])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse in F_q")
-        if self.d == 1:
-            return pow(a, self.p - 2, self.p)
-        # a^(q-2) by square-and-multiply
-        result, base, e = 1, a, self.q - 2
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
 
     # -- misc ----------------------------------------------------------
 

@@ -406,6 +406,13 @@ def _run_one(args: tuple[ExperimentConfig, int]) -> dict:
         return task(cfg, idx)
     except PrecisionExhaustedError as exc:
         return {"index": idx, "precision_exhausted": str(exc), "hard_failure": False}
+    except AssertionError as exc:
+        # a broken internal invariant fails this instance, not the worker pool
+        return {
+            "index": idx,
+            "internal_error": f"AssertionError: {exc}",
+            "hard_failure": True,
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -423,3 +423,23 @@ def test_a12_determinism_across_workers():
         assert code == 0
         blobs.add(report_json_bytes(rep))
     report(12, len(blobs) == 1, "byte-identical reports with 1, 4 and 8 workers")
+
+
+@pytest.mark.parametrize("field", ["p=2,d=2", "p=3,d=2"])
+def test_a12_extension_fields_across_workers(field):
+    # the field, lookup tables included, travels to the workers in the config
+    base = {
+        "suite": "estimate",
+        "field": field,
+        "instances": 4,
+        "dims": [1, 1],
+        "T_max": 10,
+        "floor": -30,
+        "seed": 29,
+    }
+    blobs = set()
+    for w in (1, 4):
+        rep, code = run_config(ExperimentConfig.from_dict(dict(base, workers=w)))
+        assert code == 0
+        blobs.add(report_json_bytes(rep))
+    report(12, len(blobs) == 1, f"byte-identical {field} reports with 1 and 4 workers")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ffdioph.config import ExperimentConfig
+from ffdioph import runner
 from ffdioph.runner import report_json_bytes, run_config
 
 
@@ -163,3 +164,35 @@ def test_reports_identical_across_workers():
         assert code == 0
         blobs.add(report_json_bytes(report))
     assert len(blobs) == 1
+
+
+def test_internal_error_fails_one_instance(monkeypatch):
+    base = {
+        "suite": "estimate",
+        "instances": 3,
+        "dims": [1, 1],
+        "T_max": 6,
+        "floor": -30,
+        "seed": 5,
+        "workers": 1,
+    }
+    clean, code = run_config(ExperimentConfig.from_dict(base))
+    assert code == 0
+    task = runner._SUITE_TASKS["estimate"]
+
+    def broken(cfg, idx):
+        if idx == 1:
+            raise AssertionError("invariant broken on purpose")
+        return task(cfg, idx)
+
+    monkeypatch.setitem(runner._SUITE_TASKS, "estimate", broken)
+    report, code = run_config(ExperimentConfig.from_dict(base))
+    assert code == 1
+    assert report["summary"]["hard_failures"] == 1
+    results = report["results"]
+    assert results[1] == {
+        "index": 1,
+        "hard_failure": True,
+        "internal_error": "AssertionError: invariant broken on purpose",
+    }
+    assert [results[0], results[2]] == [clean["results"][0], clean["results"][2]]

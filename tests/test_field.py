@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ffdioph import Fq, ParseError, parse_field_spec
-from ffdioph.field import is_irreducible_mod_p, is_prime
+from ffdioph.field import TABLE_LIMIT, is_irreducible_mod_p, is_prime
 
 
 def test_prime_detection():
@@ -79,3 +81,106 @@ def test_parse_field_spec_errors():
         parse_field_spec("p=2,bogus=1")
     with pytest.raises(ParseError):
         parse_field_spec("p=zz")
+
+
+# -- lookup tables against an independent oracle ------------------------------
+# The oracle works on coordinate vectors with plain integer arithmetic mod p:
+# a schoolbook product reduced by the modulus, and inverses by search.  It
+# calls nothing in ffdioph.field but the constructor and the attributes p, d,
+# modulus.
+
+
+def _oracle_coords(F, a):
+    return [a // F.p**i % F.p for i in range(F.d)]
+
+
+def _oracle_elem(F, cs):
+    return sum((c % F.p) * F.p**i for i, c in enumerate(cs))
+
+
+def _oracle_add(F, a, b):
+    return _oracle_elem(F, [x + y for x, y in zip(_oracle_coords(F, a), _oracle_coords(F, b))])
+
+
+def _oracle_neg(F, a):
+    return _oracle_elem(F, [-x for x in _oracle_coords(F, a)])
+
+
+def _oracle_sub(F, a, b):
+    return _oracle_elem(F, [x - y for x, y in zip(_oracle_coords(F, a), _oracle_coords(F, b))])
+
+
+def _oracle_mul(F, a, b):
+    p, d = F.p, F.d
+    modulus = F.modulus if d > 1 else (0, 1)
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(_oracle_coords(F, a)):
+        for j, y in enumerate(_oracle_coords(F, b)):
+            prod[i + j] += x * y
+    # X^d = -(m_0 + ... + m_{d-1} X^{d-1}) / m_d
+    lead_inv = pow(modulus[d], p - 2, p)
+    for k in range(2 * d - 2, d - 1, -1):
+        c = prod[k] * lead_inv % p
+        prod[k] = 0
+        for i in range(d):
+            prod[k - d + i] -= c * modulus[i]
+    return _oracle_elem(F, prod[:d])
+
+
+def _oracle_inv(F, a):
+    (b,) = [b for b in range(1, F.p**F.d) if _oracle_mul(F, a, b) == 1]
+    return b
+
+
+TABLE_FIELDS = {
+    "F2": Fq(2),
+    "F3": Fq(3),
+    "F5": Fq(5),
+    "F7": Fq(7),
+    "F4": Fq(2, 2),
+    "F8": Fq(2, 3),
+    "F9": Fq(3, 2),
+    "F16": Fq(2, 4, (1, 1, 0, 0, 1)),  # X^4 + X + 1
+    "F25": Fq(5, 2, (2, 0, 1)),  # X^2 + 2
+    "F64": Fq(2, 6, (1, 1, 0, 0, 0, 0, 1)),  # X^6 + X + 1, q = TABLE_LIMIT
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_FIELDS))
+def test_tables_match_oracle_exhaustively(name):
+    F = TABLE_FIELDS[name]
+    assert F.q <= TABLE_LIMIT and F._mul is not None
+    els = range(F.q)
+    for a in els:
+        assert F.neg(a) == _oracle_neg(F, a)
+        if a:
+            assert F.inv(a) == _oracle_inv(F, a)
+        for b in els:
+            assert F.add(a, b) == _oracle_add(F, a, b)
+            assert F.sub(a, b) == _oracle_sub(F, a, b)
+            assert F.mul(a, b) == _oracle_mul(F, a, b)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+
+
+def test_field_above_table_limit_loops_and_matches_oracle():
+    F = Fq(2, 7, (1, 1, 0, 0, 0, 0, 0, 1))  # X^7 + X + 1, q = 128
+    assert F.q > TABLE_LIMIT
+    assert (F._add, F._sub, F._mul, F._neg, F._inv) == (None,) * 5
+    rng = random.Random(8)
+    for _ in range(300):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        assert F.add(a, b) == _oracle_add(F, a, b)
+        assert F.sub(a, b) == _oracle_sub(F, a, b)
+        assert F.mul(a, b) == _oracle_mul(F, a, b)
+        assert F.neg(a) == _oracle_neg(F, a)
+        if a:
+            assert _oracle_mul(F, a, F.inv(a)) == 1
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+
+
+def test_large_prime_field_loops():
+    F = Fq(67)
+    assert F._mul is None
+    assert F.mul(66, 66) == 1 and F.sub(3, 5) == 65 and F.mul(5, F.inv(5)) == 1
