@@ -11,10 +11,13 @@ deg q_j <= D_j zeroes digits -1..-K of every row of Y q + theta: one
 ``linalg.Echelon`` takes in the rows of depth 1, 2, ... and stops at the
 first infeasible depth.  Constraint rows are slices of a digit table that
 each call fills once (``_digit_table``, from ``LaurentSeries.digits``), not
-digit by digit.  The standard objective bounds every column by the
-same D; the multiplicative one (m = 1) takes the least result over the
-shapes (D_1..D_n) with sum D_j = T-1, and hands any horizon at which a
-shape's scan reaches its precision cap to the enumeration.
+digit by digit.  Below the scan's precision cap (K < cap) the value is
+-(K+1), so the witness is multiplied out only to depth K+1 (``_witness_for``
+cuts Y and theta first); at the cap it is multiplied out in full.  The
+standard objective bounds every column by the same D; the multiplicative
+one (m = 1) takes the least result over the shapes (D_1..D_n) with
+sum D_j = T-1, and hands any horizon at which a shape's scan reaches its
+precision cap to the enumeration.
 """
 
 from __future__ import annotations
@@ -98,8 +101,23 @@ def _optimal_p(rows) -> tuple[list[Poly], list[LaurentSeries]]:
     return ps, resid
 
 
-def _witness_for(Y: SeriesMatrix, theta, q: list[Poly]):
-    """Witness (optimal p, q) and the residual rows of Y q + p + theta."""
+def _witness_for(Y: SeriesMatrix, theta, q: list[Poly], depth=None):
+    """Witness (optimal p, q) and the residual rows of Y q + p + theta.
+
+    With a depth, each residual row is computed only down to exponent -depth:
+    Y_ij is cut to floor -(depth + deg q_j) and theta_i to -depth first, so
+    the product reads no deeper digit.  p reads only exponents >= 0 and is the
+    same either way.  The caller must know Y and theta that deep.
+    """
+    if depth is not None:
+        Y = SeriesMatrix(
+            [
+                [s.truncate(-depth - max(qj.deg, 0)) for s, qj in zip(row, q)]
+                for row in Y.rows
+            ]
+        )
+        if theta is not None:
+            theta = [th.truncate(-depth) for th in theta]
     rows = matvec_affine(Y, q, [Poly.zero(Y.field)] * Y.m, theta)
     ps, resid = _optimal_p(rows)
     return Witness(tuple(ps), tuple(q)), resid
@@ -304,19 +322,28 @@ def _deepest_feasible_depth(Y: SeriesMatrix, theta, bounds, cap: int) -> int:
     return cap
 
 
-def _kernel_witness(Y: SeriesMatrix, theta, bounds, K: int):
-    """Witness and residual rows for a q found at depth K of the scan."""
+def _kernel_witness(Y: SeriesMatrix, theta, bounds, K: int, depth):
+    """Witness and residual rows for a q found at depth K of the scan, the
+    rows multiplied out to exponent -depth (None: to the inputs' floors).
+
+    Below the cap (K < cap) callers pass depth K+1, which is all they read:
+    digits -1..-K vanish and some row has a nonzero digit at -(K+1).  Every
+    input is known that deep, because the cap is the deepest depth the
+    inputs decide.  At the cap they pass None, since the censored bound and
+    the exact-zero check read every digit.
+    """
     vec, layout = _kernel_feasible(Y, theta, bounds, K)
     if vec is None:
         raise AssertionError(f"depth {K} passed the scan but has no solution")
-    return _witness_for(Y, theta, _vector_to_q(Y.field, vec, layout, Y.n))
+    q = _vector_to_q(Y.field, vec, layout, Y.n)
+    return _witness_for(Y, theta, q, depth)
 
 
 def _best_error_kernel(Y: SeriesMatrix, theta, T: int) -> BestError:
     bounds = [(T - 1) // Y.n] * Y.n
     cap, exact_inputs = _search_caps(Y, theta, bounds)
     K = _deepest_feasible_depth(Y, theta, bounds, cap)
-    w, resid = _kernel_witness(Y, theta, bounds, K)
+    w, resid = _kernel_witness(Y, theta, bounds, K, K + 1 if K < cap else None)
     obj = deg_max(r.deg() for r in resid)
 
     if K == cap:
@@ -516,7 +543,7 @@ def _best_error_mult_kernel(Y: SeriesMatrix, theta, T: int) -> BestError:
             return _best_error_mult_brute(Y, theta, T)
         if K > best_K:
             best_K, best_bounds = K, bounds
-    w, resid = _kernel_witness(Y, theta, best_bounds, best_K)
+    w, resid = _kernel_witness(Y, theta, best_bounds, best_K, best_K + 1)
     obj = deg_sum(r.deg() for r in resid)
     if obj.value != -best_K - 1 or obj.censored:
         raise AssertionError("kernel witness does not attain its depth")

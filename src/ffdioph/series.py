@@ -241,9 +241,8 @@ class LaurentSeries:
                 s._stored_lo() for s in (self, other) if s.top != NEG_INF
             )
         F = self.field
-        coeffs = [
-            F.add(self.coeff(e), other.coeff(e)) for e in range(top, lo - 1, -1)
-        ]
+        # both operands as aligned slices of exponents top..lo, one add per digit
+        coeffs = list(map(F.add, self.digits(top, lo), other.digits(top, lo)))
         return LaurentSeries(F, top, coeffs, floor)
 
     def __neg__(self) -> "LaurentSeries":
@@ -277,19 +276,20 @@ class LaurentSeries:
             return LaurentSeries.zero(F, floor)
         top = self.top + other.top
         lo = floor if floor != NEG_INF else self._stored_lo() + other._stored_lo()
-        out = [0] * (top - lo + 1)
-        for i, a in enumerate(self.coeffs):
+        width = top - lo + 1
+        out = [0] * width
+        # the digit at top - k collects self.coeffs[i] * other.coeffs[k - i];
+        # other's nonzero digits are listed once, and k < width bounds both loops
+        nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        add, mul = F.add, F.mul
+        for i, a in enumerate(self.coeffs[:width]):
             if not a:
                 continue
-            ea = self.top - i
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                e = ea + (other.top - j)
-                if e < lo:
+            for j, b in nonzero:
+                k = i + j
+                if k >= width:
                     break
-                idx = top - e
-                out[idx] = F.add(out[idx], F.mul(a, b))
+                out[k] = add(out[k], mul(a, b))
         return LaurentSeries(F, top, out, floor)
 
     def shift(self, k: int) -> "LaurentSeries":

@@ -19,7 +19,7 @@ from ffdioph import (
 )
 from ffdioph.generators import cf_series, derive_rng, random_series
 from ffdioph.matrix import prod_plus_deg
-from ffdioph.series import deg_sum
+from ffdioph.series import deg_max, deg_sum
 
 F2 = Fq(2)
 F3 = Fq(3)
@@ -199,6 +199,39 @@ def test_kernel_depth_scan_matches_linear_probe(field):
             branches.add((K == cap, exact, theta is not None))
     # K < cap and K == cap, each on exact and truncated, homogeneous and shifted
     assert branches == set(itertools.product((False, True), repeat=3))
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+def test_kernel_witness_attains_B_at_full_precision(field):
+    # the kernel multiplies its witness out only to depth K+1; multiplied
+    # again here to the inputs' floors, it must attain every reported B that
+    # is neither censored nor an exact hit
+    checked = set()
+    for kind, m in (("standard", 1), ("standard", 2), ("mult", 1)):
+        for exact in (False, True):
+            for shifted in (False, True):
+                rng = derive_rng(9090, "witness-depth", field.q, kind, m, exact, shifted)
+                n = 2 if kind == "mult" else rng.randrange(1, 3)
+
+                def entry():
+                    s = random_series(field, -16, rng)
+                    return LaurentSeries(field, -1, list(s.coeffs), NEG_INF) if exact else s
+
+                Y = SeriesMatrix([[entry() for _ in range(n)] for _ in range(m)])
+                theta = tuple(entry() for _ in range(m)) if shifted else None
+                for T in range(1, 7):
+                    if kind == "standard":
+                        be = best_error(Y, theta, T, "kernel")
+                        got = deg_max(witness_error_degs(Y, theta, be.witness)).scale(m)
+                    else:
+                        be = best_error_mult(Y, theta, T, "kernel")
+                        got = deg_sum(witness_error_degs(Y, theta, be.witness))
+                    if be.censored or be.B.value == NEG_INF:
+                        continue
+                    assert got == be.B, (kind, m, exact, shifted, T)
+                    if be.method == "kernel":
+                        checked.add((kind, m, exact, shifted))
+    assert len(checked) == 12
 
 
 def test_monotone_in_horizon():

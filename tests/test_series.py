@@ -18,6 +18,7 @@ from ffdioph import (
 
 F2 = Fq(2)
 F3 = Fq(3)
+F4 = Fq(2, 2)
 
 
 def S(text, field=F2, floor=NEG_INF):
@@ -177,6 +178,75 @@ def test_truncated_ops_never_fabricate_digits(f, g, floor, op):
         return
     for e in range(hi, int(shallow.floor) - 1, -1):
         assert shallow.coeff(e) == deep.coeff(e)
+
+
+def _oracle_top(terms, floor):
+    """Largest exponent that may carry a nonzero digit."""
+    if terms:
+        return max(terms)
+    return NEG_INF if floor == NEG_INF else floor - 1
+
+
+def _oracle_add(field, f, g):
+    """(terms, floor) of f + g, term by term from the operands' terms."""
+    floor = max(f.floor, g.floor)
+    out = {}
+    for terms in (f.terms(), g.terms()):
+        for e, c in terms.items():
+            if e >= floor:
+                out[e] = field.add(out.get(e, 0), c)
+    return {e: c for e, c in out.items() if c}, floor
+
+
+def _oracle_mul(field, f, g):
+    """(terms, floor) of f * g by schoolbook over the operands' terms; the
+    unknown digits of one factor meet the other's highest possible digit."""
+    tf, tg = f.terms(), g.terms()
+    floor = NEG_INF
+    for lo, other_top in (
+        (f.floor, _oracle_top(tg, g.floor)),
+        (g.floor, _oracle_top(tf, f.floor)),
+    ):
+        if lo != NEG_INF and other_top != NEG_INF:
+            floor = max(floor, lo + other_top)
+    out = {}
+    for ea, a in tf.items():
+        for eb, b in tg.items():
+            if ea + eb >= floor:
+                out[ea + eb] = field.add(out.get(ea + eb, 0), field.mul(a, b))
+    return {e: c for e, c in out.items() if c}, floor
+
+
+def _series(field):
+    """Exact or truncated series: terms on [-8, 5], floor none or in [-10, 3]."""
+    terms = st.dictionaries(st.integers(-8, 5), st.integers(1, field.q - 1), max_size=6)
+    floor = st.one_of(st.just(NEG_INF), st.integers(-10, 3))
+    return st.builds(
+        lambda t, fl: LaurentSeries.from_terms(
+            field, {e: c for e, c in t.items() if e >= fl}, fl
+        ),
+        terms,
+        floor,
+    )
+
+
+_series_pairs = st.sampled_from([F2, F3, F4]).flatmap(
+    lambda field: st.tuples(_series(field), _series(field))
+)
+
+
+@given(_series_pairs)
+@example((S("X^2 + X^-6"), S("X^-1", floor=-3)))  # g's floor cuts f's stored range
+@example((S("X^-6 + X^-9", F3), S("2X^2", F3, floor=-2)))  # f lies wholly below it
+@example((LaurentSeries.zero(F3, floor=-4), S("X + 2X^-7", F3)))  # known zero, finite floor
+@example((LaurentSeries.zero(F2, floor=-4), LaurentSeries.zero(F2)))  # known zero times exact zero
+@example((S("X^-1 + X^-2 + X^-3 + X^-5 + X^-8"), S("X^3", floor=-1)))  # lo cuts self.coeffs
+@example((S("X + X^-2", F4), S("X^-1", F4)))  # exact operands
+def test_add_mul_match_terms_oracle(pair):
+    f, g = pair
+    field = f.field
+    for got, want in ((f + g, _oracle_add(field, f, g)), (f * g, _oracle_mul(field, f, g))):
+        assert (got.terms(), got.floor) == want
 
 
 def test_censored_zero_degree():
