@@ -11,13 +11,17 @@ deg q_j <= D_j zeroes digits -1..-K of every row of Y q + theta: one
 ``linalg.Echelon`` takes in the rows of depth 1, 2, ... and stops at the
 first infeasible depth.  Constraint rows are slices of a digit table that
 each call fills once (``_digit_table``, from ``LaurentSeries.digits``), not
-digit by digit.  Below the scan's precision cap (K < cap) the value is
--(K+1), so the witness is multiplied out only to depth K+1 (``_witness_for``
-cuts Y and theta first); at the cap it is multiplied out in full.  The
-standard objective bounds every column by the same D; the multiplicative
-one (m = 1) takes the least result over the shapes (D_1..D_n) with
-sum D_j = T-1, and hands any horizon at which a shape's scan reaches its
-precision cap to the enumeration.
+digit by digit; the right-hand sides come from one ``digits`` slice of each
+theta_i per call (``_rhs_table``).  On GF(2) every window is packed once into
+an int and each row is built as an int by one shift and mask per column, the
+form ``linalg.Echelon`` eliminates by XOR; other fields use element lists.
+Below the scan's precision cap (K < cap) the value is -(K+1), so the witness
+is multiplied out only to depth K+1 (``_witness_for`` cuts Y and theta
+first); at the cap it is multiplied out in full.  The standard objective
+bounds every column by the same D; the multiplicative one (m = 1) takes the
+least result over the shapes (D_1..D_n) with sum D_j = T-1, and hands any
+horizon at which a shape's scan reaches its precision cap to the
+enumeration.
 """
 
 from __future__ import annotations
@@ -166,19 +170,77 @@ def _layout(degree_bounds) -> list[tuple[int, int]]:
     return [(j, s) for j, dj in enumerate(degree_bounds) for s in range(dj + 1)]
 
 
-def _digit_table(Y: SeriesMatrix, degree_bounds, depths) -> list[list[list[int]]]:
-    """tab[i][j] = Y_ij's digits at -1, -2, ..., -(depths[i] + degree_bounds[j]):
-    every digit the rows of depth 1..depths[i] read, and none at depth 0."""
+# GF(2) digit -> ASCII bit, so that a window packs into an int at C speed
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _pack_gf2(digits: list[int]) -> int:
+    """GF(2) digits as one int, bit t = digits[t].
+
+    Base 2 is exempt from the int/str digit limit, so any window length packs.
+    """
+    return int(bytes(digits[::-1]).translate(_ASCII_BITS) or b"0", 2)
+
+
+def _digit_table(Y: SeriesMatrix, degree_bounds, depths) -> list[list]:
+    """tab[i][j] holds Y_ij's digits at -1, -2, ..., -(depths[i] + degree_bounds[j]):
+    every digit the rows of depth 1..depths[i] read, and none at depth 0.
+
+    Other fields store the digit list.  GF(2) packs it once into an int w
+    (bit t = the digit at -(t+1)) and stores (w, mask_j, off_j): mask_j has
+    the D_j + 1 low bits set and off_j is the index of (j, 0) in _layout.
+    """
+    if not Y.field.is_gf2():
+        return [
+            [s.digits(-1, -(k + d)) if k else [] for s, d in zip(row, degree_bounds)]
+            for row, k in zip(Y.rows, depths)
+        ]
+    cols, start = [], 0
+    for d in degree_bounds:
+        cols.append(((1 << d + 1) - 1, start))
+        start += d + 1
     return [
-        [s.digits(-1, -(k + d)) if k else [] for s, d in zip(row, degree_bounds)]
+        [
+            (_pack_gf2(s.digits(-1, -(k + d))) if k else 0, mask, off)
+            for s, d, (mask, off) in zip(row, degree_bounds, cols)
+        ]
         for row, k in zip(Y.rows, depths)
     ]
 
 
-def _table_row(tab, degree_bounds, i: int, c: int) -> list[int]:
+def _table_row(tab, degree_bounds, i: int, c: int) -> list[int] | int:
     """Row of the map q -> digit -c of Y_i q, in _layout order: the unknown
-    (j, s) gets Y_ij's digit at -c-s, which is tab[i][j][c-1+s]."""
-    return [x for t, d in zip(tab[i], degree_bounds) for x in t[c - 1 : c + d]]
+    (j, s) gets Y_ij's digit at -c-s, which is entry c-1+s of tab[i][j].
+
+    On GF(2) the row is an int with that digit at bit off_j + s, built by
+    one shift and mask per column.
+    """
+    cols = tab[i]
+    if isinstance(cols[0], tuple):  # GF(2): packed windows
+        r = 0
+        for w, mask, off in cols:
+            r |= (w >> c - 1 & mask) << off
+        return r
+    return [x for t, d in zip(cols, degree_bounds) for x in t[c - 1 : c + d]]
+
+
+def _rhs_table(field: Fq, theta, depths):
+    """rhs[i] holds -theta_i's digits at -1..-depths[i], the right-hand sides
+    of the rows of depth 1..depths[i] (None: homogeneous); packed into one
+    int on GF(2), where -x = x, like the windows of _digit_table."""
+    if theta is None:
+        return None
+    if field.is_gf2():
+        return [_pack_gf2(th.digits(-1, -k)) for th, k in zip(theta, depths)]
+    return [[field.neg(x) for x in th.digits(-1, -k)] for th, k in zip(theta, depths)]
+
+
+def _table_rhs(rhs, i: int, c: int) -> int:
+    """Right-hand side of row (i, c), read from _rhs_table."""
+    if rhs is None:
+        return 0
+    r = rhs[i]
+    return r >> c - 1 & 1 if isinstance(r, int) else r[c - 1]
 
 
 def _constraints(Y: SeriesMatrix, degree_bounds, depths):
@@ -269,7 +331,8 @@ def _kernel_feasible(Y, theta, bounds, k: int):
     if theta is None or all(th.is_exact_zero() for th in theta):
         basis = nullspace(Y.field, rows, ncols)
         return (basis[0], layout) if basis else (None, layout)
-    rhs = [Y.field.neg(d) for th in theta for d in th.digits(-1, -k)]
+    rt = _rhs_table(Y.field, theta, [k] * Y.m)
+    rhs = [_table_rhs(rt, i, c) for i in range(Y.m) for c in range(1, k + 1)]
     x, basis = solve_affine(Y.field, rows, rhs, ncols)
     if x is not None and not any(x):
         x = basis[0] if basis else None  # q = 0 is not allowed
@@ -313,10 +376,10 @@ def _deepest_feasible_depth(Y: SeriesMatrix, theta, bounds, cap: int) -> int:
     """
     ech = Echelon(Y.field, len(_layout(bounds)))
     tab = _digit_table(Y, bounds, [cap] * Y.m)
+    rhs = _rhs_table(Y.field, theta, [cap] * Y.m)
     for c in range(1, cap + 1):
         for i in range(Y.m):
-            b = 0 if theta is None else Y.field.neg(theta[i].coeff(-c))
-            ech.insert(_table_row(tab, bounds, i, c), b)
+            ech.insert(_table_row(tab, bounds, i, c), _table_rhs(rhs, i, c))
         if not ech.has_nonzero_solution():
             return c - 1
     return cap

@@ -3,13 +3,16 @@
 ``Echelon`` is the one elimination core: the reduced row echelon form of
 the rows inserted so far, one fully reduced row per pivot column, kept as a
 bit-packed int on GF(2) (bit j = column j) and as an element list driven by
-an ``Fq`` context on every other field.  Column ``ncols`` carries an
-optional right-hand side b of A x = b; it becomes a pivot exactly when the
-rows so far are inconsistent.  The reduced form of a row space is unique,
-so results do not depend on row order, and a caller can test feasibility
-after each batch of rows without starting over.  ``nullspace`` and
-``solve_affine`` wrap one ``Echelon`` each; basis vectors come out in a
-canonical order (free columns ascending, unit entry at the free column).
+an ``Fq`` context on every other field.  On GF(2) a row may be inserted
+already packed, as an int with bit j = column j; ``approx`` hands over its
+constraint rows that way, so only list rows are packed entry by entry
+here.  Column ``ncols`` carries an optional right-hand side b of A x = b; it
+becomes a pivot exactly when the rows so far are inconsistent.  The reduced
+form of a row space is unique, so results do not depend on row order or on
+how rows are given, and a caller can test feasibility after each batch of
+rows without starting over.  ``nullspace`` and ``solve_affine`` wrap one
+``Echelon`` each; basis vectors come out in a canonical order (free columns
+ascending, unit entry at the free column).
 """
 
 from __future__ import annotations
@@ -27,18 +30,27 @@ class Echelon:
         self.pivots: dict[int, object] = {}  # pivot column -> reduced row
         self._mask = 0  # GF(2): bit set of the pivot columns
 
-    def insert(self, row: list[int], b: int = 0) -> None:
-        """Add the equation row . x = b."""
+    def insert(self, row: list[int] | int, b: int = 0) -> None:
+        """Add the equation row . x = b.
+
+        row is a list of ncols elements; on GF(2) it may instead be an int
+        with bit j = column j and no bit at ncols or above.
+        """
         if self.gf2:
             self._insert_gf2(row, b)
         else:
             self._insert_generic(list(row) + [b])
 
-    def _insert_gf2(self, row: list[int], b: int) -> None:
-        v = 1 << self.ncols if b else 0
-        for j, c in enumerate(row):
-            if c:
-                v |= 1 << j
+    def _insert_gf2(self, row: list[int] | int, b: int) -> None:
+        if isinstance(row, int):
+            v = row
+        else:
+            v = 0
+            for j, c in enumerate(row):
+                if c:
+                    v |= 1 << j
+        if b:
+            v |= 1 << self.ncols
         # pivot rows are zero on each other's pivot columns, so clearing the
         # pivot bits v starts with clears all of them
         hits = v & self._mask
@@ -115,18 +127,18 @@ class Echelon:
         return basis
 
 
-def nullspace(field: Fq, rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Canonical basis of {x : A x = 0}."""
+def nullspace(field: Fq, rows: list, ncols: int) -> list[list[int]]:
+    """Canonical basis of {x : A x = 0}; rows as ``Echelon.insert`` takes them."""
     ech = Echelon(field, ncols)
     for row in rows:
         ech.insert(row)
     return ech.basis()
 
 
-def solve_affine(
-    field: Fq, rows: list[list[int]], rhs: list[int], ncols: int
-):
+def solve_affine(field: Fq, rows: list, rhs: list[int], ncols: int):
     """Solve A x = b; returns (particular solution or None, nullspace basis).
+
+    rows as ``Echelon.insert`` takes them; rhs holds one element per row.
 
     The nullspace basis of A is returned even when the system is
     inconsistent, since callers often need it anyway.

@@ -201,6 +201,50 @@ def test_kernel_depth_scan_matches_linear_probe(field):
     assert branches == set(itertools.product((False, True), repeat=3))
 
 
+def test_gf2_packed_rows_match_digit_definition():
+    # the packed GF(2) rows and right-hand sides against their definition:
+    # bit (j, s) of row (i, c) is Y_ij's digit at -c-s, no bit sits past the
+    # last unknown, and the rhs of row (i, c) is theta_i's digit at -c
+    # (-x = x on GF(2)); every depth 1..cap, equal and unequal row depths
+    from ffdioph.approx import _constraints, _layout, _rhs_table, _search_caps, _table_rhs
+
+    rng = derive_rng(4242, "packed-rows")
+    exact = [
+        LaurentSeries(F2, -1, [1, 0, 1], NEG_INF),  # shorter than a window
+        LaurentSeries(F2, -4, [1, 0, 1, 1, 0, 1], NEG_INF),  # first digit at -4
+        LaurentSeries.zero(F2),
+    ]
+    truncated = [
+        random_series(F2, -16, rng),
+        LaurentSeries(F2, -3, [1] + [rng.randrange(2) for _ in range(11)], -14),
+    ]
+    branches = set()
+    # D = -1 is a strict Dirichlet column with no unknowns
+    for bounds in ([0], [3], [0, 5], [5, 0], [2, 2], [-1, 2]):
+        n = len(bounds)
+        layout = _layout(bounds)
+        for m, pool in itertools.product((1, 2), (exact, truncated + exact)):
+            for a in range(len(pool)):
+                pick = [pool[(a + t) % len(pool)] for t in range(m * n + m)]
+                Y = SeriesMatrix([pick[i * n : (i + 1) * n] for i in range(m)])
+                theta = tuple(pick[m * n :])
+                cap, exact_inputs = _search_caps(Y, theta, bounds)
+                for k in range(1, cap + 1):
+                    for depths in ([k] * m, [k, k // 2][:m]):
+                        got_layout, rows = _constraints(Y, bounds, depths)
+                        rhs = _rhs_table(F2, theta, depths)
+                        assert got_layout == layout
+                        keys = [(i, c) for i, d in enumerate(depths) for c in range(1, d + 1)]
+                        assert len(rows) == len(keys)
+                        for (i, c), row in zip(keys, rows):
+                            assert isinstance(row, int) and row >> len(layout) == 0
+                            for col, (j, s) in enumerate(layout):
+                                assert row >> col & 1 == Y.entry(i, j).coeff(-c - s)
+                            assert _table_rhs(rhs, i, c) == theta[i].coeff(-c)
+                branches.add((n, m, exact_inputs))
+    assert branches == set(itertools.product((1, 2), (1, 2), (False, True)))
+
+
 @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
 def test_kernel_witness_attains_B_at_full_precision(field):
     # the kernel multiplies its witness out only to depth K+1; multiplied

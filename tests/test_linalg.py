@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from ffdioph import Fq
-from ffdioph.linalg import nullspace, solve_affine
+from ffdioph.linalg import Echelon, nullspace, solve_affine
 
 
 def matvec_mod(field, rows, x):
@@ -90,3 +90,33 @@ def test_nullspace_deterministic():
     F = Fq(2)
     rows = [[1, 1, 0], [0, 0, 0]]
     assert nullspace(F, rows, 3) == nullspace(F, rows, 3) == [[1, 1, 0], [0, 0, 1]]
+
+
+def test_gf2_packed_rows_equal_list_rows():
+    # GF(2) rows inserted as ints (bit j = column j) and as lists give the
+    # same echelon form after every insert, and the same solution and basis
+    import random
+
+    F = Fq(2)
+    rng = random.Random("gf2-packed-rows")
+    seen = set()
+    for _ in range(300):
+        ncols = rng.randrange(1, 9)
+        density = rng.choice([0.2, 0.5, 0.8])
+        shifted = rng.random() < 0.5
+        a, b = Echelon(F, ncols), Echelon(F, ncols)
+        for _ in range(rng.randrange(0, 12)):
+            row = [int(rng.random() < density) for _ in range(ncols)]
+            rhs = rng.randrange(2) if shifted else 0
+            a.insert(row, rhs)
+            b.insert(sum(c << j for j, c in enumerate(row)), rhs)
+            assert a.pivots == b.pivots
+            assert a.has_nonzero_solution() == b.has_nonzero_solution()
+            seen.add(("zero row", rhs) if not any(row) else ("row", rhs))
+        assert a.solution() == b.solution()
+        assert a.basis() == b.basis()
+        seen.add("inconsistent" if a.solution() is None else "consistent")
+    assert seen == {
+        ("zero row", 0), ("zero row", 1), ("row", 0), ("row", 1),
+        "inconsistent", "consistent",
+    }
