@@ -22,6 +22,11 @@ bounds every column by the same D; the multiplicative one (m = 1) takes the
 least result over the shapes (D_1..D_n) with sum D_j = T-1, and hands any
 horizon at which a shape's scan reaches its precision cap to the
 enumeration.
+
+The enumeration is one search (``_brute``) over one candidate enumerator
+(``_iter_q``: deg q_j <= caps[j] and plus-product degree <= budget) for both
+objectives.  The standard one takes caps D, budget n*D and the row maximum
+times m; the multiplicative one takes caps T-1, budget T-1 and the row sum.
 """
 
 from __future__ import annotations
@@ -416,7 +421,7 @@ def _best_error_kernel(Y: SeriesMatrix, theta, T: int) -> BestError:
             B = DegValue(NEG_INF, False)
         else:
             bound = min(obj.value, -K - 1)
-            B = DegValue(bound * Y.m, True)
+            B = DegValue.censored_at(bound * Y.m)
     else:
         if obj.value != -K - 1 or obj.censored:
             raise AssertionError("kernel witness does not attain its depth")
@@ -452,8 +457,29 @@ def _iter_coordinate_polys(field: Fq, max_deg: int):
                 yield Poly(field, coeffs)
 
 
+def _iter_q(field: Fq, caps, budget: int):
+    """Every q != 0 with deg q_j <= caps[j] and plus-product degree <= budget,
+    coordinate 0 outermost.
+
+    Each coordinate runs through a prefix of one low-degree-first list: its
+    first q**(r+1) entries are the polynomials of degree <= r.
+    """
+    polys = list(_iter_coordinate_polys(field, max(caps)))
+
+    def extend(prefix: list[Poly], j: int, remaining: int):
+        if j == len(caps):
+            if not all(p.is_zero() for p in prefix):
+                yield prefix
+            return
+        for poly in polys[: field.q ** (min(caps[j], remaining) + 1)]:
+            yield from extend(prefix + [poly], j + 1, remaining - max(0, poly.deg))
+
+    yield from extend([], 0, budget)
+
+
 class _BruteBest:
-    """Tracks the minimum objective with lexicographic witness tie-break."""
+    """Tracks the minimum objective.  Exact ties go to the least
+    lexicographic key, censored ties to the first candidate offered."""
 
     def __init__(self, max_deg: int):
         self.max_deg = max_deg
@@ -486,42 +512,23 @@ class _BruteBest:
             # any censored candidate may hide a lower true value, so the
             # minimum itself is only known as an upper bound
             if self.value is None or self.censored_bound <= self.value:
-                return DegValue(self.censored_bound, True), self.censored_witness
-            return DegValue(self.value, True), self.witness
+                return DegValue.censored_at(self.censored_bound), self.censored_witness
+            return DegValue.censored_at(self.value), self.witness
         return DegValue(self.value, False), self.witness
 
 
-def _best_error_brute(Y: SeriesMatrix, theta, T: int) -> BestError:
-    D = (T - 1) // Y.n
-    field = Y.field
-    best = _BruteBest(D)
-    coords = list(_iter_coordinate_polys(field, D))
-    idx = [0] * Y.n
+def _brute(Y: SeriesMatrix, theta, T: int, caps, budget: int, objective):
+    """Least objective of the residual row degrees over _iter_q(caps, budget),
+    with the witness tie-break of _BruteBest."""
+    best = _BruteBest(max(caps))
     cache = _ColumnProductCache(Y, theta)
-
-    def candidates():
-        # odometer over coordinate polynomials, skipping the zero vector
-        while True:
-            q = [coords[i] for i in idx]
-            if not all(p.is_zero() for p in q):
-                yield q
-            pos = 0
-            while pos < Y.n:
-                idx[pos] += 1
-                if idx[pos] < len(coords):
-                    break
-                idx[pos] = 0
-                pos += 1
-            if pos == Y.n:
-                return
-
-    for q in candidates():
-        rows = cache.rows(q)
-        ps, resid = _optimal_p(rows)
-        obj = deg_max(r.deg() for r in resid)
-        best.offer(obj, q, ps)
-    B_deg, w = best.result()
-    return BestError(T, B_deg.scale(Y.m), w, "brute")
+    for q in _iter_q(Y.field, caps, budget):
+        if prod_plus_deg(q) > budget or any(qj.deg > c for qj, c in zip(q, caps)):
+            raise AssertionError("enumerator produced an inadmissible vector")
+        ps, resid = _optimal_p(cache.rows(q))
+        best.offer(objective(r.deg() for r in resid), q, ps)
+    B, w = best.result()
+    return BestError(T, B, w, "brute")
 
 
 def best_error(
@@ -539,7 +546,11 @@ def best_error(
     if method == "kernel":
         return _best_error_kernel(Y, theta, T)
     if method == "brute":
-        return _best_error_brute(Y, theta, T)
+        D = (T - 1) // Y.n
+        # scaling by m >= 1 keeps the order, so it may precede the comparison
+        return _brute(
+            Y, theta, T, [D] * Y.n, Y.n * D, lambda degs: deg_max(degs).scale(Y.m)
+        )
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -553,57 +564,31 @@ def best_error(
 # these.  That is exact while every box's scan stops below its cap: each q
 # then has a known nonzero digit at some depth <= cap, so no candidate is
 # censored.  When some box reaches its cap (an exact hit or a censored
-# value), the enumeration decides that T.  For m >= 2 the objective is a sum
-# of row degrees and only the enumeration is implemented.
+# value), _brute decides that T over the whole admissible set, as it does
+# every T for m >= 2, where the objective is a sum of row degrees.
 # ---------------------------------------------------------------------------
 
 
-def _iter_mult_q(field: Fq, n: int, budget: int):
-    """All q vectors with plus-product degree <= budget, excluding zero."""
-
-    def extend(prefix: list[Poly], j: int, remaining: int):
-        if j == n:
-            if not all(p.is_zero() for p in prefix):
-                yield list(prefix)
-            return
-        for poly in _iter_coordinate_polys(field, remaining):
-            yield from extend(prefix + [poly], j + 1, remaining - max(0, poly.deg))
-
-    yield from extend([], 0, budget)
-
-
-def _best_error_mult_brute(Y: SeriesMatrix, theta, T: int) -> BestError:
-    budget = T - 1
-    best = _BruteBest(budget)
-    cache = _ColumnProductCache(Y, theta)
-    for q in _iter_mult_q(Y.field, Y.n, budget):
-        if prod_plus_deg(q) > budget:
-            raise AssertionError("enumerator produced an inadmissible vector")
-        rows = cache.rows(q)
-        ps, resid = _optimal_p(rows)
-        obj = deg_sum(r.deg() for r in resid)
-        best.offer(obj, q, ps)
-    B_deg, w = best.result()
-    return BestError(T, B_deg, w, "brute")
-
-
-def _mult_shapes(n: int, budget: int):
-    """Per-column degree bounds (D_1..D_n), each >= 0, summing to budget."""
-    if n == 1:
-        yield [budget]
+def compositions(total: int, parts: int):
+    """Every tuple of parts integers >= 0 summing to total, in lexicographic
+    order (reports that list them follow it)."""
+    if parts == 1:
+        yield (total,)
         return
-    for d in range(budget + 1):
-        for rest in _mult_shapes(n - 1, budget - d):
-            yield [d] + rest
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head,) + rest
 
 
-def _best_error_mult_kernel(Y: SeriesMatrix, theta, T: int) -> BestError:
+def _best_error_mult_kernel(Y: SeriesMatrix, theta, T: int) -> BestError | None:
+    """The least kernel scan over the shapes, or None (enumerate) as soon as
+    one shape's scan reaches its cap."""
     best_K, best_bounds = -1, None
-    for bounds in _mult_shapes(Y.n, T - 1):
+    for bounds in compositions(T - 1, Y.n):
         cap, _ = _search_caps(Y, theta, bounds)
         K = _deepest_feasible_depth(Y, theta, bounds, cap)
         if K == cap:
-            return _best_error_mult_brute(Y, theta, T)
+            return None
         if K > best_K:
             best_K, best_bounds = K, bounds
     w, resid = _kernel_witness(Y, theta, best_bounds, best_K, best_K + 1)
@@ -627,8 +612,10 @@ def best_error_mult(
     """
     if T < 1:
         raise ValueError("horizon T must be >= 1")
+    if method not in ("kernel", "brute"):
+        raise ValueError(f"unknown method {method!r}")
     if method == "kernel" and Y.m == 1:
-        return _best_error_mult_kernel(Y, theta, T)
-    if method in ("kernel", "brute"):
-        return _best_error_mult_brute(Y, theta, T)
-    raise ValueError(f"unknown method {method!r}")
+        be = _best_error_mult_kernel(Y, theta, T)
+        if be is not None:
+            return be
+    return _brute(Y, theta, T, [T - 1] * Y.n, T - 1, deg_sum)

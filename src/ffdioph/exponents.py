@@ -97,7 +97,7 @@ def profile(
             entries.append(ProfileEntry(T, be.B))
         except PrecisionExhaustedError:
             # the trivial bound deg <= -1 per row survives any truncation
-            entries.append(ProfileEntry(T, DegValue(-Y.m, True)))
+            entries.append(ProfileEntry(T, DegValue.censored_at(-Y.m)))
     # exact values never rise with T: a larger horizon admits more q
     exact = [e for e in entries if not e.censored]
     for prev, e in zip(exact, exact[1:]):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .approx import Witness, witness_error_degs
+from .approx import Witness, compositions, witness_error_degs
 from .errors import PreconditionError
 from .matrix import SeriesMatrix, matvec_affine, prod_plus_deg, sup_deg
 from .poly import NEG_INF
@@ -67,22 +67,16 @@ def xi_and_t(u, v, params: TsetParams):
     if params.mode == "dual":
         if not isinstance(u, int) or not isinstance(v, int):
             raise ValueError("dual mode takes scalar u, v")
-        if u < 0 or v < 0:
-            raise ValueError("u, v must be nonnegative")
-        if m * u < eta * n * v:
-            return None
-        xi = Fraction(m * u - eta * n * v, 1) / (m + eta * n)
-        u_t, v_t = (u,) * m, (v,) * n
-    else:
-        u_t, v_t = tuple(u), tuple(v)
-        if len(u_t) != m or len(v_t) != n:
-            raise ValueError("u must have length m and v length n")
-        if any(x < 0 for x in u_t) or any(x < 0 for x in v_t):
-            raise ValueError("u, v must be nonnegative")
-        su, sv = sum(u_t), sum(v_t)
-        if su < eta * sv:
-            return None
-        xi = Fraction(su - eta * sv, 1) / (m + eta * n)
+        u, v = (u,) * m, (v,) * n
+    u_t, v_t = tuple(u), tuple(v)
+    if len(u_t) != m or len(v_t) != n:
+        raise ValueError("u must have length m and v length n")
+    if any(x < 0 for x in u_t) or any(x < 0 for x in v_t):
+        raise ValueError("u, v must be nonnegative")
+    su, sv = sum(u_t), sum(v_t)
+    if su < eta * sv:
+        return None
+    xi = Fraction(su - eta * sv, 1) / (m + eta * n)
     fx = math.floor(xi)
     t = tuple(x - fx for x in u_t) + tuple(x + fx for x in v_t)
     it = IndexTuple(t, sum(t), provenance=(u_t, v_t, xi, fx))
@@ -113,15 +107,6 @@ class TsetEnumeration:
         return sorted(self.level_counts.items())
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def _uv_pairs(params: TsetParams, a, b, limit):
     """Every (u, v) grid pair with a*sigma(u) + b*sigma(v) <= limit.
 
@@ -138,8 +123,8 @@ def _uv_pairs(params: TsetParams, a, b, limit):
     for su in range(limit // a + 1):
         for sv in range(limit // b + 1):
             if a * su + b * sv <= limit:
-                for u in _compositions(su, m):
-                    for v in _compositions(sv, n):
+                for u in compositions(su, m):
+                    for v in compositions(sv, n):
                         yield u, v
 
 

@@ -359,13 +359,60 @@ def test_mult_equals_standard_when_square_one():
 
 
 def test_mult_admissibility_wider():
-    from ffdioph.approx import _iter_mult_q
+    from ffdioph.approx import _iter_q
 
     # q = (X, 1) has plus-product degree 1: admissible at T = 2
-    qs = [tuple(p.to_literal() for p in q) for q in _iter_mult_q(F2, 2, 1)]
+    qs = [tuple(p.to_literal() for p in q) for q in _iter_q(F2, [1, 1], 1)]
     assert ("X", "1") in qs
     # but the sup-based standard rule needs n*deg = 2 <= T-1, so T >= 3
     assert (2 - 1) // 2 == 0
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+@pytest.mark.parametrize(
+    "caps, budget",
+    [
+        ([3], 3),  # box caps [D]*n, budget n*D
+        ([1, 1], 2),
+        ([1, 1, 1], 3),
+        ([2, 2], 2),  # plus-product caps [b]*n, budget b
+        ([3, 3], 3),
+        ([2, 2, 2], 2),
+        ([0, 3], 2),  # mixed caps
+        ([2, 0, 1], 2),
+        ([3, 1], 1),
+    ],
+)
+def test_iter_q_matches_product_oracle(field, caps, budget):
+    from ffdioph.approx import _iter_q
+
+    polys = [
+        Poly(field, list(cs))
+        for cs in itertools.product(range(field.q), repeat=max(caps) + 1)
+    ]
+    expected = {
+        tuple(p.coeffs for p in q)
+        for q in itertools.product(polys, repeat=len(caps))
+        if any(not p.is_zero() for p in q)
+        and all(p.deg <= c for p, c in zip(q, caps))
+        and prod_plus_deg(q) <= budget
+    }
+    got = [tuple(p.coeffs for p in q) for q in _iter_q(field, caps, budget)]
+    assert len(got) == len(set(got))
+    assert set(got) == expected
+
+
+def test_compositions_lexicographic():
+    from ffdioph.approx import compositions
+
+    for parts in (1, 2, 3, 4):
+        for total in range(6):
+            expected = [
+                c
+                for c in itertools.product(range(total + 1), repeat=parts)
+                if sum(c) == total
+            ]
+            assert list(compositions(total, parts)) == expected
 
 
 def test_mult_example_1x2():

@@ -47,6 +47,43 @@ def test_profile_golden_cf(field, degs):
         assert not est.infinite and not est.censored
 
 
+def gf2_euclid_profile(digits, T_max):
+    """B(T), T = 1..T_max, of a 1x1 GF(2) series known at -1..-N, from the
+    continued fraction of A / X^N, where A reads those digits as a polynomial
+    (Massey 1969; Niederreiter 1988).  Euclid on (X^N, A), with polynomials
+    packed into ints (bit k = coefficient of X^k), gives the quotient degrees;
+    with d_k their partial sums (d_0 = 0), B(T) = -d_{k+1} for
+    d_k <= T-1 < d_{k+1}, and -inf once the expansion has ended."""
+    N = len(digits)
+    a, b = 1 << N, sum(d << N - 1 - k for k, d in enumerate(digits))
+    sums = [0]
+    while b:
+        sums.append(sums[-1] + a.bit_length() - b.bit_length())
+        while a.bit_length() >= b.bit_length():
+            a ^= b << a.bit_length() - b.bit_length()
+        a, b = b, a
+    return [next((-d for d in sums if d > T - 1), NEG_INF) for T in range(1, T_max + 1)]
+
+
+def test_profile_gf2_matches_euclid_oracle():
+    # every uncensored kernel entry against an independent continued-fraction
+    # profile of the known digits: completing the series by zeros gives
+    # A / X^N, and a certified entry holds for every completion
+    cases = [(40, -100)] * 10 + [(80, -180)] * 3 + [(40, -50)] * 10
+    checked = censored = 0
+    for i, (T_max, floor) in enumerate(cases):
+        Y = random_series(F2, floor, derive_rng(1969, "euclid", i))
+        prof = profile(single(Y), None, T_max, "standard", "kernel")
+        oracle = gf2_euclid_profile(Y.digits(-1, floor), T_max)
+        for e, b in zip(prof.entries, oracle):
+            if e.censored:
+                censored += 1
+            else:
+                assert e.B.value == b, (i, e.T)
+                checked += 1
+    assert checked >= 800 and censored >= 100
+
+
 def test_profile_zero_matrix_infinite():
     prof = profile(single(LaurentSeries.zero(F2)), None, 8, "standard", "kernel")
     assert all(e.B.value == NEG_INF for e in prof.entries)
