@@ -6,22 +6,23 @@ routes are provided: a linear-algebra kernel path (the fractional digits of
 Y q are F_q-linear in the coefficients of q) and a brute-force enumeration
 used as an oracle.  They must agree exactly.
 
-The kernel path finds the deepest digit depth K at which some q != 0 with
-deg q_j <= D_j zeroes digits -1..-K of every row of Y q + theta: one
-``linalg.Echelon`` takes in the rows of depth 1, 2, ... and stops at the
-first infeasible depth.  Constraint rows are slices of a digit table that
-each call fills once (``_digit_table``, from ``LaurentSeries.digits``), not
-digit by digit; the right-hand sides come from one ``digits`` slice of each
-theta_i per call (``_rhs_table``).  On GF(2) every window is packed once into
-an int and each row is built as an int by one shift and mask per column, the
-form ``linalg.Echelon`` eliminates by XOR; other fields use element lists.
-Below the scan's precision cap (K < cap) the value is -(K+1), so the witness
-is multiplied out only to depth K+1 (``_witness_for`` cuts Y and theta
-first); at the cap it is multiplied out in full.  The standard objective
-bounds every column by the same D; the multiplicative one (m = 1) takes the
-least result over the shapes (D_1..D_n) with sum D_j = T-1, and hands any
-horizon at which a shape's scan reaches its precision cap to the
-enumeration.
+The kernel path eliminates each constraint row once.  A depth scan finds
+the deepest digit depth K at which some q != 0 with deg q_j <= D_j zeroes
+digits -1..-K of every row of Y q + theta: one ``linalg.Echelon`` takes in
+the rows of depth 1, 2, ..., stops at the first infeasible depth and keeps
+its reduced rows of depth K, whose canonical solution is the witness.
+Constraint rows are slices of a digit table that each call fills once
+(``_digit_table``, from ``LaurentSeries.digits``); the right-hand sides come
+from one ``digits`` slice of each theta_i (``_rhs_table``).  On GF(2) every
+window is packed once into an int and each row is built as an int by one
+shift and mask per column, the form ``linalg.Echelon`` eliminates by XOR;
+other fields use element lists.  Below the scan's precision cap (K < cap)
+the value is -(K+1), so the witness is multiplied out only to depth K+1
+(``_witness_for`` cuts Y and theta first); at the cap it is multiplied out
+in full.  The standard objective bounds every column by the same D; the
+multiplicative one (m = 1) takes the least result over the shapes
+(D_1..D_n) with sum D_j = T-1, and hands any horizon at which a shape's
+scan reaches its precision cap to the enumeration.
 
 The enumeration is one search (``_brute``) over one candidate enumerator
 (``_iter_q``: deg q_j <= caps[j] and plus-product degree <= budget) for both
@@ -329,21 +330,6 @@ def _verify_dirichlet(Y, t, w: Witness, degs, strict: bool):
 # ---------------------------------------------------------------------------
 
 
-def _kernel_feasible(Y, theta, bounds, k: int):
-    """Is there q != 0 with deg q_j <= bounds[j] and all row digits -1..-k zero?"""
-    layout, rows = _constraints(Y, bounds, [k] * Y.m)
-    ncols = len(layout)
-    if theta is None or all(th.is_exact_zero() for th in theta):
-        basis = nullspace(Y.field, rows, ncols)
-        return (basis[0], layout) if basis else (None, layout)
-    rt = _rhs_table(Y.field, theta, [k] * Y.m)
-    rhs = [_table_rhs(rt, i, c) for i in range(Y.m) for c in range(1, k + 1)]
-    x, basis = solve_affine(Y.field, rows, rhs, ncols)
-    if x is not None and not any(x):
-        x = basis[0] if basis else None  # q = 0 is not allowed
-    return x, layout
-
-
 def _search_caps(Y: SeriesMatrix, theta, bounds):
     """(cap, exact) where cap is the deepest searchable digit depth when
     deg q_j <= bounds[j].
@@ -373,34 +359,52 @@ def _search_caps(Y: SeriesMatrix, theta, bounds):
     return max(1, -lo + 1), True
 
 
-def _deepest_feasible_depth(Y: SeriesMatrix, theta, bounds, cap: int) -> int:
-    """Largest k <= cap at which _kernel_feasible(Y, theta, bounds, k) succeeds.
+def _deepest_feasible_depth(Y: SeriesMatrix, theta, bounds, cap: int):
+    """(K, rows): the largest K <= cap at which some q != 0 with
+    deg q_j <= bounds[j] zeroes digits -1..-K of every row of Y q + theta,
+    and the ``Echelon`` pivot rows of the constraints of depth 1..K.
 
     Feasibility only shrinks as depth grows, so one elimination takes in the
-    m rows of depth c = 1, 2, ... and stops at the first infeasible depth.
+    m rows of depth c = 1, 2, ... and stops at the first infeasible depth;
+    the pivots copied before each depth are the rows of depth K there.
     """
     ech = Echelon(Y.field, len(_layout(bounds)))
     tab = _digit_table(Y, bounds, [cap] * Y.m)
     rhs = _rhs_table(Y.field, theta, [cap] * Y.m)
     for c in range(1, cap + 1):
+        before = ech.pivots.copy()
         for i in range(Y.m):
             ech.insert(_table_row(tab, bounds, i, c), _table_rhs(rhs, i, c))
         if not ech.has_nonzero_solution():
-            return c - 1
-    return cap
+            return c - 1, list(before.values())
+    return cap, list(ech.pivots.values())
 
 
-def _kernel_witness(Y: SeriesMatrix, theta, bounds, K: int, depth):
-    """Witness and residual rows for a q found at depth K of the scan, the
+def _kernel_witness(Y: SeriesMatrix, theta, bounds, K: int, rows, depth):
+    """Witness and residual rows for the q the scan found at depth K, the
     rows multiplied out to exponent -depth (None: to the inputs' floors).
 
-    Below the cap (K < cap) callers pass depth K+1, which is all they read:
-    digits -1..-K vanish and some row has a nonzero digit at -(K+1).  Every
-    input is known that deep, because the cap is the deepest depth the
-    inputs decide.  At the cap they pass None, since the censored bound and
-    the exact-zero check read every digit.
+    rows are the scan's pivot rows of depth K (right-hand side at column
+    ncols); a reduced form is unique, so their solution is the canonical q
+    of all K*m constraint rows.  Below the cap (K < cap) callers pass depth
+    K+1, which is all they read: digits -1..-K vanish and some row has a
+    nonzero digit at -(K+1).  Every input is known that deep, because the
+    cap is the deepest depth the inputs decide.  At the cap they pass None,
+    since the censored bound and the exact-zero check read every digit.
     """
-    vec, layout = _kernel_feasible(Y, theta, bounds, K)
+    layout = _layout(bounds)
+    ncols = len(layout)
+    if Y.field.is_gf2():
+        rows, rhs = [r & (1 << ncols) - 1 for r in rows], [r >> ncols for r in rows]
+    else:
+        rows, rhs = [r[:ncols] for r in rows], [r[ncols] for r in rows]
+    if theta is None or all(th.is_exact_zero() for th in theta):
+        basis = nullspace(Y.field, rows, ncols)
+        vec = basis[0] if basis else None
+    else:
+        vec, basis = solve_affine(Y.field, rows, rhs, ncols)
+        if vec is not None and not any(vec):
+            vec = basis[0] if basis else None  # q = 0 is not allowed
     if vec is None:
         raise AssertionError(f"depth {K} passed the scan but has no solution")
     q = _vector_to_q(Y.field, vec, layout, Y.n)
@@ -410,8 +414,8 @@ def _kernel_witness(Y: SeriesMatrix, theta, bounds, K: int, depth):
 def _best_error_kernel(Y: SeriesMatrix, theta, T: int) -> BestError:
     bounds = [(T - 1) // Y.n] * Y.n
     cap, exact_inputs = _search_caps(Y, theta, bounds)
-    K = _deepest_feasible_depth(Y, theta, bounds, cap)
-    w, resid = _kernel_witness(Y, theta, bounds, K, K + 1 if K < cap else None)
+    K, rows = _deepest_feasible_depth(Y, theta, bounds, cap)
+    w, resid = _kernel_witness(Y, theta, bounds, K, rows, K + 1 if K < cap else None)
     obj = deg_max(r.deg() for r in resid)
 
     if K == cap:
@@ -478,43 +482,31 @@ def _iter_q(field: Fq, caps, budget: int):
 
 
 class _BruteBest:
-    """Tracks the minimum objective.  Exact ties go to the least
-    lexicographic key, censored ties to the first candidate offered."""
+    """Tracks the least exact and the least censored objective.  Ties go to
+    the least lexicographic key, so the witness depends on the candidate set
+    alone, not on the order in which they are offered."""
 
     def __init__(self, max_deg: int):
         self.max_deg = max_deg
-        self.value = None
-        self.key = None
-        self.witness = None
-        self.censored_bound = None
-        self.censored_witness = None
+        self.best = {False: None, True: None}  # censored? -> (value, key, witness)
 
     def offer(self, obj: DegValue, q: list[Poly], ps: list[Poly]):
-        if obj.censored:
-            if self.censored_bound is None or obj.value < self.censored_bound:
-                self.censored_bound = obj.value
-                self.censored_witness = Witness(tuple(ps), tuple(q))
-            return
-        key = _poly_tiebreak_key(q, self.max_deg)
-        if (
-            self.value is None
-            or obj.value < self.value
-            or (obj.value == self.value and key < self.key)
-        ):
-            self.value = obj.value
-            self.key = key
-            self.witness = Witness(tuple(ps), tuple(q))
+        cand = (obj.value, _poly_tiebreak_key(q, self.max_deg))
+        cur = self.best[obj.censored]
+        if cur is None or cand < cur[:2]:
+            self.best[obj.censored] = (*cand, Witness(tuple(ps), tuple(q)))
 
     def result(self) -> tuple[DegValue, Witness]:
-        if self.value is None and self.censored_bound is None:
-            raise AssertionError("no candidates offered")
-        if self.censored_bound is not None:
+        exact, cens = self.best[False], self.best[True]
+        if cens is not None:
             # any censored candidate may hide a lower true value, so the
             # minimum itself is only known as an upper bound
-            if self.value is None or self.censored_bound <= self.value:
-                return DegValue.censored_at(self.censored_bound), self.censored_witness
-            return DegValue.censored_at(self.value), self.witness
-        return DegValue(self.value, False), self.witness
+            if exact is None or cens[0] <= exact[0]:
+                return DegValue.censored_at(cens[0]), cens[2]
+            return DegValue.censored_at(exact[0]), exact[2]
+        if exact is None:
+            raise AssertionError("no candidates offered")
+        return DegValue(exact[0], False), exact[2]
 
 
 def _brute(Y: SeriesMatrix, theta, T: int, caps, budget: int, objective):
@@ -583,15 +575,15 @@ def compositions(total: int, parts: int):
 def _best_error_mult_kernel(Y: SeriesMatrix, theta, T: int) -> BestError | None:
     """The least kernel scan over the shapes, or None (enumerate) as soon as
     one shape's scan reaches its cap."""
-    best_K, best_bounds = -1, None
+    best_K, best_bounds, best_rows = -1, None, None
     for bounds in compositions(T - 1, Y.n):
         cap, _ = _search_caps(Y, theta, bounds)
-        K = _deepest_feasible_depth(Y, theta, bounds, cap)
+        K, rows = _deepest_feasible_depth(Y, theta, bounds, cap)
         if K == cap:
             return None
         if K > best_K:
-            best_K, best_bounds = K, bounds
-    w, resid = _kernel_witness(Y, theta, best_bounds, best_K, best_K + 1)
+            best_K, best_bounds, best_rows = K, bounds, rows
+    w, resid = _kernel_witness(Y, theta, best_bounds, best_K, best_rows, best_K + 1)
     obj = deg_sum(r.deg() for r in resid)
     if obj.value != -best_K - 1 or obj.censored:
         raise AssertionError("kernel witness does not attain its depth")

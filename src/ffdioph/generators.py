@@ -352,7 +352,8 @@ def plant_membership_pair(
     need = math.ceil(eta * sum(v) + 3 * (1 + 2 * eta))
     u = (need + rng.randrange(0, 3),)
     got = xi_and_t(u, v, params)
-    assert got is not None
+    if got is None:
+        raise AssertionError("the planted (u, v) is not accepted")
     _, it = got
     tau = tau0(Fraction(1), params) / 2
     sigma = it.sigma
@@ -362,7 +363,8 @@ def plant_membership_pair(
     q1 = tuple(random_poly(field, v[i], rng) for i in range(2))
     q2 = (random_poly(field, v[0], rng), random_poly(field, v[1] + 1, rng))
     det = q1[0] * q2[1] - q1[1] * q2[0]
-    assert not det.is_zero()
+    if det.is_zero():
+        raise AssertionError("the two planted witnesses are dependent")
     p1 = (random_poly(field, rng.randrange(0, 2), rng),)
     p2 = (random_poly(field, rng.randrange(0, 2), rng),)
     # work below the requested floor: the division by det can cost digits

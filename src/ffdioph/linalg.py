@@ -10,9 +10,12 @@ here.  Column ``ncols`` carries an optional right-hand side b of A x = b; it
 becomes a pivot exactly when the rows so far are inconsistent.  The reduced
 form of a row space is unique, so results do not depend on row order or on
 how rows are given, and a caller can test feasibility after each batch of
-rows without starting over.  ``nullspace`` and ``solve_affine`` wrap one
-``Echelon`` each; basis vectors come out in a canonical order (free columns
-ascending, unit entry at the free column).
+rows without starting over.  Pivot rows are never changed in place: a GF(2)
+row is an int, and ``insert`` replaces a list row it reduces by a reduced
+copy (copy-on-write).  So ``pivots.copy()`` is a snapshot of the form that
+later inserts leave intact, on every field.  ``nullspace`` and
+``solve_affine`` wrap one ``Echelon`` each; basis vectors come out in a
+canonical order (free columns ascending, unit entry at the free column).
 """
 
 from __future__ import annotations
@@ -82,12 +85,14 @@ class Echelon:
         inv = F.inv(r[col])
         if inv != 1:
             r = [F.mul(inv, c) for c in r]
-        for p in self.pivots.values():
+        for pc, p in self.pivots.items():
             f = p[col]
             if f:
+                p = p.copy()  # copy-on-write: a snapshot may still hold p
                 for j in range(col, len(r)):
                     if r[j]:
                         p[j] = F.sub(p[j], F.mul(f, r[j]))
+                self.pivots[pc] = p
         self.pivots[col] = r
 
     def _entry(self, row, j: int) -> int:

@@ -161,10 +161,41 @@ def test_kernel_equals_brute_random(field, m, n, shifted, T_max, count):
             assert dk == db
 
 
-@pytest.mark.parametrize("field", [F2, F3, F4, Fq(3, 2)], ids=["F2", "F3", "F4", "F9"])
+def fresh_kernel_solve(Y, theta, bounds, k):
+    """Oracle: (q or None, layout) for depth k from all k*m constraint rows,
+    rebuilt and eliminated from scratch; the canonical q is the particular
+    solution, or the first basis vector where that is zero."""
+    from ffdioph.approx import _constraints, _rhs_table, _table_rhs
+    from ffdioph.linalg import nullspace, solve_affine
+
+    layout, rows = _constraints(Y, bounds, [k] * Y.m)
+    ncols = len(layout)
+    if theta is None or all(th.is_exact_zero() for th in theta):
+        basis = nullspace(Y.field, rows, ncols)
+        return (basis[0] if basis else None), layout
+    rt = _rhs_table(Y.field, theta, [k] * Y.m)
+    rhs = [_table_rhs(rt, i, c) for i in range(Y.m) for c in range(1, k + 1)]
+    x, basis = solve_affine(Y.field, rows, rhs, ncols)
+    if x is not None and not any(x):
+        x = basis[0] if basis else None
+    return x, layout
+
+
+def fresh_kernel_q(Y, theta, bounds, k):
+    from ffdioph.approx import _vector_to_q
+
+    vec, layout = fresh_kernel_solve(Y, theta, bounds, k)
+    return tuple(_vector_to_q(Y.field, vec, layout, Y.n))
+
+
+FIELDS = [F2, F3, F4, Fq(3, 2)]
+FIELD_IDS = ["F2", "F3", "F4", "F9"]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_kernel_depth_scan_matches_linear_probe(field):
     # the one-pass depth scan against a probe of every depth 0..cap
-    from ffdioph.approx import _kernel_feasible, _search_caps
+    from ffdioph.approx import _search_caps
 
     branches = set()
     for i in range(8):
@@ -184,7 +215,7 @@ def test_kernel_depth_scan_matches_linear_probe(field):
             cap, exact_inputs = _search_caps(Y, theta, bounds)
             assert exact_inputs == exact
             feasible = [
-                _kernel_feasible(Y, theta, bounds, k)[0] is not None
+                fresh_kernel_solve(Y, theta, bounds, k)[0] is not None
                 for k in range(cap + 1)
             ]
             K = feasible.index(False) - 1 if False in feasible else cap
@@ -199,6 +230,61 @@ def test_kernel_depth_scan_matches_linear_probe(field):
             branches.add((K == cap, exact, theta is not None))
     # K < cap and K == cap, each on exact and truncated, homogeneous and shifted
     assert branches == set(itertools.product((False, True), repeat=3))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_kernel_witness_matches_fresh_solve(field):
+    # the witness read off the scan's depth-K rows is exactly the q a fresh
+    # elimination of all K*m constraint rows gives, on both objectives
+    from ffdioph.approx import _search_caps, compositions
+
+    def deepest(Y, theta, bounds):
+        cap, _ = _search_caps(Y, theta, bounds)
+        feasible = [
+            k for k in range(cap + 1) if fresh_kernel_solve(Y, theta, bounds, k)[0] is not None
+        ]
+        return max(feasible), cap
+
+    branches = set()
+    for i in range(48):
+        # every (exact, shift, m, n) at a deep floor, then at a shallow one,
+        # where most horizons reach the cap
+        rng = derive_rng(4242, "scan-witness", field.q, i)
+        exact, shift = i % 2 == 0, ("none", "zero", "random")[i // 2 % 3]
+        m, n = 1 + i // 6 % 2, 1 + i // 12 % 2
+        floor = -16 if i < 24 else rng.choice([-2, -3])
+
+        def entry():
+            s = random_series(field, floor, rng)
+            return LaurentSeries(field, -1, list(s.coeffs), NEG_INF) if exact else s
+
+        Y = SeriesMatrix([[entry() for _ in range(n)] for _ in range(m)])
+        theta = {
+            "none": None,
+            "zero": tuple(LaurentSeries.zero(field) for _ in range(m)),
+            "random": tuple(entry() for _ in range(m)),
+        }[shift]
+        for T in range(1, 7):
+            bounds = [(T - 1) // n] * n
+            K, cap = deepest(Y, theta, bounds)
+            be = best_error(Y, theta, T, "kernel")
+            assert be.witness.q == fresh_kernel_q(Y, theta, bounds, K)
+            branches.add(("standard", shift, K == cap, exact))
+            if m > 1:
+                continue
+            shapes = list(compositions(T - 1, n))
+            scans = [deepest(Y, theta, b) for b in shapes]
+            if any(k == c for k, c in scans):
+                continue  # the enumeration decides this horizon
+            bm = best_error_mult(Y, theta, T, "kernel")
+            assert bm.method == "kernel"
+            depths = [k for k, _ in scans]
+            best = depths.index(max(depths))  # the first deepest shape
+            assert bm.witness.q == fresh_kernel_q(Y, theta, shapes[best], depths[best])
+            branches.add(("mult", shift, n > 1, exact))
+    cases = set(itertools.product(("none", "zero", "random"), (False, True), (False, True)))
+    assert {("standard",) + c for c in cases} <= branches
+    assert {("mult", shift, n2, False) for shift, n2, _ in cases} <= branches
 
 
 def test_gf2_packed_rows_match_digit_definition():
@@ -307,6 +393,45 @@ def test_brute_lex_tiebreak_deterministic():
     assert be.witness.q[0] == parse_poly_literal("X^3", F2)
     again = best_error(Y, None, 4, "brute")
     assert again.witness == be.witness
+
+
+@pytest.mark.parametrize("objective", ["standard", "mult"])
+def test_brute_witness_independent_of_offer_order(objective):
+    # censored ties, like exact ones, go to the least lexicographic key, so
+    # offering the same candidates in reverse gives the same (B, witness)
+    from ffdioph.approx import _BruteBest, _ColumnProductCache, _iter_q, _optimal_p
+
+    censored_ties = 0
+    for i in range(12):
+        rng = derive_rng(77, "offer-order", objective, i)
+        field = (F2, F3)[i % 2]
+        m, n = rng.randrange(1, 3), rng.randrange(1, 3)
+        Y = SeriesMatrix(
+            [[random_series(field, rng.choice([-4, -5]), rng) for _ in range(n)] for _ in range(m)]
+        )
+        theta = tuple(random_series(field, -5, rng) for _ in range(m)) if i % 3 else None
+        T = 4
+        if objective == "standard":
+            D = (T - 1) // n
+            caps, budget, key = [D] * n, n * D, lambda degs: deg_max(degs).scale(m)
+        else:
+            caps, budget, key = [T - 1] * n, T - 1, deg_sum
+        cache = _ColumnProductCache(Y, theta)
+        offers = []
+        for q in _iter_q(field, caps, budget):
+            ps, resid = _optimal_p(cache.rows(q))
+            offers.append((key(r.deg() for r in resid), q, ps))
+        results = []
+        for order in (offers, offers[::-1]):
+            best = _BruteBest(max(caps))
+            for obj, q, ps in order:
+                best.offer(obj, q, ps)
+            results.append(best.result())
+        assert results[0] == results[1]
+        B = results[0][0]
+        if B.censored and sum(obj == B for obj, _, _ in offers) > 1:
+            censored_ties += 1
+    assert censored_ties >= 3
 
 
 def test_inhomogeneous_kernel_nonzero_q_required():

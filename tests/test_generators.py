@@ -139,3 +139,22 @@ def test_membership_pair_determinism():
     b = plant_membership_pair(F3, Fraction(3, 2), 21, -80)
     assert a.Y == b.Y and a.alpha == b.alpha and a.alpha2 == b.alpha2
     assert a.alpha.q != a.alpha2.q
+
+
+def test_package_has_no_assert_statement():
+    # `python -O` strips assert statements; invariants in the package raise
+    # AssertionError explicitly, so a broken one stays an instance failure
+    import ast
+    from pathlib import Path
+
+    import ffdioph
+
+    paths = sorted(Path(ffdioph.__file__).parent.glob("*.py"))
+    assert len(paths) >= 10
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -120,3 +120,46 @@ def test_gf2_packed_rows_equal_list_rows():
         ("zero row", 0), ("zero row", 1), ("row", 0), ("row", 1),
         "inconsistent", "consistent",
     }
+
+
+@pytest.mark.parametrize("field", [Fq(2), Fq(3), Fq(2, 2), Fq(3, 2)], ids=["F2", "F3", "F4", "F9"])
+def test_pivot_snapshot_survives_later_inserts(field):
+    # pivots.copy() taken between inserts is the reduced form of the rows so
+    # far, untouched by later inserts (copy-on-write): its rows, fed to a
+    # fresh Echelon, give the solution and basis of the earlier rows alone
+    import random
+
+    rng = random.Random(f"snapshot:{field.q}")
+    reduced_after_snapshot = 0
+    for _ in range(60):
+        ncols = rng.randrange(1, 7)
+        shifted = rng.random() < 0.5
+        eqs = [
+            ([rng.randrange(field.q) for _ in range(ncols)],
+             rng.randrange(field.q) if shifted else 0)
+            for _ in range(rng.randrange(1, 10))
+        ]
+        cut = rng.randrange(len(eqs) + 1)
+        ech = Echelon(field, ncols)
+        for row, b in eqs[:cut]:
+            ech.insert(row, b)
+        snap = ech.pivots.copy()
+        frozen = {pc: r if isinstance(r, int) else list(r) for pc, r in snap.items()}
+        for row, b in eqs[cut:]:
+            ech.insert(row, b)
+        reduced_after_snapshot += any(ech.pivots.get(pc) != r for pc, r in frozen.items())
+
+        earlier = Echelon(field, ncols)
+        for row, b in eqs[:cut]:
+            earlier.insert(row, b)
+        again = Echelon(field, ncols)
+        for r in snap.values():
+            if isinstance(r, int):
+                again.insert(r & (1 << ncols) - 1, r >> ncols)
+            else:
+                again.insert(r[:ncols], r[ncols])
+        assert again.pivots == frozen
+        assert again.solution() == earlier.solution()
+        assert again.basis() == earlier.basis()
+    # later inserts did reduce rows the snapshot holds
+    assert reduced_after_snapshot >= 10
