@@ -4,7 +4,8 @@ Everything here minimizes degrees of rows of Y q + p + theta over integer
 vectors q (polynomials) with p chosen optimally per row.  Two independent
 routes are provided: a linear-algebra kernel path (the fractional digits of
 Y q are F_q-linear in the coefficients of q) and a brute-force enumeration
-used as an oracle.  They must agree exactly.
+used as an oracle.  They agree on every value the kernel does not censor;
+where it censors, the enumeration's value is at most the kernel's.
 
 The kernel path eliminates each constraint row once.  A depth scan finds
 the deepest digit depth K at which some q != 0 with deg q_j <= D_j zeroes
@@ -16,18 +17,20 @@ Constraint rows are slices of a digit table that each call fills once
 from one ``digits`` slice of each theta_i (``_rhs_table``).  On GF(2) every
 window is packed once into an int and each row is built as an int by one
 shift and mask per column, the form ``linalg.Echelon`` eliminates by XOR;
-other fields use element lists.  Below the scan's precision cap (K < cap)
-the value is -(K+1), so the witness is multiplied out only to depth K+1
-(``_witness_for`` cuts Y and theta first); at the cap it is multiplied out
-in full.  The standard objective bounds every column by the same D; the
-multiplicative one (m = 1) takes the least result over the shapes
-(D_1..D_n) with sum D_j = T-1, and hands any horizon at which a shape's
-scan reaches its precision cap to the enumeration.
+other fields use element lists.  One box decision (``_decide_box``) reads
+a box's value off its scan: -(K+1) below the precision cap (the witness is
+multiplied out only to depth K+1), and at the cap an exact hit on exact
+inputs or a censored bound on truncated ones.  The standard objective
+decides one box, every column bounded by the same D; the multiplicative
+one (m = 1) decides the shapes (D_1..D_n) with sum D_j = T-1 and combines
+them by the enumeration's rule (``_BruteBest``), so it never enumerates.
 
 The enumeration is one search (``_brute``) over one candidate enumerator
 (``_iter_q``: deg q_j <= caps[j] and plus-product degree <= budget) for both
 objectives.  The standard one takes caps D, budget n*D and the row maximum
 times m; the multiplicative one takes caps T-1, budget T-1 and the row sum.
+It serves method="brute" and m >= 2.  It judges each candidate by its own
+floor, so on truncated inputs it may be lower where the kernel censors.
 """
 
 from __future__ import annotations
@@ -411,26 +414,34 @@ def _kernel_witness(Y: SeriesMatrix, theta, bounds, K: int, rows, depth):
     return _witness_for(Y, theta, q, depth)
 
 
-def _best_error_kernel(Y: SeriesMatrix, theta, T: int) -> BestError:
-    bounds = [(T - 1) // Y.n] * Y.n
+def _scan_box(Y: SeriesMatrix, theta, bounds):
+    """The depth scan of the box deg q_j <= bounds[j]: (cap, exact, K, rows),
+    from _search_caps and _deepest_feasible_depth."""
     cap, exact_inputs = _search_caps(Y, theta, bounds)
-    K, rows = _deepest_feasible_depth(Y, theta, bounds, cap)
+    return (cap, exact_inputs, *_deepest_feasible_depth(Y, theta, bounds, cap))
+
+
+def _decide_box(Y: SeriesMatrix, theta, bounds, scan) -> tuple[DegValue, Witness]:
+    """(B, witness) of the least row maximum of Y q + p + theta over the box
+    deg q_j <= bounds[j], from the box's _scan_box.
+
+    Below the cap B is -(K+1), which the witness attains.  At the cap,
+    exact inputs give an exact hit (every residual row is zero), and
+    truncated ones the censored bound min(witness degree, -(K+1)): a q
+    whose digits vanish to the cap may hide a lower value.
+    """
+    cap, exact_inputs, K, rows = scan
     w, resid = _kernel_witness(Y, theta, bounds, K, rows, K + 1 if K < cap else None)
     obj = deg_max(r.deg() for r in resid)
-
-    if K == cap:
-        if exact_inputs:
-            if not all(r.is_exact_zero() for r in resid):
-                raise AssertionError("exact-depth solution left a nonzero residual")
-            B = DegValue(NEG_INF, False)
-        else:
-            bound = min(obj.value, -K - 1)
-            B = DegValue.censored_at(bound * Y.m)
-    else:
+    if K < cap:
         if obj.value != -K - 1 or obj.censored:
             raise AssertionError("kernel witness does not attain its depth")
-        B = obj.scale(Y.m)
-    return BestError(T, B, w, "kernel")
+        return obj, w
+    if exact_inputs:
+        if not all(r.is_exact_zero() for r in resid):
+            raise AssertionError("exact-depth solution left a nonzero residual")
+        return DegValue(NEG_INF, False), w
+    return DegValue.censored_at(min(obj.value, -K - 1)), w
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +547,9 @@ def best_error(
     if theta is not None and len(theta) != Y.m:
         raise ValueError("shift vector length must match row count")
     if method == "kernel":
-        return _best_error_kernel(Y, theta, T)
+        bounds = [(T - 1) // Y.n] * Y.n
+        B, w = _decide_box(Y, theta, bounds, _scan_box(Y, theta, bounds))
+        return BestError(T, B.scale(Y.m), w, "kernel")
     if method == "brute":
         D = (T - 1) // Y.n
         # scaling by m >= 1 keeps the order, so it may precede the comparison
@@ -551,13 +564,12 @@ def best_error(
 #
 # The admissible set {q != 0 : sum_j max(0, deg q_j) <= T-1} is the union of
 # the boxes deg q_j <= D_j over the shapes D_j >= 0, sum_j D_j = T-1.  For
-# m = 1 the objective is the degree of the one row, so on each box it is the
-# kernel scan's -(K+1) with per-column bounds, and B_mult(T) is the least of
-# these.  That is exact while every box's scan stops below its cap: each q
-# then has a known nonzero digit at some depth <= cap, so no candidate is
-# censored.  When some box reaches its cap (an exact hit or a censored
-# value), _brute decides that T over the whole admissible set, as it does
-# every T for m >= 2, where the objective is a sum of row degrees.
+# m = 1 the objective is the degree of the one row, so B_mult(T) is the
+# least box value.  Boxes scanned below their cap are exact, so only the
+# first deepest of them is decided; every box at its cap is decided by
+# best_error's box rule (an exact hit or a censored bound), and _BruteBest
+# combines them as it combines brute candidates.  For m >= 2 the objective
+# is a sum of row degrees, and _brute enumerates.
 # ---------------------------------------------------------------------------
 
 
@@ -572,22 +584,24 @@ def compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def _best_error_mult_kernel(Y: SeriesMatrix, theta, T: int) -> BestError | None:
-    """The least kernel scan over the shapes, or None (enumerate) as soon as
-    one shape's scan reaches its cap."""
-    best_K, best_bounds, best_rows = -1, None, None
+def _best_error_mult_kernel(Y: SeriesMatrix, theta, T: int) -> BestError:
+    """m = 1: scan every shape, decide every shape whose scan reaches its cap
+    and the first deepest of the others, and combine them by _BruteBest's
+    rule."""
+    best, deepest = _BruteBest(T - 1), None
     for bounds in compositions(T - 1, Y.n):
-        cap, _ = _search_caps(Y, theta, bounds)
-        K, rows = _deepest_feasible_depth(Y, theta, bounds, cap)
+        scan = _scan_box(Y, theta, bounds)
+        cap, _, K, _ = scan
         if K == cap:
-            return None
-        if K > best_K:
-            best_K, best_bounds, best_rows = K, bounds, rows
-    w, resid = _kernel_witness(Y, theta, best_bounds, best_K, best_rows, best_K + 1)
-    obj = deg_sum(r.deg() for r in resid)
-    if obj.value != -best_K - 1 or obj.censored:
-        raise AssertionError("kernel witness does not attain its depth")
-    return BestError(T, obj, w, "kernel")
+            B, w = _decide_box(Y, theta, bounds, scan)
+            best.offer(B, w.q, w.p)
+        elif deepest is None or K > deepest[0]:
+            deepest = K, bounds, scan
+    if deepest is not None:
+        B, w = _decide_box(Y, theta, *deepest[1:])
+        best.offer(B, w.q, w.p)
+    B, w = best.result()
+    return BestError(T, B, w, "kernel")
 
 
 def best_error_mult(
@@ -596,18 +610,15 @@ def best_error_mult(
     """Multiplicative analogue: minimize the product degree of the rows over
     q != 0 with plus-product degree <= T-1.
 
-    method="kernel" takes the least kernel scan over the degree shapes when
-    m = 1, and falls back to the enumeration for any T at which some shape's
-    scan reaches its cap, so exact hits and censored values are the
-    enumeration's.  For m >= 2 both methods enumerate.  method="brute"
-    always enumerates; it is the oracle for the kernel route.
+    method="kernel" decides each degree shape's box by best_error's box rule
+    when m = 1 and never enumerates.  For m >= 2 both methods enumerate.
+    method="brute" always enumerates; it is the oracle for the kernel route,
+    and its value is at most the kernel's.
     """
     if T < 1:
         raise ValueError("horizon T must be >= 1")
     if method not in ("kernel", "brute"):
         raise ValueError(f"unknown method {method!r}")
     if method == "kernel" and Y.m == 1:
-        be = _best_error_mult_kernel(Y, theta, T)
-        if be is not None:
-            return be
+        return _best_error_mult_kernel(Y, theta, T)
     return _brute(Y, theta, T, [T - 1] * Y.n, T - 1, deg_sum)

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .approx import DirichletTarget, Witness, dirichlet_solve, witness_error_degs
+from .approx import DirichletTarget, dirichlet_solve, witness_error_degs
 from .config import ExperimentConfig
 from .errors import PrecisionExhaustedError
 from .exponents import (
@@ -54,7 +54,6 @@ from .matrix import SeriesMatrix
 from .poly import NEG_INF, Poly
 from .series import DegValue, LaurentSeries
 from .transference import (
-    CheckReport,
     check_bz,
     check_dirichlet_bound,
     check_dyson,
@@ -90,21 +89,8 @@ def jsonable(obj):
         }
     if isinstance(obj, SeriesMatrix):
         return [[jsonable(s) for s in row] for row in obj.rows]
-    if isinstance(obj, Witness):
-        return {"p": [x.to_literal() for x in obj.p], "q": [x.to_literal() for x in obj.q]}
     if isinstance(obj, IndexTuple):
         return {"t": list(obj.t), "sigma": obj.sigma}
-    if isinstance(obj, CheckReport):
-        return {
-            "name": obj.name,
-            "holds": obj.holds,
-            "exact": obj.exact,
-            "tolerance": jsonable(obj.tolerance),
-            "lhs": jsonable(obj.lhs),
-            "rhs": jsonable(obj.rhs),
-            "details": jsonable(obj.details),
-            "note": obj.note,
-        }
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -274,10 +274,18 @@ def test_kernel_witness_matches_fresh_solve(field):
                 continue
             shapes = list(compositions(T - 1, n))
             scans = [deepest(Y, theta, b) for b in shapes]
-            if any(k == c for k, c in scans):
-                continue  # the enumeration decides this horizon
             bm = best_error_mult(Y, theta, T, "kernel")
             assert bm.method == "kernel"
+            if any(k == c for k, c in scans):
+                # a capped shape is decided by its box rule: the witness is
+                # admissible and attains B (a censored B in value only, since
+                # the witness's own residual may be known deeper)
+                assert prod_plus_deg(bm.witness.q) <= T - 1
+                got = deg_sum(witness_error_degs(Y, theta, bm.witness))
+                assert got.value == bm.B.value
+                assert bm.censored or got == bm.B
+                branches.add(("mult-capped", exact))
+                continue
             depths = [k for k, _ in scans]
             best = depths.index(max(depths))  # the first deepest shape
             assert bm.witness.q == fresh_kernel_q(Y, theta, shapes[best], depths[best])
@@ -285,6 +293,7 @@ def test_kernel_witness_matches_fresh_solve(field):
     cases = set(itertools.product(("none", "zero", "random"), (False, True), (False, True)))
     assert {("standard",) + c for c in cases} <= branches
     assert {("mult", shift, n2, False) for shift, n2, _ in cases} <= branches
+    assert {("mult-capped", False), ("mult-capped", True)} <= branches
 
 
 def test_gf2_packed_rows_match_digit_definition():
@@ -466,6 +475,27 @@ def test_censored_values_bound_the_deep_truth():
                 assert bd.value <= bs.value
             else:
                 assert bd == bs
+    # the multiplicative kernel route, whose capped shapes are censored by
+    # the same box rule, on 1xn rows, homogeneous and shifted
+    branches = set()
+    for n in (1, 2, 3):
+        for i in range(6):
+            rng = derive_rng(71, "cb-mult", n, i)
+            deep_row = [random_series(F2, -60, rng) for _ in range(n)]
+            deep_theta = (random_series(F2, -60, rng),) if i % 2 else None
+            deep = SeriesMatrix([deep_row])
+            shallow = SeriesMatrix([[s.truncate(-12) for s in deep_row]])
+            shallow_theta = deep_theta and (deep_theta[0].truncate(-12),)
+            for T in range(1, 12):
+                bd = best_error_mult(deep, deep_theta, T, "kernel").B
+                bs = best_error_mult(shallow, shallow_theta, T, "kernel").B
+                assert not bd.censored
+                if bs.censored:
+                    assert bd.value <= bs.value
+                else:
+                    assert bd == bs
+                branches.add((n, bs.censored))
+    assert branches == set(itertools.product((1, 2, 3), (False, True)))
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +581,14 @@ def test_mult_example_1x2():
 @pytest.mark.parametrize("field", [F2, F3, F4], ids=["F2", "F3", "F4"])
 def test_mult_kernel_equals_brute(field, n):
     # the shape-by-shape kernel route against the enumeration; the shallow
-    # floors make some shape reach its cap, so the fallback runs as well
+    # floors make some shape reach its cap, where the kernel censors by its
+    # box rule and brute, judging each candidate by its own floor, may
+    # certify a lower or an exact value
     T_max = {2: (8, 6, 5), 3: (6, 4, 3), 4: (4, 3, 2)}[field.q][n - 1]
     cases = []
-    for floor in (-8, -12, -20, -40):
+    # floor -(T_max + 1) makes the widest shapes reach their caps on every
+    # field, so the kernel's censored branch runs in every parametrization
+    for floor in (-8, -12, -20, -40, -(T_max + 1)):
         for shifted in (False, True):
             rng = derive_rng(6021, "mult-oracle", field.q, n, floor, shifted)
             Y = SeriesMatrix([[random_series(field, floor, rng) for _ in range(n)]])
@@ -567,17 +601,68 @@ def test_mult_kernel_equals_brute(field, n):
     # exact inputs, as in test_mult_example_1x2: an exact hit at T = 2
     exact = ["X^-1", "X^-3", "X^-2 + X^-5"][:n]
     cases.append((SeriesMatrix([[S(text, field) for text in exact]]), None))
-    routes = set()
+    branches = set()
     for Y, theta in cases:
         for T in range(1, T_max + 1):
             k = best_error_mult(Y, theta, T, "kernel")
             b = best_error_mult(Y, theta, T, "brute")
-            assert (k.B.value, k.censored) == (b.B.value, b.censored)
-            routes.add(k.method)
-            if k.method == "kernel":
-                assert prod_plus_deg(k.witness.q) <= T - 1
-                assert deg_sum(witness_error_degs(Y, theta, k.witness)) == k.B
-    assert routes == {"kernel", "brute"}
+            assert k.method == "kernel"
+            assert prod_plus_deg(k.witness.q) <= T - 1
+            got = deg_sum(witness_error_degs(Y, theta, k.witness))
+            if k.censored:
+                assert b.B.value <= k.B.value
+                assert got.value == k.B.value
+            else:
+                assert (k.B.value, k.censored) == (b.B.value, b.censored)
+                assert got == k.B
+            branches.add(k.censored)
+    assert branches == {False, True}
+
+
+def test_mult_kernel_equals_standard_kernel_1x1():
+    # a 1x1 row has one shape, the standard box, so the two kernel routes
+    # decide it alike at every floor; the first input's floor is shallower
+    # than its degree bound at T = 6, where the kernel censors and brute raises
+    cases = [(single(random_series(F2, -4, derive_rng(1, "pe", 0))), None, 6)]
+    for field in (F2, F3):
+        for floor in (-2, -4, -8, -40):
+            for shifted in (False, True):
+                rng = derive_rng(6022, "mult-1x1", field.q, floor, shifted)
+                theta = (random_series(field, floor, rng),) if shifted else None
+                cases.append((single(random_series(field, floor, rng)), theta, 8))
+    cases.append((single(S("X^-1 + X^-3")), None, 4))  # exact input: a hit at T = 2
+    branches = set()
+    for Y, theta, T_max in cases:
+        for T in range(1, T_max + 1):
+            mult = best_error_mult(Y, theta, T, "kernel")
+            assert mult == best_error(Y, theta, T, "kernel")
+            branches.add((mult.censored, mult.B.value == NEG_INF))
+    assert branches == {(False, False), (True, False), (False, True)}
+
+
+def test_mult_kernel_never_enumerates(monkeypatch):
+    # two equal columns: q = (1, 1) cancels exactly, so every shape's scan
+    # reaches its cap from T = 1 on; the kernel decides each shape itself,
+    # with one scan per shape (465 shapes to T = 30) and no enumeration,
+    # which would take more than 2^30 candidates at T = 30
+    from ffdioph import approx
+    from ffdioph.exponents import profile
+
+    def no_brute(*args):
+        raise AssertionError("the multiplicative kernel route enumerated")
+
+    scan, calls = approx._deepest_feasible_depth, []
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(approx, "_brute", no_brute)
+    monkeypatch.setattr(approx, "_deepest_feasible_depth", counted)
+    s = random_series(F2, -60, derive_rng(5, "m13", 0))
+    prof = profile(SeriesMatrix([[s, s]]), None, 30, "multiplicative")
+    assert len(calls) <= 465
+    assert all(e.B == DegValue.censored_at(-61) for e in prof.entries)
 
 
 def test_mult_dominated_by_standard():
