@@ -12,25 +12,29 @@ the deepest digit depth K at which some q != 0 with deg q_j <= D_j zeroes
 digits -1..-K of every row of Y q + theta: one ``linalg.Echelon`` takes in
 the rows of depth 1, 2, ..., stops at the first infeasible depth and keeps
 its reduced rows of depth K, whose canonical solution is the witness.
-Constraint rows are slices of a digit table that each call fills once
-(``_digit_table``, from ``LaurentSeries.digits``); the right-hand sides come
-from one ``digits`` slice of each theta_i (``_rhs_table``).  On GF(2) every
-window is packed once into an int and each row is built as an int by one
-shift and mask per column, the form ``linalg.Echelon`` eliminates by XOR;
-other fields use element lists.  One box decision (``_decide_box``) reads
-a box's value off its scan: -(K+1) below the precision cap (the witness is
-multiplied out only to depth K+1), and at the cap an exact hit on exact
-inputs or a censored bound on truncated ones.  The standard objective
-decides one box, every column bounded by the same D; the multiplicative
-one (m = 1) decides the shapes (D_1..D_n) with sum D_j = T-1 and combines
-them by the enumeration's rule (``_BruteBest``), so it never enumerates.
+The shifted system is the homogeneous one [Y | theta] with the last
+unknown fixed at 1: theta is column n, of degree bound 0, whose entry is
+the right-hand side at column ncols.  Constraint rows are slices of one
+digit table that each call fills once (``_digit_table``, from
+``LaurentSeries.digits``).  On GF(2) every window is packed once into an
+int and each row is built as an int by one shift and mask per column, the
+form ``linalg.Echelon`` eliminates by XOR; other fields use element lists.
+An all-exact-zero theta enters the kernel as None, so it builds no zero
+column.  One box decision (``_decide_box``) reads a box's value off its
+scan: -(K+1) below the precision cap (the witness is multiplied out only
+to depth K+1), and at the cap an exact hit on exact inputs or a censored
+bound on truncated ones.  The standard objective decides one box, every
+column bounded by the same D; the multiplicative one (m = 1) decides the
+shapes (D_1..D_n) with sum D_j = T-1 and combines them by the
+enumeration's rule (``_BruteBest``), so it never enumerates.
 
 The enumeration is one search (``_brute``) over one candidate enumerator
-(``_iter_q``: deg q_j <= caps[j] and plus-product degree <= budget) for both
-objectives.  The standard one takes caps D, budget n*D and the row maximum
-times m; the multiplicative one takes caps T-1, budget T-1 and the row sum.
-It serves method="brute" and m >= 2.  It judges each candidate by its own
-floor, so on truncated inputs it may be lower where the kernel censors.
+(``_iter_q``: deg q_j <= caps[j] and plus-product degree <= budget, each
+coordinate drawn from ``poly.iter_polys``) for both objectives.  The
+standard one takes caps D, budget n*D and the row maximum times m; the
+multiplicative one takes caps T-1, budget T-1 and the row sum.  It serves
+method="brute" and m >= 2.  It judges each candidate by its own floor, so
+on truncated inputs it may be lower where the kernel censors.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .errors import PrecisionExhaustedError
 from .field import Fq
 from .linalg import Echelon, nullspace, solve_affine
 from .matrix import SeriesMatrix, matvec_affine, prod_plus_deg
-from .poly import NEG_INF, Poly
+from .poly import NEG_INF, Poly, iter_polys
 from .series import DegValue, LaurentSeries, deg_max, deg_sum
 
 
@@ -174,11 +178,6 @@ def witness_error_degs(Y: SeriesMatrix, theta, w: Witness) -> tuple[DegValue, ..
 # ---------------------------------------------------------------------------
 
 
-def _layout(degree_bounds) -> list[tuple[int, int]]:
-    """Unknowns: the coefficients s <= degree_bounds[j] of each q_j, as (j, s)."""
-    return [(j, s) for j, dj in enumerate(degree_bounds) for s in range(dj + 1)]
-
-
 # GF(2) digit -> ASCII bit, so that a window packs into an int at C speed
 _ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -191,85 +190,65 @@ def _pack_gf2(digits: list[int]) -> int:
     return int(bytes(digits[::-1]).translate(_ASCII_BITS) or b"0", 2)
 
 
-def _digit_table(Y: SeriesMatrix, degree_bounds, depths) -> list[list]:
-    """tab[i][j] holds Y_ij's digits at -1, -2, ..., -(depths[i] + degree_bounds[j]):
-    every digit the rows of depth 1..depths[i] read, and none at depth 0.
+def _digit_table(Y: SeriesMatrix, theta, bounds, depths) -> list[list[tuple]]:
+    """The columns of row i of the system [Y | theta], each with its width.
 
-    Other fields store the digit list.  GF(2) packs it once into an int w
-    (bit t = the digit at -(t+1)) and stores (w, mask_j, off_j): mask_j has
-    the D_j + 1 low bits set and off_j is the index of (j, 0) in _layout.
+    Column j holds Y_ij's digits at -1, -2, ..., -(depths[i] + bounds[j]),
+    every digit the rows of depth 1..depths[i] read and none at depth 0, and
+    has width bounds[j] + 1.  A shift adds column n: -theta_i's digits at
+    -1..-depths[i], a column of degree bound 0 (width 1), whose one entry per
+    row is the right-hand side.  Other fields store (digits, width).  GF(2),
+    where -x = x, packs each window once into an int w (bit t = the digit at
+    -(t+1)) and stores (w, mask, off): mask has the width's low bits set and
+    off is the column's first unknown, so the shift lands at off = ncols.
     """
-    if not Y.field.is_gf2():
-        return [
-            [s.digits(-1, -(k + d)) if k else [] for s, d in zip(row, degree_bounds)]
-            for row, k in zip(Y.rows, depths)
-        ]
-    cols, start = [], 0
-    for d in degree_bounds:
-        cols.append(((1 << d + 1) - 1, start))
-        start += d + 1
-    return [
-        [
-            (_pack_gf2(s.digits(-1, -(k + d))) if k else 0, mask, off)
-            for s, d, (mask, off) in zip(row, degree_bounds, cols)
-        ]
-        for row, k in zip(Y.rows, depths)
-    ]
+    F, gf2 = Y.field, Y.field.is_gf2()
+    tab = []
+    for i, (row, k) in enumerate(zip(Y.rows, depths)):
+        cols = [(s.digits(-1, -(k + d)) if k else [], d + 1) for s, d in zip(row, bounds)]
+        if theta is not None:
+            th = theta[i].digits(-1, -k)
+            cols.append((th if gf2 else [F.neg(x) for x in th], 1))
+        if gf2:
+            packed, off = [], 0
+            for w, width in cols:
+                packed.append((_pack_gf2(w), (1 << width) - 1, off))
+                off += width
+            cols = packed
+        tab.append(cols)
+    return tab
 
 
-def _table_row(tab, degree_bounds, i: int, c: int) -> list[int] | int:
-    """Row of the map q -> digit -c of Y_i q, in _layout order: the unknown
-    (j, s) gets Y_ij's digit at -c-s, which is entry c-1+s of tab[i][j].
+def _table_row(tab, i: int, c: int) -> list[int] | int:
+    """Row (i, c) of _digit_table's system: digit -c of Y_i q (+ theta_i).
 
-    On GF(2) the row is an int with that digit at bit off_j + s, built by
-    one shift and mask per column.
+    The unknown s of q_j gets Y_ij's digit at -c-s, entry c-1+s of column
+    j; the unknowns of q_0, q_1, ... follow one another, and a shift's
+    right-hand side sits at column ncols.  On GF(2) the row is an int with
+    that digit at bit off + s, built by one shift and mask per column.
     """
     cols = tab[i]
-    if isinstance(cols[0], tuple):  # GF(2): packed windows
+    if isinstance(cols[0][0], int):  # GF(2): packed windows
         r = 0
         for w, mask, off in cols:
             r |= (w >> c - 1 & mask) << off
         return r
-    return [x for t, d in zip(cols, degree_bounds) for x in t[c - 1 : c + d]]
+    return [x for t, width in cols for x in t[c - 1 : c - 1 + width]]
 
 
-def _rhs_table(field: Fq, theta, depths):
-    """rhs[i] holds -theta_i's digits at -1..-depths[i], the right-hand sides
-    of the rows of depth 1..depths[i] (None: homogeneous); packed into one
-    int on GF(2), where -x = x, like the windows of _digit_table."""
-    if theta is None:
-        return None
-    if field.is_gf2():
-        return [_pack_gf2(th.digits(-1, -k)) for th, k in zip(theta, depths)]
-    return [[field.neg(x) for x in th.digits(-1, -k)] for th, k in zip(theta, depths)]
+def _constraints(Y: SeriesMatrix, bounds, depths):
+    """Rows of the map q -> (digits -1..-depths[i] of Y_i q)."""
+    tab = _digit_table(Y, None, bounds, depths)
+    return [_table_row(tab, i, c) for i, k in enumerate(depths) for c in range(1, k + 1)]
 
 
-def _table_rhs(rhs, i: int, c: int) -> int:
-    """Right-hand side of row (i, c), read from _rhs_table."""
-    if rhs is None:
-        return 0
-    r = rhs[i]
-    return r >> c - 1 & 1 if isinstance(r, int) else r[c - 1]
-
-
-def _constraints(Y: SeriesMatrix, degree_bounds, depths):
-    """Unknown layout and rows of the map q -> (digits -1..-depths[i] of Y_i q)."""
-    tab = _digit_table(Y, degree_bounds, depths)
-    rows = [
-        _table_row(tab, degree_bounds, i, c)
-        for i, k in enumerate(depths)
-        for c in range(1, k + 1)
-    ]
-    return _layout(degree_bounds), rows
-
-
-def _vector_to_q(field: Fq, vec, layout, n: int) -> list[Poly]:
-    coeffs: list[list[int]] = [[] for _ in range(n)]
-    for (j, s), v in zip(layout, vec):
-        while len(coeffs[j]) <= s:
-            coeffs[j].append(0)
-        coeffs[j][s] = v
-    return [Poly(field, cs) for cs in coeffs]
+def _vector_to_q(field: Fq, vec, bounds) -> list[Poly]:
+    """q from its unknowns: coefficients 0..bounds[j] of each q_j in turn."""
+    q, start = [], 0
+    for d in bounds:
+        q.append(Poly(field, vec[start : start + d + 1]))
+        start += d + 1
+    return q
 
 
 def dirichlet_solve(
@@ -289,11 +268,11 @@ def dirichlet_solve(
         raise ValueError("target dimensions do not match the matrix")
 
     def attempt(bounds):
-        layout, rows = _constraints(Y, bounds, t.row_part)
-        basis = nullspace(Y.field, rows, len(layout))
+        rows = _constraints(Y, bounds, t.row_part)
+        basis = nullspace(Y.field, rows, sum(d + 1 for d in bounds))
         if not basis:
             return None
-        q = _vector_to_q(Y.field, basis[0], layout, Y.n)
+        q = _vector_to_q(Y.field, basis[0], bounds)
         w, resid = _witness_for(Y, None, q)
         return w, tuple(r.deg() for r in resid)
 
@@ -342,20 +321,14 @@ def _search_caps(Y: SeriesMatrix, theta, bounds):
     depth any nonzero residual could survive, and exact=True: feasibility at
     cap certifies an exact hit.
     """
-    caps = []
-    stored_lo = []
-    for row in Y.rows:
-        for s, dj in zip(row, bounds):
+    caps, stored_lo = [], []
+    for i, row in enumerate(Y.rows):
+        shift = [(theta[i], 0)] if theta is not None else []
+        for s, dj in [*zip(row, bounds), *shift]:  # theta_i: a bound-0 column
             if s.floor != NEG_INF:
                 caps.append(-s.floor - dj)
             elif not s.is_exact_zero():
                 stored_lo.append(s.top - len(s.coeffs) + 1)
-    if theta is not None:
-        for th in theta:
-            if th.floor != NEG_INF:
-                caps.append(-th.floor)
-            elif not th.is_exact_zero():
-                stored_lo.append(th.top - len(th.coeffs) + 1)
     if caps:
         return max(0, min(caps)), False
     lo = min(stored_lo) if stored_lo else 0
@@ -371,13 +344,12 @@ def _deepest_feasible_depth(Y: SeriesMatrix, theta, bounds, cap: int):
     m rows of depth c = 1, 2, ... and stops at the first infeasible depth;
     the pivots copied before each depth are the rows of depth K there.
     """
-    ech = Echelon(Y.field, len(_layout(bounds)))
-    tab = _digit_table(Y, bounds, [cap] * Y.m)
-    rhs = _rhs_table(Y.field, theta, [cap] * Y.m)
+    ech = Echelon(Y.field, sum(d + 1 for d in bounds))
+    tab = _digit_table(Y, theta, bounds, [cap] * Y.m)
     for c in range(1, cap + 1):
         before = ech.pivots.copy()
         for i in range(Y.m):
-            ech.insert(_table_row(tab, bounds, i, c), _table_rhs(rhs, i, c))
+            ech.insert(_table_row(tab, i, c))
         if not ech.has_nonzero_solution():
             return c - 1, list(before.values())
     return cap, list(ech.pivots.values())
@@ -395,13 +367,12 @@ def _kernel_witness(Y: SeriesMatrix, theta, bounds, K: int, rows, depth):
     cap is the deepest depth the inputs decide.  At the cap they pass None,
     since the censored bound and the exact-zero check read every digit.
     """
-    layout = _layout(bounds)
-    ncols = len(layout)
+    ncols = sum(d + 1 for d in bounds)
     if Y.field.is_gf2():
         rows, rhs = [r & (1 << ncols) - 1 for r in rows], [r >> ncols for r in rows]
     else:
         rows, rhs = [r[:ncols] for r in rows], [r[ncols] for r in rows]
-    if theta is None or all(th.is_exact_zero() for th in theta):
+    if theta is None:
         basis = nullspace(Y.field, rows, ncols)
         vec = basis[0] if basis else None
     else:
@@ -410,7 +381,7 @@ def _kernel_witness(Y: SeriesMatrix, theta, bounds, K: int, rows, depth):
             vec = basis[0] if basis else None  # q = 0 is not allowed
     if vec is None:
         raise AssertionError(f"depth {K} passed the scan but has no solution")
-    q = _vector_to_q(Y.field, vec, layout, Y.n)
+    q = _vector_to_q(Y.field, vec, bounds)
     return _witness_for(Y, theta, q, depth)
 
 
@@ -456,22 +427,6 @@ def _poly_tiebreak_key(q: list[Poly], max_deg: int) -> tuple[int, ...]:
     )
 
 
-def _iter_coordinate_polys(field: Fq, max_deg: int):
-    """All polynomials of degree <= max_deg (including zero), low-deg first."""
-    yield Poly.zero(field)
-    for deg in range(max_deg + 1):
-        base = field.q**deg
-        for lead in range(1, field.q):
-            for rest in range(base):
-                coeffs = []
-                v = rest
-                for _ in range(deg):
-                    coeffs.append(v % field.q)
-                    v //= field.q
-                coeffs.append(lead)
-                yield Poly(field, coeffs)
-
-
 def _iter_q(field: Fq, caps, budget: int):
     """Every q != 0 with deg q_j <= caps[j] and plus-product degree <= budget,
     coordinate 0 outermost.
@@ -479,7 +434,7 @@ def _iter_q(field: Fq, caps, budget: int):
     Each coordinate runs through a prefix of one low-degree-first list: its
     first q**(r+1) entries are the polynomials of degree <= r.
     """
-    polys = list(_iter_coordinate_polys(field, max(caps)))
+    polys = list(iter_polys(field, max(caps)))
 
     def extend(prefix: list[Poly], j: int, remaining: int):
         if j == len(caps):
@@ -547,6 +502,8 @@ def best_error(
     if theta is not None and len(theta) != Y.m:
         raise ValueError("shift vector length must match row count")
     if method == "kernel":
+        if theta is not None and all(th.is_exact_zero() for th in theta):
+            theta = None  # the kernel builds no zero shift column
         bounds = [(T - 1) // Y.n] * Y.n
         B, w = _decide_box(Y, theta, bounds, _scan_box(Y, theta, bounds))
         return BestError(T, B.scale(Y.m), w, "kernel")
@@ -588,6 +545,8 @@ def _best_error_mult_kernel(Y: SeriesMatrix, theta, T: int) -> BestError:
     """m = 1: scan every shape, decide every shape whose scan reaches its cap
     and the first deepest of the others, and combine them by _BruteBest's
     rule."""
+    if theta is not None and all(th.is_exact_zero() for th in theta):
+        theta = None  # the kernel builds no zero shift column
     best, deepest = _BruteBest(T - 1), None
     for bounds in compositions(T - 1, Y.n):
         scan = _scan_box(Y, theta, bounds)

@@ -47,53 +47,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_mod_p(coeffs: list[int], p: int) -> list[int]:
-    out = [c % p for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_divmod_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    # schoolbook long division over F_p; b must be nonzero
-    a = list(a)
-    binv = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        factor = (a[-1] * binv) % p
-        q[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * c) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return _poly_mod_p(q, p), _poly_mod_p(a, p)
-
-
 def is_irreducible_mod_p(coeffs: list[int], p: int) -> bool:
-    """Trial-division irreducibility test for small moduli over F_p."""
-    coeffs = _poly_mod_p(list(coeffs), p)
-    deg = len(coeffs) - 1
-    if deg < 1:
+    """Trial-division irreducibility test for small moduli over F_p: no
+    monic polynomial of degree 1 .. deg//2 divides."""
+    from .poly import Poly, iter_polys, poly_divmod  # deferred: poly depends on field
+
+    F = Fq(p)
+    f = Poly(F, [c % p for c in coeffs])
+    if f.deg < 1:
         return False
-    if deg == 1:
-        return True
-    # try all monic divisors of degree 1 .. deg//2
-    for ddeg in range(1, deg // 2 + 1):
-        for idx in range(p**ddeg):
-            div = []
-            v = idx
-            for _ in range(ddeg):
-                div.append(v % p)
-                v //= p
-            div.append(1)  # monic
-            _, rem = _poly_divmod_p(coeffs, div, p)
-            if not rem:
-                return False
-    return True
+    return all(
+        poly_divmod(f, g)[1].coeffs
+        for g in iter_polys(F, f.deg // 2)
+        if g.deg >= 1 and g.lc() == 1
+    )
 
 
 class Fq:
@@ -125,6 +92,10 @@ class Fq:
                 raise ValueError(f"modulus must have degree exactly {d}")
             if not is_irreducible_mod_p(list(modulus), p):
                 raise ValueError("modulus is not irreducible")
+            # a unit multiple gives the same field and power basis, and the
+            # digit loops reduce by a monic modulus
+            lead_inv = pow(modulus[-1], p - 2, p)
+            modulus = tuple(c * lead_inv % p for c in modulus)
         self.p = p
         self.d = d
         self.q = p**d

@@ -187,6 +187,10 @@ def generate_theta(spec, field: Fq, m: int, floor: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
+# planted error rows sit this many degrees below the premise cutoff
+_PLANT_ERR_MARGIN = 2
+
+
 @dataclass(frozen=True)
 class PlantParams:
     field: Fq
@@ -196,8 +200,6 @@ class PlantParams:
     eps: Fraction
     T: int
     floor: int
-    err_margin: int = 2
-    theta_random: bool = True
     exact_hit: bool = False
 
     def __post_init__(self):
@@ -280,16 +282,12 @@ def plant_witness(params: PlantParams, seed: int) -> PlantedInstance:
         remaining -= d
     q = tuple(random_poly(F, d, rng) for d in degs)
     p = tuple(random_poly(F, rng.randrange(0, 3), rng) for _ in range(m))
-    if params.theta_random:
-        theta = tuple(
-            random_series(F, floor, derive_rng(seed, "plant-theta", i))
-            for i in range(m)
-        )
-    else:
-        theta = zero_theta(F, m)
+    theta = tuple(
+        random_series(F, floor, derive_rng(seed, "plant-theta", i)) for i in range(m)
+    )
 
     # target error rows: degrees summing strictly below -cutoff
-    per_row = -(math.floor(cutoff / m) + 1 + params.err_margin)
+    per_row = -(math.floor(cutoff / m) + 1 + _PLANT_ERR_MARGIN)
     targets = []
     for i in range(m):
         targets.append(NEG_INF if params.exact_hit else per_row - rng.randrange(0, 3))
@@ -334,7 +332,6 @@ def plant_membership_pair(
     eta: Fraction,
     seed: int,
     floor: int = -80,
-    theta_random: bool = True,
 ) -> MembershipPair:
     """A 1 x 2 instance where two distinct witnesses share a member cell.
 
@@ -369,10 +366,7 @@ def plant_membership_pair(
     p2 = (random_poly(field, rng.randrange(0, 2), rng),)
     # work below the requested floor: the division by det can cost digits
     work = floor - 24
-    if theta_random:
-        theta = (random_series(field, work, derive_rng(seed, "pair-theta")),)
-    else:
-        theta = zero_theta(field, 1)
+    theta = (random_series(field, work, derive_rng(seed, "pair-theta")),)
     depth = it.t[0] + math.ceil(tau * sigma) + 3
     d1 = _noise_series(field, -depth - rng.randrange(0, 3), work, derive_rng(seed, "pair-d1"))
     d2 = _noise_series(field, -depth - rng.randrange(0, 3), work, derive_rng(seed, "pair-d2"))

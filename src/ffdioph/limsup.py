@@ -53,12 +53,6 @@ class IndexTuple:
         t = tuple(int(x) for x in t)
         return cls(t, sum(t))
 
-    def row_part(self, m: int) -> tuple[int, ...]:
-        return self.t[:m]
-
-    def col_part(self, m: int) -> tuple[int, ...]:
-        return self.t[m:]
-
 
 def xi_and_t(u, v, params: TsetParams):
     """Balance offset xi and the induced index tuple, or None when the

@@ -3,19 +3,21 @@
 ``Echelon`` is the one elimination core: the reduced row echelon form of
 the rows inserted so far, one fully reduced row per pivot column, kept as a
 bit-packed int on GF(2) (bit j = column j) and as an element list driven by
-an ``Fq`` context on every other field.  On GF(2) a row may be inserted
-already packed, as an int with bit j = column j; ``approx`` hands over its
-constraint rows that way, so only list rows are packed entry by entry
-here.  Column ``ncols`` carries an optional right-hand side b of A x = b; it
-becomes a pivot exactly when the rows so far are inconsistent.  The reduced
-form of a row space is unique, so results do not depend on row order or on
-how rows are given, and a caller can test feasibility after each batch of
-rows without starting over.  Pivot rows are never changed in place: a GF(2)
-row is an int, and ``insert`` replaces a list row it reduces by a reduced
-copy (copy-on-write).  So ``pivots.copy()`` is a snapshot of the form that
-later inserts leave intact, on every field.  ``nullspace`` and
-``solve_affine`` wrap one ``Echelon`` each; basis vectors come out in a
-canonical order (free columns ascending, unit entry at the free column).
+an ``Fq`` context on every other field.  Column ``ncols`` carries an
+optional right-hand side b of A x = b; it becomes a pivot exactly when the
+rows so far are inconsistent.  A row may carry b itself at column
+``ncols``: a list of ncols + 1 elements, or on GF(2) an int with bit j =
+column j.  ``approx`` hands over its constraint rows that way, packed on
+GF(2), so only list rows are packed entry by entry here.  The reduced form
+of a row space is unique, so results do not depend on row order or on how
+rows are given, and a caller can test feasibility after each batch of rows
+without starting over.  Pivot rows are never changed in place: a GF(2) row
+is an int, and ``insert`` replaces a list row it reduces by a reduced copy
+(copy-on-write).  So ``pivots.copy()`` is a snapshot of the form that later
+inserts leave intact, on every field.  ``nullspace`` and ``solve_affine``
+wrap one ``Echelon`` each and pass ncols-wide rows and b; basis vectors
+come out in a canonical order (free columns ascending, unit entry at the
+free column).
 """
 
 from __future__ import annotations
@@ -36,13 +38,18 @@ class Echelon:
     def insert(self, row: list[int] | int, b: int = 0) -> None:
         """Add the equation row . x = b.
 
-        row is a list of ncols elements; on GF(2) it may instead be an int
-        with bit j = column j and no bit at ncols or above.
+        row is a list of ncols elements, or of ncols + 1 whose last is the
+        right-hand side (b then stays 0); on GF(2) it may instead be an int
+        with bit j = column j, the right-hand side at bit ncols and no bit
+        above it.
         """
         if self.gf2:
             self._insert_gf2(row, b)
         else:
-            self._insert_generic(list(row) + [b])
+            r = list(row)
+            if len(r) == self.ncols:
+                r.append(b)
+            self._insert_generic(r)
 
     def _insert_gf2(self, row: list[int] | int, b: int) -> None:
         if isinstance(row, int):

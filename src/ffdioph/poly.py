@@ -144,6 +144,23 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return Poly(F, quot), Poly(F, rem)
 
 
+def iter_polys(field: Fq, max_deg: int):
+    """All polynomials of degree <= max_deg (including zero), low-deg first:
+    its first q**(r+1) entries are those of degree <= r."""
+    yield Poly.zero(field)
+    for deg in range(max_deg + 1):
+        base = field.q**deg
+        for lead in range(1, field.q):
+            for rest in range(base):
+                coeffs = []
+                v = rest
+                for _ in range(deg):
+                    coeffs.append(v % field.q)
+                    v //= field.q
+                coeffs.append(lead)
+                yield Poly(field, coeffs)
+
+
 # ---------------------------------------------------------------------------
 # literal syntax shared by polynomials and Laurent series
 #

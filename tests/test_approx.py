@@ -162,30 +162,31 @@ def test_kernel_equals_brute_random(field, m, n, shifted, T_max, count):
 
 
 def fresh_kernel_solve(Y, theta, bounds, k):
-    """Oracle: (q or None, layout) for depth k from all k*m constraint rows,
-    rebuilt and eliminated from scratch; the canonical q is the particular
-    solution, or the first basis vector where that is zero."""
-    from ffdioph.approx import _constraints, _rhs_table, _table_rhs
+    """Oracle: the q vector (or None) for depth k from all k*m constraint
+    rows, rebuilt and eliminated from scratch; the canonical q is the
+    particular solution, or the first basis vector where that is zero.  The
+    right-hand side of row (i, c) is -theta_i's digit at -c, read here with
+    ``coeff``, not from the kernel's digit table."""
+    from ffdioph.approx import _constraints
     from ffdioph.linalg import nullspace, solve_affine
 
-    layout, rows = _constraints(Y, bounds, [k] * Y.m)
-    ncols = len(layout)
+    rows = _constraints(Y, bounds, [k] * Y.m)
+    ncols = sum(d + 1 for d in bounds)
     if theta is None or all(th.is_exact_zero() for th in theta):
         basis = nullspace(Y.field, rows, ncols)
-        return (basis[0] if basis else None), layout
-    rt = _rhs_table(Y.field, theta, [k] * Y.m)
-    rhs = [_table_rhs(rt, i, c) for i in range(Y.m) for c in range(1, k + 1)]
-    x, basis = solve_affine(Y.field, rows, rhs, ncols)
+        return basis[0] if basis else None
+    F = Y.field
+    rhs = [F.neg(theta[i].coeff(-c)) for i in range(Y.m) for c in range(1, k + 1)]
+    x, basis = solve_affine(F, rows, rhs, ncols)
     if x is not None and not any(x):
         x = basis[0] if basis else None
-    return x, layout
+    return x
 
 
 def fresh_kernel_q(Y, theta, bounds, k):
     from ffdioph.approx import _vector_to_q
 
-    vec, layout = fresh_kernel_solve(Y, theta, bounds, k)
-    return tuple(_vector_to_q(Y.field, vec, layout, Y.n))
+    return tuple(_vector_to_q(Y.field, fresh_kernel_solve(Y, theta, bounds, k), bounds))
 
 
 FIELDS = [F2, F3, F4, Fq(3, 2)]
@@ -215,7 +216,7 @@ def test_kernel_depth_scan_matches_linear_probe(field):
             cap, exact_inputs = _search_caps(Y, theta, bounds)
             assert exact_inputs == exact
             feasible = [
-                fresh_kernel_solve(Y, theta, bounds, k)[0] is not None
+                fresh_kernel_solve(Y, theta, bounds, k) is not None
                 for k in range(cap + 1)
             ]
             K = feasible.index(False) - 1 if False in feasible else cap
@@ -241,7 +242,7 @@ def test_kernel_witness_matches_fresh_solve(field):
     def deepest(Y, theta, bounds):
         cap, _ = _search_caps(Y, theta, bounds)
         feasible = [
-            k for k in range(cap + 1) if fresh_kernel_solve(Y, theta, bounds, k)[0] is not None
+            k for k in range(cap + 1) if fresh_kernel_solve(Y, theta, bounds, k) is not None
         ]
         return max(feasible), cap
 
@@ -297,11 +298,11 @@ def test_kernel_witness_matches_fresh_solve(field):
 
 
 def test_gf2_packed_rows_match_digit_definition():
-    # the packed GF(2) rows and right-hand sides against their definition:
-    # bit (j, s) of row (i, c) is Y_ij's digit at -c-s, no bit sits past the
-    # last unknown, and the rhs of row (i, c) is theta_i's digit at -c
-    # (-x = x on GF(2)); every depth 1..cap, equal and unequal row depths
-    from ffdioph.approx import _constraints, _layout, _rhs_table, _search_caps, _table_rhs
+    # the packed GF(2) rows against their definition: bit (j, s) of row
+    # (i, c) is Y_ij's digit at -c-s, the rhs of row (i, c) is theta_i's
+    # digit at -c (-x = x on GF(2)) and sits at bit ncols, and no bit sits
+    # past it; every depth 1..cap, equal and unequal row depths
+    from ffdioph.approx import _constraints, _digit_table, _search_caps, _table_row
 
     rng = derive_rng(4242, "packed-rows")
     exact = [
@@ -317,7 +318,7 @@ def test_gf2_packed_rows_match_digit_definition():
     # D = -1 is a strict Dirichlet column with no unknowns
     for bounds in ([0], [3], [0, 5], [5, 0], [2, 2], [-1, 2]):
         n = len(bounds)
-        layout = _layout(bounds)
+        layout = [(j, s) for j, d in enumerate(bounds) for s in range(d + 1)]
         for m, pool in itertools.product((1, 2), (exact, truncated + exact)):
             for a in range(len(pool)):
                 pick = [pool[(a + t) % len(pool)] for t in range(m * n + m)]
@@ -326,18 +327,79 @@ def test_gf2_packed_rows_match_digit_definition():
                 cap, exact_inputs = _search_caps(Y, theta, bounds)
                 for k in range(1, cap + 1):
                     for depths in ([k] * m, [k, k // 2][:m]):
-                        got_layout, rows = _constraints(Y, bounds, depths)
-                        rhs = _rhs_table(F2, theta, depths)
-                        assert got_layout == layout
+                        tab = _digit_table(Y, theta, bounds, depths)
+                        rows = _constraints(Y, bounds, depths)
+                        # the table carries each column's width: D_j + 1
+                        # unknowns per column of Y, then the shift's one
+                        for i in range(m):
+                            assert [mask for _, mask, _ in tab[i]] == [
+                                (1 << d + 1) - 1 for d in bounds
+                            ] + [1]
                         keys = [(i, c) for i, d in enumerate(depths) for c in range(1, d + 1)]
                         assert len(rows) == len(keys)
-                        for (i, c), row in zip(keys, rows):
-                            assert isinstance(row, int) and row >> len(layout) == 0
+                        for (i, c), hom in zip(keys, rows):
+                            row = _table_row(tab, i, c)
+                            assert isinstance(row, int) and row >> len(layout) + 1 == 0
+                            assert hom == row & (1 << len(layout)) - 1
                             for col, (j, s) in enumerate(layout):
                                 assert row >> col & 1 == Y.entry(i, j).coeff(-c - s)
-                            assert _table_rhs(rhs, i, c) == theta[i].coeff(-c)
+                            assert row >> len(layout) == theta[i].coeff(-c)
                 branches.add((n, m, exact_inputs))
     assert branches == set(itertools.product((1, 2), (1, 2), (False, True)))
+
+
+@pytest.mark.parametrize("field", [F3, Fq(3, 2)], ids=["F3", "F9"])
+@pytest.mark.parametrize("shifted", [False, True], ids=["homogeneous", "shifted"])
+def test_digit_table_rows_match_definition(field, shifted):
+    # element rows against their definition: entry (j, s) of row (i, c) is
+    # Y_ij's digit at -c-s, and a shifted row ends in -theta_i's digit at -c
+    from ffdioph.approx import _digit_table, _search_caps, _table_row
+
+    checked = 0
+    for a, bounds in enumerate(([0], [3], [0, 4], [2, 2], [-1, 2])):
+        rng = derive_rng(777, "table", field.q, a)
+        n = len(bounds)
+        for m in (1, 2):
+            Y = SeriesMatrix(
+                [[random_series(field, -12, rng) for _ in range(n)] for _ in range(m)]
+            )
+            theta = tuple(random_series(field, -12, rng) for _ in range(m)) if shifted else None
+            layout = [(j, s) for j, d in enumerate(bounds) for s in range(d + 1)]
+            cap, _ = _search_caps(Y, theta, bounds)
+            depths = [cap, cap // 2][:m]
+            tab = _digit_table(Y, theta, bounds, depths)
+            for i, k in enumerate(depths):
+                for c in range(1, k + 1):
+                    row = _table_row(tab, i, c)
+                    assert len(row) == len(layout) + shifted
+                    for col, (j, s) in enumerate(layout):
+                        assert row[col] == Y.entry(i, j).coeff(-c - s)
+                    if shifted:
+                        assert row[-1] == field.neg(theta[i].coeff(-c))
+                    checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+def test_exact_zero_theta_equals_homogeneous(field):
+    # an all-exact-zero shift is the homogeneous problem, for both
+    # objectives, on exact and truncated inputs and at and below the cap
+    for i in range(16):
+        rng = derive_rng(99, "zero-theta", field.q, i)
+        m, n, exact = 1 + i % 2, 1 + i // 2 % 2, i // 4 % 2 == 1
+        floor = -14 if i < 8 else -3
+
+        def entry():
+            s = random_series(field, floor, rng)
+            return LaurentSeries(field, -1, list(s.coeffs), NEG_INF) if exact else s
+
+        Y = SeriesMatrix([[entry() for _ in range(n)] for _ in range(m)])
+        zero = tuple(LaurentSeries.zero(field) for _ in range(m))
+        for T in range(1, 7):
+            assert best_error(Y, zero, T, "kernel") == best_error(Y, None, T, "kernel")
+            if m == 1:
+                got = best_error_mult(Y, zero, T, "kernel")
+                assert got == best_error_mult(Y, None, T, "kernel")
 
 
 @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])

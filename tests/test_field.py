@@ -1,9 +1,11 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ffdioph import Fq, ParseError, parse_field_spec
+from ffdioph.config import ExperimentConfig
 from ffdioph.field import TABLE_LIMIT, is_irreducible_mod_p, is_prime
 
 
@@ -146,21 +148,41 @@ TABLE_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("name", list(TABLE_FIELDS))
-def test_tables_match_oracle_exhaustively(name):
-    F = TABLE_FIELDS[name]
+def _assert_tables_match_oracle(F, spec):
+    """Every table entry of F against the oracle of the field spec (an
+    object with p, d, modulus)."""
     assert F.q <= TABLE_LIMIT and F._mul is not None
     els = range(F.q)
     for a in els:
-        assert F.neg(a) == _oracle_neg(F, a)
+        assert F.neg(a) == _oracle_neg(spec, a)
         if a:
-            assert F.inv(a) == _oracle_inv(F, a)
+            assert F.inv(a) == _oracle_inv(spec, a)
         for b in els:
-            assert F.add(a, b) == _oracle_add(F, a, b)
-            assert F.sub(a, b) == _oracle_sub(F, a, b)
-            assert F.mul(a, b) == _oracle_mul(F, a, b)
+            assert F.add(a, b) == _oracle_add(spec, a, b)
+            assert F.sub(a, b) == _oracle_sub(spec, a, b)
+            assert F.mul(a, b) == _oracle_mul(spec, a, b)
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
+
+
+@pytest.mark.parametrize("name", list(TABLE_FIELDS))
+def test_tables_match_oracle_exhaustively(name):
+    F = TABLE_FIELDS[name]
+    _assert_tables_match_oracle(F, F)
+
+
+def test_non_monic_modulus_is_made_monic():
+    # 2X^2 + 2 is irreducible over F_3; the field is F_9 with the power
+    # basis of X^2 + 1, and the tables follow arithmetic mod 2X^2 + 2 itself
+    assert is_irreducible_mod_p([2, 0, 2], 3)
+    F = Fq(3, 2, (2, 0, 2))
+    assert F == Fq(3, 2, (1, 0, 1)) and F.modulus == (1, 0, 1)
+    _assert_tables_match_oracle(F, SimpleNamespace(p=3, d=2, modulus=(2, 0, 2)))
+    assert parse_field_spec("p=3,d=2,modulus=2*X^2 + 2") == F
+    cfg = ExperimentConfig.from_dict(
+        {"suite": "estimate", "field": "p=3,d=2,modulus=2*X^2 + 2"}
+    )
+    assert cfg.fq() == F
 
 
 def test_field_above_table_limit_loops_and_matches_oracle():

@@ -126,7 +126,8 @@ def test_gf2_packed_rows_equal_list_rows():
 def test_pivot_snapshot_survives_later_inserts(field):
     # pivots.copy() taken between inserts is the reduced form of the rows so
     # far, untouched by later inserts (copy-on-write): its rows, fed to a
-    # fresh Echelon, give the solution and basis of the earlier rows alone
+    # fresh Echelon split into (row, b) or whole, give the solution and basis
+    # of the earlier rows alone
     import random
 
     rng = random.Random(f"snapshot:{field.q}")
@@ -161,5 +162,10 @@ def test_pivot_snapshot_survives_later_inserts(field):
         assert again.pivots == frozen
         assert again.solution() == earlier.solution()
         assert again.basis() == earlier.basis()
+        # the same rows inserted whole, right-hand side at column ncols
+        whole = Echelon(field, ncols)
+        for r in snap.values():
+            whole.insert(r)
+        assert whole.pivots == frozen
     # later inserts did reduce rows the snapshot holds
     assert reduced_after_snapshot >= 10
