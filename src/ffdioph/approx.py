@@ -31,10 +31,16 @@ enumeration's rule (``_BruteBest``), so it never enumerates.
 The enumeration is one search (``_brute``) over one candidate enumerator
 (``_iter_q``: deg q_j <= caps[j] and plus-product degree <= budget, each
 coordinate drawn from ``poly.iter_polys``) for both objectives.  The
-standard one takes caps D, budget n*D and the row maximum times m; the
-multiplicative one takes caps T-1, budget T-1 and the row sum.  It serves
-method="brute" and m >= 2.  It judges each candidate by its own floor, so
-on truncated inputs it may be lower where the kernel censors.
+enumerator yields each q with the rows of Y q + theta, summed down its
+recursion: each column product Y[:, j] * p is made once, and a candidate's
+rows are its prefix's plus one column.  The standard objective takes caps
+D, budget n*D and the row maximum times m; the multiplicative one takes
+caps T-1, budget T-1 and the row sum.  It serves method="brute" and
+m >= 2.  It judges each candidate by its own floor, so on truncated inputs
+it may be lower where the kernel censors.  A candidate with a row of
+floor > 0 has an unknown polynomial part and is skipped; a finite result is
+then censored, and only when no candidate can be judged does it raise
+PrecisionExhaustedError.
 """
 
 from __future__ import annotations
@@ -138,33 +144,6 @@ def _witness_for(Y: SeriesMatrix, theta, q: list[Poly], depth=None):
     rows = matvec_affine(Y, q, [Poly.zero(Y.field)] * Y.m, theta)
     ps, resid = _optimal_p(rows)
     return Witness(tuple(ps), tuple(q)), resid
-
-
-class _ColumnProductCache:
-    """Memoizes Y[:, j] * q_j across brute-force candidates."""
-
-    def __init__(self, Y: SeriesMatrix, theta):
-        self.Y = Y
-        self.base = (
-            list(theta)
-            if theta is not None
-            else [LaurentSeries.zero(Y.field)] * Y.m
-        )
-        self.cache: dict = {}
-
-    def rows(self, q: list[Poly]) -> list[LaurentSeries]:
-        out = list(self.base)
-        for j, qj in enumerate(q):
-            if qj.is_zero():
-                continue
-            key = (j, qj.coeffs)
-            col = self.cache.get(key)
-            if col is None:
-                qs = LaurentSeries.from_poly(qj)
-                col = [self.Y.entry(i, j) * qs for i in range(self.Y.m)]
-                self.cache[key] = col
-            out = [a + b for a, b in zip(out, col)]
-        return out
 
 
 def witness_error_degs(Y: SeriesMatrix, theta, w: Witness) -> tuple[DegValue, ...]:
@@ -427,24 +406,37 @@ def _poly_tiebreak_key(q: list[Poly], max_deg: int) -> tuple[int, ...]:
     )
 
 
-def _iter_q(field: Fq, caps, budget: int):
-    """Every q != 0 with deg q_j <= caps[j] and plus-product degree <= budget,
-    coordinate 0 outermost.
+def _iter_q(Y: SeriesMatrix, theta, caps, budget: int):
+    """(q, rows) for every q != 0 with deg q_j <= caps[j] and plus-product
+    degree <= budget, coordinate 0 outermost; rows are those of Y q + theta.
 
     Each coordinate runs through a prefix of one low-degree-first list: its
-    first q**(r+1) entries are the polynomials of degree <= r.
+    first q**(r+1) entries are the polynomials of degree <= r.  The products
+    Y[:, j] * p are made once per coordinate j and polynomial p, and a
+    candidate's rows are its prefix's rows plus one column product, so row i
+    is summed as theta_i + col_0 + col_1 + ...
     """
-    polys = list(iter_polys(field, max(caps)))
+    F = Y.field
+    polys = list(iter_polys(F, max(caps)))
+    cols = [
+        [
+            [Y.entry(i, j) * LaurentSeries.from_poly(p) for i in range(Y.m)]
+            for p in polys[: F.q ** (min(c, budget) + 1)]
+        ]
+        for j, c in enumerate(caps)
+    ]
 
-    def extend(prefix: list[Poly], j: int, remaining: int):
+    def extend(prefix: list[Poly], rows, j: int, remaining: int):
         if j == len(caps):
             if not all(p.is_zero() for p in prefix):
-                yield prefix
+                yield prefix, rows
             return
-        for poly in polys[: field.q ** (min(caps[j], remaining) + 1)]:
-            yield from extend(prefix + [poly], j + 1, remaining - max(0, poly.deg))
+        for poly, col in zip(polys[: F.q ** (min(caps[j], remaining) + 1)], cols[j]):
+            here = rows if poly.is_zero() else [a + b for a, b in zip(rows, col)]
+            yield from extend(prefix + [poly], here, j + 1, remaining - max(0, poly.deg))
 
-    yield from extend([], 0, budget)
+    base = list(theta) if theta is not None else [LaurentSeries.zero(F)] * Y.m
+    yield from extend([], base, 0, budget)
 
 
 class _BruteBest:
@@ -457,8 +449,10 @@ class _BruteBest:
         self.best = {False: None, True: None}  # censored? -> (value, key, witness)
 
     def offer(self, obj: DegValue, q: list[Poly], ps: list[Poly]):
-        cand = (obj.value, _poly_tiebreak_key(q, self.max_deg))
         cur = self.best[obj.censored]
+        if cur is not None and obj.value > cur[0]:
+            return  # the key only breaks ties, so this candidate cannot win
+        cand = (obj.value, _poly_tiebreak_key(q, self.max_deg))
         if cur is None or cand < cur[:2]:
             self.best[obj.censored] = (*cand, Witness(tuple(ps), tuple(q)))
 
@@ -477,15 +471,28 @@ class _BruteBest:
 
 def _brute(Y: SeriesMatrix, theta, T: int, caps, budget: int, objective):
     """Least objective of the residual row degrees over _iter_q(caps, budget),
-    with the witness tie-break of _BruteBest."""
-    best = _BruteBest(max(caps))
-    cache = _ColumnProductCache(Y, theta)
-    for q in _iter_q(Y.field, caps, budget):
+    with the witness tie-break of _BruteBest.
+
+    A candidate with a row of floor > 0 is skipped: no p can cancel a
+    polynomial part that is not known.  Its value is <= -m like every
+    judged one's, so it may lie below the least judged value, and a finite
+    result is then censored there.  With no candidate judged it raises
+    PrecisionExhaustedError.
+    """
+    best, skipped = _BruteBest(max(caps)), False
+    for q, rows in _iter_q(Y, theta, caps, budget):
         if prod_plus_deg(q) > budget or any(qj.deg > c for qj, c in zip(q, caps)):
             raise AssertionError("enumerator produced an inadmissible vector")
-        ps, resid = _optimal_p(cache.rows(q))
+        if any(r.floor > 0 for r in rows):
+            skipped = True
+            continue
+        ps, resid = _optimal_p(rows)
         best.offer(objective(r.deg() for r in resid), q, ps)
+    if not any(best.best.values()):
+        raise PrecisionExhaustedError("no candidate's polynomial part is known above the floor")
     B, w = best.result()
+    if skipped and B.value != NEG_INF:
+        B = DegValue.censored_at(B.value)
     return BestError(T, B, w, "brute")
 
 

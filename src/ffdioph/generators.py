@@ -16,8 +16,9 @@ from fractions import Fraction
 from .approx import Witness, witness_error_degs
 from .errors import ConfigError
 from .field import Fq
+from .limsup import TsetParams, delta_membership, tau0, xi_and_t
 from .matrix import SeriesMatrix, prod_plus_deg, zero_theta
-from .poly import NEG_INF, Poly
+from .poly import NEG_INF, Poly, parse_poly_literal
 from .series import LaurentSeries, deg_lt, deg_max, deg_sum, parse_series_literal
 
 
@@ -102,8 +103,6 @@ def rational_series(field: Fq, num: Poly, den: Poly, floor: int) -> LaurentSerie
 
 def generate_series(spec, field: Fq, floor: int, rng: random.Random | None = None):
     """Build one series from a structured spec (dict or literal string)."""
-    from .poly import parse_poly_literal
-
     if isinstance(spec, str):
         return parse_series_literal(spec, field)
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -129,38 +128,27 @@ def generate_series(spec, field: Fq, floor: int, rng: random.Random | None = Non
 def generate_matrix(
     spec, field: Fq, m: int, n: int, floor: int, seed: int, tag: str = "Y"
 ) -> SeriesMatrix:
-    """Matrix of series; random entries draw independent substreams."""
-    if isinstance(spec, dict) and spec.get("kind") == "grid":
+    """Matrix of series; entry (i, j) draws from substream (seed, tag, i, j)."""
+    kind = spec.get("kind") if isinstance(spec, dict) else "literal"
+    if kind == "grid":
         entries = spec["entries"]
         if len(entries) != m or any(len(r) != n for r in entries):
             raise ConfigError("grid entries must be an m x n array")
-        rows = [
+    elif not isinstance(spec, (str, dict)):
+        raise ConfigError(f"bad matrix spec: {spec!r}")
+    elif kind == "random" or (m == 1 and n == 1):
+        entries = [[spec] * n] * m
+    else:
+        raise ConfigError("matrix specs beyond 1x1 need kind='random' or kind='grid'")
+    return SeriesMatrix(
+        [
             [
-                generate_series(
-                    entries[i][j], field, floor, derive_rng(seed, tag, i, j)
-                )
+                generate_series(entries[i][j], field, floor, derive_rng(seed, tag, i, j))
                 for j in range(n)
             ]
             for i in range(m)
         ]
-        return SeriesMatrix(rows)
-    if isinstance(spec, (str, dict)):
-        kind = spec.get("kind") if isinstance(spec, dict) else "literal"
-        if kind == "random":
-            rows = [
-                [
-                    random_series(field, floor, derive_rng(seed, tag, i, j))
-                    for j in range(n)
-                ]
-                for i in range(m)
-            ]
-            return SeriesMatrix(rows)
-        if m == 1 and n == 1:
-            return SeriesMatrix([[generate_series(spec, field, floor)]])
-        raise ConfigError(
-            "matrix specs beyond 1x1 need kind='random' or kind='grid'"
-        )
-    raise ConfigError(f"bad matrix spec: {spec!r}")
+    )
 
 
 def generate_theta(spec, field: Fq, m: int, floor: int, seed: int):
@@ -339,8 +327,6 @@ def plant_membership_pair(
     Cramer's rule in the two unknown entries of Y, so both cell memberships
     hold exactly by construction.
     """
-    from .limsup import TsetParams, delta_membership, tau0, xi_and_t
-
     eta = Fraction(eta)
     rng = derive_rng(seed, "pair")
     params = TsetParams(1, 2, eta)

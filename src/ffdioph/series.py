@@ -363,13 +363,9 @@ class LaurentSeries:
             )
         if self.top == NEG_INF or self.top < 0:
             return Poly.zero(self.field), self
-        poly = Poly(
-            self.field, [self.coeff(e) for e in range(0, self.top + 1)]
-        )
-        frac_terms = {
-            e: c for e, c in self.terms().items() if e < 0
-        }
-        frac = LaurentSeries.from_terms(self.field, frac_terms, self.floor)
+        # coeffs[k] is the digit at top - k, so the digit at -1 is coeffs[top + 1]
+        poly = Poly(self.field, self.digits(self.top, 0)[::-1])
+        frac = LaurentSeries(self.field, -1, self.coeffs[self.top + 1 :], self.floor)
         return poly, frac
 
     def __eq__(self, other) -> bool:

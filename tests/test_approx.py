@@ -17,8 +17,9 @@ from ffdioph import (
     parse_series_literal,
     witness_error_degs,
 )
+from ffdioph.errors import PrecisionExhaustedError
 from ffdioph.generators import cf_series, derive_rng, random_series
-from ffdioph.matrix import prod_plus_deg
+from ffdioph.matrix import matvec_affine, prod_plus_deg
 from ffdioph.series import deg_max, deg_sum
 
 F2 = Fq(2)
@@ -470,7 +471,7 @@ def test_brute_lex_tiebreak_deterministic():
 def test_brute_witness_independent_of_offer_order(objective):
     # censored ties, like exact ones, go to the least lexicographic key, so
     # offering the same candidates in reverse gives the same (B, witness)
-    from ffdioph.approx import _BruteBest, _ColumnProductCache, _iter_q, _optimal_p
+    from ffdioph.approx import _BruteBest, _iter_q, _optimal_p
 
     censored_ties = 0
     for i in range(12):
@@ -487,10 +488,9 @@ def test_brute_witness_independent_of_offer_order(objective):
             caps, budget, key = [D] * n, n * D, lambda degs: deg_max(degs).scale(m)
         else:
             caps, budget, key = [T - 1] * n, T - 1, deg_sum
-        cache = _ColumnProductCache(Y, theta)
         offers = []
-        for q in _iter_q(field, caps, budget):
-            ps, resid = _optimal_p(cache.rows(q))
+        for q, rows in _iter_q(Y, theta, caps, budget):
+            ps, resid = _optimal_p(rows)
             offers.append((key(r.deg() for r in resid), q, ps))
         results = []
         for order in (offers, offers[::-1]):
@@ -558,6 +558,40 @@ def test_censored_values_bound_the_deep_truth():
                     assert bd == bs
                 branches.add((n, bs.censored))
     assert branches == set(itertools.product((1, 2, 3), (False, True)))
+    # the enumeration at floor -4, shallower than its candidates' degrees:
+    # a candidate with a row of floor > 0 is skipped and censors the value
+    # instead of raising; brute on both objectives (1x1), and the default
+    # multiplicative route on 2x1, which enumerates for m = 2
+    cases = [
+        (1, lambda Y, T: best_error(Y, None, T, "brute")),
+        (1, lambda Y, T: best_error_mult(Y, None, T, "brute")),
+        (2, lambda Y, T: best_error_mult(Y, None, T)),
+    ]
+    censored = [0] * len(cases)
+    for i in range(4):
+        rng = derive_rng(71, "cb-shallow", i)
+        col = [random_series(F2, -60, rng) for _ in range(2)]
+        for k, (m, solve) in enumerate(cases):
+            deep = SeriesMatrix([[s] for s in col[:m]])
+            shallow = SeriesMatrix([[s.truncate(-4)] for s in col[:m]])
+            for T in range(1, 9):
+                bd, bs = solve(deep, T).B, solve(shallow, T).B
+                assert not bd.censored
+                if bs.censored:
+                    assert bd.value <= bs.value
+                    censored[k] += 1
+                else:
+                    assert bd == bs
+    assert min(censored) >= 8
+    # every judged candidate is exact here (row 2 attains each maximum), and
+    # only the skipped q = X^3 reaches the truth, so the skip alone censors
+    deep = SeriesMatrix([[S("X^-1 + X^-2 + X^-6")], [S("X^-3")]])
+    shallow = SeriesMatrix([[S("X^-1 + X^-2", floor=-2)], [S("X^-3")]])
+    assert best_error(deep, None, 4, "brute").B == DegValue.exact(-6)
+    assert best_error(shallow, None, 4, "brute").B == DegValue.censored_at(-4)
+    # with no candidate judged (an input floor above 0) it still raises
+    with pytest.raises(PrecisionExhaustedError):
+        best_error(single(S("X^2 + X", floor=1)), None, 2, "brute")
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +613,8 @@ def test_mult_admissibility_wider():
     from ffdioph.approx import _iter_q
 
     # q = (X, 1) has plus-product degree 1: admissible at T = 2
-    qs = [tuple(p.to_literal() for p in q) for q in _iter_q(F2, [1, 1], 1)]
+    Y = SeriesMatrix([[S("X^-1"), S("X^-2")]])
+    qs = [tuple(p.to_literal() for p in q) for q, _ in _iter_q(Y, None, [1, 1], 1)]
     assert ("X", "1") in qs
     # but the sup-based standard rule needs n*deg = 2 <= T-1, so T >= 3
     assert (2 - 1) // 2 == 0
@@ -603,6 +638,9 @@ def test_mult_admissibility_wider():
 def test_iter_q_matches_product_oracle(field, caps, budget):
     from ffdioph.approx import _iter_q
 
+    rng = derive_rng(5, "iter-q", field.q, len(caps))
+    Y = SeriesMatrix([[random_series(field, -6, rng) for _ in caps] for _ in range(2)])
+    zeros = [Poly.zero(field)] * 2
     polys = [
         Poly(field, list(cs))
         for cs in itertools.product(range(field.q), repeat=max(caps) + 1)
@@ -614,9 +652,14 @@ def test_iter_q_matches_product_oracle(field, caps, budget):
         and all(p.deg <= c for p, c in zip(q, caps))
         and prod_plus_deg(q) <= budget
     }
-    got = [tuple(p.coeffs for p in q) for q in _iter_q(field, caps, budget)]
-    assert len(got) == len(set(got))
-    assert set(got) == expected
+    for theta in (None, tuple(random_series(field, -5, rng) for _ in range(2))):
+        got = []
+        for q, rows in _iter_q(Y, theta, caps, budget):
+            # rows are summed down the recursion; the oracle multiplies out q
+            assert tuple(rows) == matvec_affine(Y, q, zeros, theta)
+            got.append(tuple(p.coeffs for p in q))
+        assert len(got) == len(set(got))
+        assert set(got) == expected
 
 
 def test_compositions_lexicographic():

@@ -85,10 +85,13 @@ def test_degree_multiplicative(f, g):
         assert prod.deg().value == f.deg().value + g.deg().value
 
 
-@given(exact_series())
-def test_split_parts_reconstruction(f):
+@given(exact_series(), st.one_of(st.none(), st.integers(-7, 0)))
+def test_split_parts_reconstruction(f, floor):
+    if floor is not None:
+        f = f.truncate(floor)  # a floor <= 0 leaves the polynomial part known
     poly, frac = f.split_parts()
     assert frac.is_known_zero() or frac.deg().value <= -1
+    assert frac.floor == f.floor
     back = LaurentSeries.from_poly(poly) + frac
     assert back == f
 
