@@ -19,13 +19,15 @@ digit table that each call fills once (``_digit_table``, from
 ``LaurentSeries.digits``).  On GF(2) every window is packed once into an
 int and each row is built as an int by one shift and mask per column, the
 form ``linalg.Echelon`` eliminates by XOR; other fields use element lists.
-An all-exact-zero theta enters the kernel as None, so it builds no zero
-column.  One box decision (``_decide_box``) reads a box's value off its
-scan: -(K+1) below the precision cap (the witness is multiplied out only
-to depth K+1), and at the cap an exact hit on exact inputs or a censored
-bound on truncated ones.  The standard objective decides one box, every
-column bounded by the same D; the multiplicative one (m = 1) decides the
-shapes (D_1..D_n) with sum D_j = T-1 and combines them by the
+The scan's pivot rows go to the solvers as they are.  One kernel decision
+(``_kernel_best``) takes a list of boxes and an all-exact-zero theta as
+None, so it builds no zero column.  It reads a box's value off its scan
+(``_decide_box``): -(K+1) below the precision cap (the witness is
+multiplied out only to depth K+1); at the cap an exact -inf when the
+witness leaves every row exactly zero, and otherwise a censored bound on
+truncated inputs.  The standard objective is the one-box case, every
+column bounded by D; the multiplicative one (m = 1) passes the shapes
+(D_1..D_n) with sum D_j = T-1, whose decided boxes combine by the
 enumeration's rule (``_BruteBest``), so it never enumerates.
 
 The enumeration is one search (``_brute``) over one candidate enumerator
@@ -248,11 +250,10 @@ def dirichlet_solve(
 
     def attempt(bounds):
         rows = _constraints(Y, bounds, t.row_part)
-        basis = nullspace(Y.field, rows, sum(d + 1 for d in bounds))
-        if not basis:
+        got = _solve_witness(Y, None, bounds, rows, None)
+        if got is None:
             return None
-        q = _vector_to_q(Y.field, basis[0], bounds)
-        w, resid = _witness_for(Y, None, q)
+        w, resid = got
         return w, tuple(r.deg() for r in resid)
 
     strict_bounds = [b - 1 for b in t.col_part]
@@ -334,64 +335,81 @@ def _deepest_feasible_depth(Y: SeriesMatrix, theta, bounds, cap: int):
     return cap, list(ech.pivots.values())
 
 
-def _kernel_witness(Y: SeriesMatrix, theta, bounds, K: int, rows, depth):
-    """Witness and residual rows for the q the scan found at depth K, the
-    rows multiplied out to exponent -depth (None: to the inputs' floors).
+def _solve_witness(Y: SeriesMatrix, theta, bounds, rows, depth):
+    """(witness, residual rows) for the canonical q != 0 that rows admit,
+    multiplied out to exponent -depth (None: the inputs' floors), or None.
 
-    rows are the scan's pivot rows of depth K (right-hand side at column
-    ncols); a reduced form is unique, so their solution is the canonical q
-    of all K*m constraint rows.  Below the cap (K < cap) callers pass depth
-    K+1, which is all they read: digits -1..-K vanish and some row has a
-    nonzero digit at -(K+1).  Every input is known that deep, because the
-    cap is the deepest depth the inputs decide.  At the cap they pass None,
-    since the censored bound and the exact-zero check read every digit.
+    rows go to the solvers as ``_table_row`` builds them, a shift's
+    right-hand side at column ncols.  A reduced form is unique, so the
+    scan's pivot rows of depth K give the q of all K*m constraint rows.
     """
     ncols = sum(d + 1 for d in bounds)
-    if Y.field.is_gf2():
-        rows, rhs = [r & (1 << ncols) - 1 for r in rows], [r >> ncols for r in rows]
-    else:
-        rows, rhs = [r[:ncols] for r in rows], [r[ncols] for r in rows]
     if theta is None:
         basis = nullspace(Y.field, rows, ncols)
         vec = basis[0] if basis else None
     else:
-        vec, basis = solve_affine(Y.field, rows, rhs, ncols)
+        vec, basis = solve_affine(Y.field, rows, [0] * len(rows), ncols)
         if vec is not None and not any(vec):
             vec = basis[0] if basis else None  # q = 0 is not allowed
     if vec is None:
-        raise AssertionError(f"depth {K} passed the scan but has no solution")
-    q = _vector_to_q(Y.field, vec, bounds)
-    return _witness_for(Y, theta, q, depth)
+        return None
+    return _witness_for(Y, theta, _vector_to_q(Y.field, vec, bounds), depth)
 
 
-def _scan_box(Y: SeriesMatrix, theta, bounds):
-    """The depth scan of the box deg q_j <= bounds[j]: (cap, exact, K, rows),
-    from _search_caps and _deepest_feasible_depth."""
-    cap, exact_inputs = _search_caps(Y, theta, bounds)
-    return (cap, exact_inputs, *_deepest_feasible_depth(Y, theta, bounds, cap))
-
-
-def _decide_box(Y: SeriesMatrix, theta, bounds, scan) -> tuple[DegValue, Witness]:
+def _decide_box(
+    Y: SeriesMatrix, theta, bounds, cap: int, exact_inputs: bool, K: int, rows
+) -> tuple[DegValue, Witness]:
     """(B, witness) of the least row maximum of Y q + p + theta over the box
-    deg q_j <= bounds[j], from the box's _scan_box.
+    deg q_j <= bounds[j], from its _search_caps and _deepest_feasible_depth.
 
-    Below the cap B is -(K+1), which the witness attains.  At the cap,
-    exact inputs give an exact hit (every residual row is zero), and
-    truncated ones the censored bound min(witness degree, -(K+1)): a q
-    whose digits vanish to the cap may hide a lower value.
+    Below the cap B is -(K+1), which the witness attains; it is multiplied
+    out only to depth K+1, which every input is known to.  At the cap an
+    exactly-zero residual gives an exact -inf, since nothing lies below it;
+    otherwise truncated inputs give the censored bound min(witness degree,
+    -(K+1)), as a q whose digits vanish to the cap may hide a lower value.
     """
-    cap, exact_inputs, K, rows = scan
-    w, resid = _kernel_witness(Y, theta, bounds, K, rows, K + 1 if K < cap else None)
+    got = _solve_witness(Y, theta, bounds, rows, K + 1 if K < cap else None)
+    if got is None:
+        raise AssertionError(f"depth {K} passed the scan but has no solution")
+    w, resid = got
     obj = deg_max(r.deg() for r in resid)
     if K < cap:
         if obj.value != -K - 1 or obj.censored:
             raise AssertionError("kernel witness does not attain its depth")
         return obj, w
-    if exact_inputs:
-        if not all(r.is_exact_zero() for r in resid):
-            raise AssertionError("exact-depth solution left a nonzero residual")
+    if all(r.is_exact_zero() for r in resid):
         return DegValue(NEG_INF, False), w
+    if exact_inputs:
+        raise AssertionError("exact-depth solution left a nonzero residual")
     return DegValue.censored_at(min(obj.value, -K - 1)), w
+
+
+def _kernel_best(Y: SeriesMatrix, theta, boxes) -> tuple[DegValue, Witness]:
+    """(B, witness) of the least row maximum of Y q + p + theta over a union
+    of boxes, each a bounds list.  Boxes below their cap are exact, so of
+    them only the first deepest is decided; every box at its cap is decided
+    too, and several decided boxes combine by _BruteBest's rule.
+    """
+    if theta is not None and all(th.is_exact_zero() for th in theta):
+        theta = None  # the kernel builds no zero shift column
+    kept, deepest = [], None
+    for bounds in boxes:
+        cap, exact_inputs = _search_caps(Y, theta, bounds)
+        K, rows = _deepest_feasible_depth(Y, theta, bounds, cap)
+        scan = (bounds, cap, exact_inputs, K, rows)
+        if K == cap:
+            kept.append(scan)
+        elif deepest is None or K > deepest[3]:
+            deepest = scan
+    if deepest is not None:
+        kept.append(deepest)
+    if len(kept) == 1:
+        return _decide_box(Y, theta, *kept[0])
+    best = _BruteBest(max(max(scan[0]) for scan in kept))
+    for scan in kept:
+        B, w = _decide_box(Y, theta, *scan)
+        best.offer(B, w.q, w.p)
+    return best.result()
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +419,8 @@ def _decide_box(Y: SeriesMatrix, theta, bounds, scan) -> tuple[DegValue, Witness
 
 def _poly_tiebreak_key(q: list[Poly], max_deg: int) -> tuple[int, ...]:
     # coefficients ordered by degree then coordinate index
-    return tuple(
-        q[j].coeff(s) for s in range(max_deg + 1) for j in range(len(q))
-    )
+    cols = [qj.coeffs + (0,) * (max_deg + 1 - len(qj.coeffs)) for qj in q]
+    return tuple(c for digit in zip(*cols) for c in digit)
 
 
 def _iter_q(Y: SeriesMatrix, theta, caps, budget: int):
@@ -442,7 +459,9 @@ def _iter_q(Y: SeriesMatrix, theta, caps, budget: int):
 class _BruteBest:
     """Tracks the least exact and the least censored objective.  Ties go to
     the least lexicographic key, so the witness depends on the candidate set
-    alone, not on the order in which they are offered."""
+    alone, not on the order in which they are offered.  An exact -inf wins
+    outright, since nothing lies below it; otherwise any censored candidate
+    censors the result."""
 
     def __init__(self, max_deg: int):
         self.max_deg = max_deg
@@ -458,6 +477,8 @@ class _BruteBest:
 
     def result(self) -> tuple[DegValue, Witness]:
         exact, cens = self.best[False], self.best[True]
+        if exact is not None and exact[0] == NEG_INF:
+            return DegValue(NEG_INF, False), exact[2]
         if cens is not None:
             # any censored candidate may hide a lower true value, so the
             # minimum itself is only known as an upper bound
@@ -509,10 +530,7 @@ def best_error(
     if theta is not None and len(theta) != Y.m:
         raise ValueError("shift vector length must match row count")
     if method == "kernel":
-        if theta is not None and all(th.is_exact_zero() for th in theta):
-            theta = None  # the kernel builds no zero shift column
-        bounds = [(T - 1) // Y.n] * Y.n
-        B, w = _decide_box(Y, theta, bounds, _scan_box(Y, theta, bounds))
+        B, w = _kernel_best(Y, theta, [[(T - 1) // Y.n] * Y.n])
         return BestError(T, B.scale(Y.m), w, "kernel")
     if method == "brute":
         D = (T - 1) // Y.n
@@ -529,11 +547,9 @@ def best_error(
 # The admissible set {q != 0 : sum_j max(0, deg q_j) <= T-1} is the union of
 # the boxes deg q_j <= D_j over the shapes D_j >= 0, sum_j D_j = T-1.  For
 # m = 1 the objective is the degree of the one row, so B_mult(T) is the
-# least box value.  Boxes scanned below their cap are exact, so only the
-# first deepest of them is decided; every box at its cap is decided by
-# best_error's box rule (an exact hit or a censored bound), and _BruteBest
-# combines them as it combines brute candidates.  For m >= 2 the objective
-# is a sum of row degrees, and _brute enumerates.
+# least box value, which _kernel_best decides over the list of shapes as
+# best_error's one box.  For m >= 2 the objective is a sum of row degrees,
+# and _brute enumerates.
 # ---------------------------------------------------------------------------
 
 
@@ -548,36 +564,15 @@ def compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def _best_error_mult_kernel(Y: SeriesMatrix, theta, T: int) -> BestError:
-    """m = 1: scan every shape, decide every shape whose scan reaches its cap
-    and the first deepest of the others, and combine them by _BruteBest's
-    rule."""
-    if theta is not None and all(th.is_exact_zero() for th in theta):
-        theta = None  # the kernel builds no zero shift column
-    best, deepest = _BruteBest(T - 1), None
-    for bounds in compositions(T - 1, Y.n):
-        scan = _scan_box(Y, theta, bounds)
-        cap, _, K, _ = scan
-        if K == cap:
-            B, w = _decide_box(Y, theta, bounds, scan)
-            best.offer(B, w.q, w.p)
-        elif deepest is None or K > deepest[0]:
-            deepest = K, bounds, scan
-    if deepest is not None:
-        B, w = _decide_box(Y, theta, *deepest[1:])
-        best.offer(B, w.q, w.p)
-    B, w = best.result()
-    return BestError(T, B, w, "kernel")
-
-
 def best_error_mult(
     Y: SeriesMatrix, theta, T: int, method: str = "kernel"
 ) -> BestError:
     """Multiplicative analogue: minimize the product degree of the rows over
     q != 0 with plus-product degree <= T-1.
 
-    method="kernel" decides each degree shape's box by best_error's box rule
-    when m = 1 and never enumerates.  For m >= 2 both methods enumerate.
+    method="kernel" decides the degree shapes' boxes by best_error's kernel
+    decision when m = 1 and never enumerates.  For m >= 2 both methods
+    enumerate.
     method="brute" always enumerates; it is the oracle for the kernel route,
     and its value is at most the kernel's.
     """
@@ -586,5 +581,6 @@ def best_error_mult(
     if method not in ("kernel", "brute"):
         raise ValueError(f"unknown method {method!r}")
     if method == "kernel" and Y.m == 1:
-        return _best_error_mult_kernel(Y, theta, T)
+        B, w = _kernel_best(Y, theta, compositions(T - 1, Y.n))
+        return BestError(T, B, w, "kernel")
     return _brute(Y, theta, T, [T - 1] * Y.n, T - 1, deg_sum)

@@ -316,9 +316,9 @@ def prop_forward_check(
 ) -> CheckReport:
     """Build the index tuple from a premise witness and verify membership.
 
-    Asserts: the tuple is accepted into the family, the balance offset
-    exceeds tau0 * sigma, and the cell membership holds at tau in at least
-    one scaling variant.  Below sigma_threshold a membership miss is
+    Asserts: the balance offset exceeds tau0 * sigma, and the cell
+    membership holds at tau in at least one scaling variant.  The premises
+    place the tuple in the family, so a rejection is an internal error.  Below sigma_threshold a membership miss is
     reported as threshold-exempt rather than a failure, matching the
     finitely-many-exceptions proviso.
     """
@@ -330,12 +330,8 @@ def prop_forward_check(
     u, v = witness_extract_uv(Y, theta, alpha, T, eta, eps)
     got = xi_and_t(u, v, params)
     if got is None:
-        return CheckReport(
-            name="forward_inclusion",
-            holds=False,
-            exact=True,
-            details={"u": u, "v": v, "rejected": True},
-        )
+        # the premises give sigma(u) >= (eta+eps)T > eta*T > eta*sigma(v)
+        raise AssertionError("premise envelopes fell outside the half-space")
     xi, it = got
     xi_ok = xi > t0 * it.sigma
     variants = {}

@@ -32,11 +32,6 @@ class SeriesMatrix:
         self.n = n
         self.rows = rows
 
-    @classmethod
-    def zero(cls, field: Fq, m: int, n: int) -> "SeriesMatrix":
-        z = LaurentSeries.zero(field)
-        return cls([[z] * n for _ in range(m)])
-
     def entry(self, i: int, j: int) -> LaurentSeries:
         return self.rows[i][j]
 

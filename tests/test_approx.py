@@ -523,6 +523,70 @@ def test_censored_when_floor_too_shallow():
     assert be.B.value <= -6
 
 
+def exact_zero_matrix(which):
+    # q = (X, 0) with p = -1 cancels X^-1 exactly and never reads the
+    # truncated second column, so the true value is an exact -inf
+    second = {
+        "random": random_series(F2, -6, derive_rng(1, "x")),
+        "zero": LaurentSeries.zero(F2, -3),
+    }[which]
+    return SeriesMatrix([[S("X^-1"), second]])
+
+
+@pytest.mark.parametrize("method", ["kernel", "brute"])
+@pytest.mark.parametrize("which", ["random", "zero"])
+def test_exact_zero_is_never_censored(which, method):
+    # a truncated column at its precision cap, or a censored brute candidate,
+    # must not censor an exact -inf: nothing lies below it
+    Y = exact_zero_matrix(which)
+    results = [best_error(Y, None, 3, method)]
+    results += [best_error_mult(Y, None, T, method) for T in (2, 3)]
+    for be in results:
+        assert be.B == DegValue(NEG_INF, False)
+        degs = witness_error_degs(Y, None, be.witness)
+        assert all(d == DegValue(NEG_INF, False) for d in degs)
+
+
+def test_exact_zero_entries_count_as_infinite():
+    # estimate skips censored entries; exact -inf ones make the proxy infinite
+    from ffdioph import estimate, profile
+
+    est = estimate(profile(exact_zero_matrix("random"), None, 8, "multiplicative"))
+    assert est.infinite and not est.censored
+
+
+def test_brute_best_exact_zero_wins_over_censored():
+    from ffdioph.approx import _BruteBest
+
+    zero = [Poly.zero(F2)]
+    for order in (1, -1):
+        best = _BruteBest(1)
+        offers = [
+            (DegValue.censored_at(-3), [Poly.one(F2)]),
+            (DegValue(NEG_INF, False), [Poly.x_power(F2, 1)]),
+        ]
+        for obj, q in offers[::order]:
+            best.offer(obj, q, zero)
+        B, w = best.result()
+        assert B == DegValue(NEG_INF, False)
+        assert w.q == (Poly.x_power(F2, 1),)
+
+
+def test_poly_tiebreak_key_matches_definition():
+    # coefficients ordered by degree, then coordinate index, zero-padded
+    from ffdioph.approx import _poly_tiebreak_key
+    from ffdioph.generators import random_poly
+
+    rng = derive_rng(9, "tiebreak-key")
+    for field in (F2, F3):
+        for n in (1, 2, 3):
+            for _ in range(20):
+                max_deg = rng.randrange(0, 6)
+                q = [random_poly(field, rng.randrange(-1, max_deg + 1), rng) for _ in range(n)]
+                want = tuple(q[j].coeff(s) for s in range(max_deg + 1) for j in range(n))
+                assert _poly_tiebreak_key(q, max_deg) == want
+
+
 def test_censored_values_bound_the_deep_truth():
     # whatever a shallow floor reports, censored or not, must be an upper
     # bound on (or equal to) the value computed with full precision

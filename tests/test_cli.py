@@ -83,6 +83,19 @@ def test_verify_suite_and_alias(tmp_path, cfg_file):
     assert "[PASS] suite audit-tset" in res.stderr
 
 
+def test_verify_all_runs_every_suite(tmp_path):
+    res = run_cli(["verify", "all", "--instances", "2", "--tmax", "8"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout)
+    assert [r["suite"] for r in report["suites"]] == [
+        "dirichlet",
+        "transference",
+        "limsup",
+        "audit-tset",
+        "estimate",
+    ]
+
+
 def test_audit_tset_dual_mode(tmp_path):
     cfg = tmp_path / "dual.json"
     cfg.write_text(

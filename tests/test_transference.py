@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from ffdioph import (
+    NEG_INF,
+    DegValue,
     Fq,
     SeriesMatrix,
     check_bz,
@@ -14,6 +16,7 @@ from ffdioph import (
     parse_series_literal,
     profile,
 )
+from ffdioph.exponents import ExponentProfile, ProfileEntry
 from ffdioph.generators import cf_series, derive_rng, lacunary_series, random_series
 
 F2 = Fq(2)
@@ -158,3 +161,80 @@ def test_mult_dominance_exact_hits_on_both_sides():
     pm = profile(Y, None, 6, "multiplicative")
     rep = check_mult_dominance(ps, pm)
     assert rep.holds  # both sides exactly zero error
+
+
+# ---------------------------------------------------------------------------
+# hand-built profiles: branches random instances rarely reach
+# ---------------------------------------------------------------------------
+
+
+def hand_profile(values, kind="standard", m=1, n=1):
+    """Profile with B(T) = values[T-1]: an int, NEG_INF for an exact zero,
+    or ("<=", v) for a value censored at v."""
+    entries = tuple(
+        ProfileEntry(T, DegValue.censored_at(v[1]) if isinstance(v, tuple) else DegValue(v))
+        for T, v in enumerate(values, 1)
+    )
+    return ExponentProfile(kind, m, n, len(values), entries)
+
+
+def on_diagonal(T_max):
+    """-B(T) = T at every horizon: every proxy is exactly 1."""
+    return [-T for T in range(1, T_max + 1)]
+
+
+def test_dirichlet_bound_failure():
+    # 1x1: -B(T) >= T; B(3) = -2 misses it, a censored miss is skipped
+    vals = on_diagonal(5)
+    vals[2], vals[3] = -2, ("<=", -1)
+    rep = check_dirichlet_bound(hand_profile(vals))
+    assert rep.holds is False
+    assert rep.details["failures"] == [(3, -2)]
+
+
+def test_mult_dominance_failure_and_censored_skip():
+    std = on_diagonal(6)
+    mult = [B - 1 for B in std]
+    mult[1] = -1  # B_mult(2) = -1 > B_std(2) = -2
+    mult[4] = ("<=", 0)  # censored: not compared, although 0 > -5
+    rep = check_mult_dominance(hand_profile(std), hand_profile(mult, "multiplicative"))
+    assert rep.holds is False
+    assert rep.details == {"compared": 5, "failures": [(2, -1, -2)]}
+
+
+def test_mult_dominance_mismatched_problems():
+    std = hand_profile(on_diagonal(6))
+    with pytest.raises(ValueError, match="different problems"):
+        check_mult_dominance(std, hand_profile(on_diagonal(5), "multiplicative"))
+    with pytest.raises(ValueError, match="different problems"):
+        check_mult_dominance(std, hand_profile(on_diagonal(6), "multiplicative", n=2))
+
+
+@pytest.mark.parametrize("check", [check_bz, check_dyson])
+def test_transpose_check_window_unusable(check):
+    # window [5, 10] with three uncensored entries: below the four needed
+    vals = on_diagonal(10)
+    for T in (5, 7, 9):
+        vals[T - 1] = ("<=", -T)
+    rep = check(hand_profile(vals), hand_profile(on_diagonal(10)), Fraction(1, 4))
+    assert rep.holds is None
+    assert rep.note.startswith("window unusable")
+
+
+def test_dyson_censored_estimates_inconclusive():
+    # five uncensored window entries: an estimate exists but is censored
+    vals = on_diagonal(10)
+    vals[6] = ("<=", -7)
+    rep = check_dyson(hand_profile(on_diagonal(10)), hand_profile(vals), Fraction(1, 4))
+    assert rep.holds is None
+    assert rep.note == "censored estimates: inconclusive"
+
+
+def test_dyson_infinite_proxy_is_far_from_one():
+    hit = on_diagonal(10)
+    hit[9] = NEG_INF
+    near, far = hand_profile(on_diagonal(10)), hand_profile([-3 * T for T in range(1, 11)])
+    for prof_t, holds in ((near, False), (far, True), (hand_profile(hit), True)):
+        rep = check_dyson(hand_profile(hit), prof_t, Fraction(1, 4))
+        assert rep.holds is holds
+        assert rep.note == "infinite proxy treated as far from 1"
