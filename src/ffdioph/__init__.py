@@ -57,11 +57,13 @@ from .transference import (
     check_mult_dominance,
 )
 from .limsup import (
+    CellPlane,
     IndexTuple,
     MembershipResult,
     PlaneSpec,
     TsetParams,
     audit_grid,
+    cell_plane,
     cell_plane_identity_check,
     delta_membership,
     intersection_check,

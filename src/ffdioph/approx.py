@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from .errors import PrecisionExhaustedError
 from .field import Fq
 from .linalg import Echelon, nullspace, solve_affine
-from .matrix import SeriesMatrix, matvec_affine, prod_plus_deg
+from .matrix import SeriesMatrix, cut_matrix, cut_series, matvec_affine, prod_plus_deg
 from .poly import NEG_INF, Poly, iter_polys
 from .series import DegValue, LaurentSeries, deg_max, deg_sum
 
@@ -130,19 +130,14 @@ def _witness_for(Y: SeriesMatrix, theta, q: list[Poly], depth=None):
     """Witness (optimal p, q) and the residual rows of Y q + p + theta.
 
     With a depth, each residual row is computed only down to exponent -depth:
-    Y_ij is cut to floor -(depth + deg q_j) and theta_i to -depth first, so
+    Y and theta are cut there by ``cut_matrix`` and ``cut_series`` first, so
     the product reads no deeper digit.  p reads only exponents >= 0 and is the
     same either way.  The caller must know Y and theta that deep.
     """
     if depth is not None:
-        Y = SeriesMatrix(
-            [
-                [s.truncate(-depth - max(qj.deg, 0)) for s, qj in zip(row, q)]
-                for row in Y.rows
-            ]
-        )
+        Y = cut_matrix(Y, q, -depth)
         if theta is not None:
-            theta = [th.truncate(-depth) for th in theta]
+            theta = [cut_series(th, -depth) for th in theta]
     rows = matvec_affine(Y, q, [Poly.zero(Y.field)] * Y.m, theta)
     ps, resid = _optimal_p(rows)
     return Witness(tuple(ps), tuple(q)), resid

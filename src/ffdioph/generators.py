@@ -81,10 +81,7 @@ def cf_series(field: Fq, degrees, floor: int) -> LaurentSeries:
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         deg_prev, deg_cur = deg_cur, deg_cur + d
-    num = LaurentSeries.from_poly(p_cur)
-    inv_floor = floor - max(0, p_cur.deg if p_cur.deg != NEG_INF else 0) - 1
-    den_inv = LaurentSeries.from_poly(q_cur).inverse(inv_floor)
-    return (num * den_inv).truncate(floor)
+    return LaurentSeries.from_poly(p_cur).div_poly(q_cur, floor)
 
 
 def rational_series(field: Fq, num: Poly, den: Poly, floor: int) -> LaurentSeries:
@@ -96,9 +93,7 @@ def rational_series(field: Fq, num: Poly, den: Poly, floor: int) -> LaurentSerie
     if len(dseries.coeffs) == 1:
         # monomial denominator: the quotient is an exact Laurent polynomial
         return LaurentSeries.from_poly(num) * dseries.inverse(0)
-    inv_floor = floor - max(0, num.deg) - 1
-    out = LaurentSeries.from_poly(num) * dseries.inverse(inv_floor)
-    return out.truncate(floor)
+    return LaurentSeries.from_poly(num).div_poly(den, floor)
 
 
 def generate_series(spec, field: Fq, floor: int, rng: random.Random | None = None):
@@ -221,16 +216,14 @@ def solve_matrix_for_residual(
     """Matrix Y with Y q + p + theta = delta row by row.
 
     The highest-degree coordinate of q is the pivot column; all other
-    entries are random, and each row's pivot entry is solved by one series
-    division.  Exact down to the requested floor.
+    entries are random, and each row's pivot entry is solved by one exact
+    long division by the pivot polynomial.  Exact down to the requested floor.
     """
     m, n = len(p), len(q)
     qs = [LaurentSeries.from_poly(qj) for qj in q]
     pivot = max(range(n), key=lambda j: (q[j].deg, j))
     if q[pivot].is_zero():
         raise ValueError("q must have a nonzero coordinate")
-    inv_floor = floor - 8 - 2 * max(0, q[pivot].deg)
-    q_inv = qs[pivot].inverse(inv_floor)
     rows = []
     for i in range(m):
         others = {
@@ -242,7 +235,7 @@ def solve_matrix_for_residual(
         for j, s in others.items():
             if not q[j].is_zero():
                 acc = acc - s * qs[j]
-        pivot_entry = (acc * q_inv).truncate(floor)
+        pivot_entry = acc.div_poly(q[pivot], floor)
         rows.append([pivot_entry if j == pivot else others[j] for j in range(n)])
     return SeriesMatrix(rows)
 

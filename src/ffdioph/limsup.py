@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .approx import Witness, compositions, witness_error_degs
 from .errors import PreconditionError
-from .matrix import SeriesMatrix, matvec_affine, prod_plus_deg, sup_deg
+from .matrix import SeriesMatrix, cut_matrix, cut_series, matvec_affine, prod_plus_deg, sup_deg
 from .poly import NEG_INF
 from .series import DegValue, LaurentSeries, deg_lt, deg_max, deg_sum
 from .transference import CheckReport
@@ -522,25 +522,37 @@ def plane_member(Y: SeriesMatrix, spec: PlaneSpec, log_delta=0) -> bool:
     return True
 
 
-def cell_plane_identity_check(
-    Y: SeriesMatrix,
-    theta,
-    t: IndexTuple,
-    alpha_prime: Witness,
-    tau: Fraction,
-) -> CheckReport:
-    """One cell equals one scaled plane neighbourhood, on this Y.
+@dataclass(frozen=True)
+class CellPlane:
+    """One cell and its scaled plane neighbourhood, for checking many Y.
 
-    The q-side size constraints of the cell do not involve Y; they act as a
-    gate.  When the gate fails the cell is empty and membership must be
-    false for every Y.  Otherwise the Y-side condition coincides with the
-    delta-scaled neighbourhood of the plane through the normalized witness.
+    The plane {Y : Y b + c = 0} runs through the normalized witness: b is q
+    and c is p + theta, both scaled by X^-D with D = max deg q_j.  The
+    q-side size constraints of the cell do not involve Y; they act as a
+    gate, and when it fails the cell is empty.  Both membership routes pass
+    row i of Y q + p + theta exactly when its digits at exponents >=
+    ceil(-tau*sigma - t_i) all vanish, so neither reads a digit below
+    ``floor``, the least of these exponents: theta is kept cut to ``floor``,
+    and each Y is cut by ``cut_matrix``.
     """
+
+    t: IndexTuple
+    alpha: Witness
+    tau: Fraction
+    spec: PlaneSpec
+    log_delta: Fraction
+    gate: bool
+    floor: int
+    theta: tuple | None
+
+
+def cell_plane(theta, t: IndexTuple, alpha_prime: Witness, tau: Fraction) -> CellPlane:
+    """The cell of (theta, t, alpha', tau) as a CellPlane; q must be nonzero."""
     tau = Fraction(tau)
-    m, n = Y.m, Y.n
     q = alpha_prime.q
     if all(qi.is_zero() for qi in q):
         raise ValueError("witness q vector must be nonzero")
+    m = len(alpha_prime.p)
     sigma = t.sigma
     D = max(qi.deg for qi in q if qi.deg != NEG_INF)
     b = tuple(LaurentSeries.from_poly(qi).shift(-D) for qi in q)
@@ -553,23 +565,46 @@ def cell_plane_identity_check(
     log_eps = tuple(
         Fraction(-t.t[j]) - Fraction(tau * sigma, 2) - D for j in range(m)
     )
-    spec = PlaneSpec(b, tuple(c), log_eps)
-    log_delta = -Fraction(tau * sigma, 2)
     gate = all(
         (qi.deg == NEG_INF) or (qi.deg < t.t[m + i] - tau * sigma)
         for i, qi in enumerate(q)
     )
-    cell = delta_membership(Y, theta, t, alpha_prime, tau, "standard").member
-    plane_route = gate and plane_member(Y, spec, log_delta)
-    agree = cell == plane_route
+    floor = min(math.ceil(-tau * sigma - t.t[i]) for i in range(m))
+    if theta is not None:
+        theta = tuple(cut_series(th, floor) for th in theta)
+    return CellPlane(
+        t,
+        alpha_prime,
+        tau,
+        PlaneSpec(b, tuple(c), log_eps),
+        -Fraction(tau * sigma, 2),
+        gate,
+        floor,
+        theta,
+    )
+
+
+def cell_plane_identity_check(Y: SeriesMatrix, plane: CellPlane) -> CheckReport:
+    """One cell equals one scaled plane neighbourhood, on this Y.
+
+    When the gate fails the cell is empty and membership must be false for
+    every Y.  Otherwise the Y-side condition coincides with the delta-scaled
+    neighbourhood of the plane through the normalized witness.  Y is cut to
+    the plane's floor first, which changes neither route's answer.
+    """
+    Y = cut_matrix(Y, plane.alpha.q, plane.floor)
+    cell = delta_membership(
+        Y, plane.theta, plane.t, plane.alpha, plane.tau, "standard"
+    ).member
+    plane_route = plane.gate and plane_member(Y, plane.spec, plane.log_delta)
     return CheckReport(
         name="cell_plane_identity",
-        holds=agree,
+        holds=cell == plane_route,
         exact=True,
         details={
-            "gate": gate,
+            "gate": plane.gate,
             "cell_member": cell,
             "plane_member": plane_route,
-            "log_delta": log_delta,
+            "log_delta": plane.log_delta,
         },
     )

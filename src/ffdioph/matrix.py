@@ -69,6 +69,30 @@ def prod_plus_deg(qvec) -> int:
     return total
 
 
+def cut_series(s: LaurentSeries, floor: int) -> LaurentSeries:
+    """s known down to floor and no deeper; s itself if known less deep."""
+    if s.floor != NEG_INF and s.floor >= floor:
+        return s
+    return s.truncate(floor)
+
+
+def cut_matrix(Y: SeriesMatrix, q, floor: int) -> SeriesMatrix:
+    """Y with column j cut to floor - max(deg q_j, 0) by cut_series.
+
+    A digit of Y_ij q_j at exponent e reads Y_ij down to e - deg q_j only,
+    so every digit of Y q (and of Y q + p + theta with theta cut to floor)
+    at exponents >= floor is the uncut one, and none below floor is known.
+    """
+    if len(q) != Y.n:
+        raise ValueError("dimension mismatch in affine product")
+    return SeriesMatrix(
+        [
+            [cut_series(s, floor - max(qj.deg, 0)) for s, qj in zip(row, q)]
+            for row in Y.rows
+        ]
+    )
+
+
 def matvec_affine(
     Y: SeriesMatrix,
     q,

@@ -9,13 +9,11 @@ bytes reproducible.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import io
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -43,6 +41,7 @@ from .limsup import (
     IndexTuple,
     TsetParams,
     audit_grid,
+    cell_plane,
     cell_plane_identity_check,
     intersection_check,
     prop_backward_check,
@@ -319,6 +318,7 @@ def _plane_block(cfg: ExperimentConfig, F, pair: MembershipPair, idx: int) -> di
     if gate_breaker:
         degs = [q.deg if q.deg != NEG_INF else 0 for q in alpha.q]
         t = IndexTuple.of(tuple(t.t[:pm]) + tuple(int(d) for d in degs))
+    plane = cell_plane(theta, t, alpha, tau)
     agree = 0
     total = 0
     members_seen = 0
@@ -345,7 +345,7 @@ def _plane_block(cfg: ExperimentConfig, F, pair: MembershipPair, idx: int) -> di
             Y = generate_matrix(
                 {"kind": "random"}, F, pm, pn, cfg.floor, cfg.seed, f"plane-rand/{idx}/{s}"
             )
-        rep = cell_plane_identity_check(Y, theta, t, alpha, tau)
+        rep = cell_plane_identity_check(Y, plane)
         total += 1
         if rep.holds:
             agree += 1
@@ -414,6 +414,9 @@ def run_config(cfg: ExperimentConfig) -> tuple[dict, int]:
     else:
         args = [(cfg, i) for i in range(cfg.instances)]
         if cfg.workers > 1:
+            # imported here: a one-worker run never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
                 results = list(pool.map(_run_one, args))
         else:
@@ -458,6 +461,8 @@ def report_json_bytes(report: dict) -> bytes:
 
 
 def profile_csv_bytes(rows: list[dict]) -> bytes:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["T", "B", "minus_B_over_T_num", "minus_B_over_T_den", "censored"])

@@ -353,6 +353,41 @@ class LaurentSeries:
             out[idx] = F.neg(F.mul(lead_inv, acc))
         return LaurentSeries(F, top, out, floor)
 
+    def div_poly(self, q: Poly, floor: int) -> "LaurentSeries":
+        """Quotient by an exact nonzero polynomial, with digits down to ``floor``.
+
+        Long division from the top: with d = deg q and c its leading
+        coefficient, the quotient's digit g_e = c^-1 (a_{e+d} - sum_{s=1..d}
+        q_{d-s} g_{e+s}), so it reads this series' digits down to floor + d
+        only, at O(d) field operations per digit.  A numerator not known that
+        deep raises PrecisionExhaustedError.  The result is truncated at
+        ``floor`` even when the quotient is exact.
+        """
+        if q.field != self.field:
+            raise ValueError("mixed-field series arithmetic")
+        if q.is_zero():
+            raise ZeroDivisionError("division by the zero polynomial")
+        F = self.field
+        d = q.deg
+        if self.floor != NEG_INF and self.floor > floor + d:
+            raise PrecisionExhaustedError(
+                f"quotient floor {floor} needs digits below the floor {self.floor}"
+            )
+        if self.top == NEG_INF or self.top - d < floor:
+            return LaurentSeries.zero(F, floor)
+        lead_inv = F.inv(q.coeffs[d])
+        # (s, coefficient of X^(d-s)) for q's nonzero lower coefficients
+        lower = [(s, q.coeffs[d - s]) for s in range(1, d + 1) if q.coeffs[d - s]]
+        sub, mul = F.sub, F.mul
+        out = []  # out[k] is the quotient's digit at self.top - d - k
+        for k, a in enumerate(self.digits(self.top, floor + d)):
+            for s, b in lower:
+                if s > k:
+                    break
+                a = sub(a, mul(b, out[k - s]))
+            out.append(mul(lead_inv, a))
+        return LaurentSeries(F, self.top - d, out, floor)
+
     # -- structure -----------------------------------------------------------
 
     def split_parts(self) -> tuple[Poly, "LaurentSeries"]:

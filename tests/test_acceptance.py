@@ -55,7 +55,7 @@ from ffdioph.generators import (
     plant_witness,
     random_series,
 )
-from ffdioph.limsup import IndexTuple, cell_plane_identity_check
+from ffdioph.limsup import IndexTuple, cell_plane, cell_plane_identity_check
 from ffdioph.runner import report_json_bytes, run_config
 from ffdioph.generators import solve_matrix_for_residual
 
@@ -368,6 +368,7 @@ def test_a10_plane_identity():
             degs = [q.deg if q.deg != NEG_INF else 0 for q in alpha.q]
             t = IndexTuple.of((t.t[0],) + tuple(int(d) for d in degs))
         field = pair.Y.field
+        plane = cell_plane(theta, t, alpha, tau)
         for s in range(100):
             if s % 2 == 0 and not gate_breaker:
                 depth = t.t[0] + 4
@@ -379,7 +380,7 @@ def test_a10_plane_identity():
                 )
             else:
                 Y = rand_matrix(field, 1, 2, 90_000 + inst * 101 + s, -80)
-            rep = cell_plane_identity_check(Y, theta, t, alpha, tau)
+            rep = cell_plane_identity_check(Y, plane)
             total += 1
             agreements += bool(rep.holds)
     report(10, agreements == total, f"plane identity agreement {agreements}/{total} across 20 instances")

@@ -209,3 +209,19 @@ def test_internal_error_fails_one_instance(monkeypatch):
         "internal_error": "AssertionError: invariant broken on purpose",
     }
     assert [results[0], results[2]] == [clean["results"][0], clean["results"][2]]
+
+
+def test_runner_import_loads_neither_the_pool_nor_csv():
+    # -S keeps site hooks out: only the package's own imports are counted
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    code = (
+        "import sys, ffdioph.runner; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures', 'logging', 'csv') "
+        "if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -5,17 +5,20 @@ from fractions import Fraction
 import pytest
 
 from ffdioph import (
+    DegValue,
     Fq,
     IndexTuple,
     LaurentSeries,
     NEG_INF,
     PlaneSpec,
     Poly,
+    PrecisionExhaustedError,
     PreconditionError,
     SeriesMatrix,
     TsetParams,
     Witness,
     audit_grid,
+    cell_plane,
     cell_plane_identity_check,
     delta_membership,
     intersection_check,
@@ -29,7 +32,16 @@ from ffdioph import (
     witness_extract_uv,
     xi_and_t,
 )
-from ffdioph.generators import PlantParams, plant_membership_pair, plant_witness
+from ffdioph.generators import (
+    PlantParams,
+    derive_rng,
+    generate_matrix,
+    plant_membership_pair,
+    plant_witness,
+    random_series,
+    solve_matrix_for_residual,
+)
+from ffdioph.matrix import matvec_affine
 
 F2 = Fq(2)
 ONE = Poly.one(F2)
@@ -369,9 +381,9 @@ def test_plane_member_origin():
 def test_plane_identity_example_member_and_not():
     t = IndexTuple.of((0, 4))
     alpha = Witness((ZERO,), (X,))
-    member = cell_plane_identity_check(single(S("X^-4")), None, t, alpha, Fraction(1, 2))
+    member = cell_plane_identity_check(single(S("X^-4")), cell_plane(None, t, alpha, Fraction(1, 2)))
     assert member.holds and member.details["cell_member"]
-    non = cell_plane_identity_check(single(S("X^-1")), None, t, alpha, Fraction(1, 2))
+    non = cell_plane_identity_check(single(S("X^-1")), cell_plane(None, t, alpha, Fraction(1, 2)))
     assert non.holds and not non.details["cell_member"]
     assert member.details["gate"] and non.details["gate"]
 
@@ -380,7 +392,7 @@ def test_plane_identity_empty_gate():
     t = IndexTuple.of((2, 2))
     alpha = Witness((ZERO,), (X,))
     for text in ("X^-4", "X^-1", "0"):
-        rep = cell_plane_identity_check(single(S(text)), None, t, alpha, Fraction(1, 2))
+        rep = cell_plane_identity_check(single(S(text)), cell_plane(None, t, alpha, Fraction(1, 2)))
         assert rep.holds
         assert not rep.details["gate"] and not rep.details["cell_member"]
 
@@ -391,5 +403,64 @@ def test_plane_identity_rejects_zero_q():
     fake = SimpleNamespace(p=(ZERO,), q=(ZERO,))  # Witness itself forbids this
     with pytest.raises(ValueError):
         cell_plane_identity_check(
-            single(S("X^-1")), None, IndexTuple.of((2, 2)), fake, Fraction(1, 2)
+            single(S("X^-1")), cell_plane(None, IndexTuple.of((2, 2)), fake, Fraction(1, 2))
         )
+
+
+def _outcome(route):
+    try:
+        return route()
+    except PrecisionExhaustedError:
+        return "censored"
+
+
+@pytest.mark.parametrize("field", [Fq(2), Fq(3)], ids=["F2", "F3"])
+def test_plane_check_on_cut_inputs_matches_uncut_routes(field):
+    seen = {True: 0, False: 0, "censored": 0}
+    for inst in range(6):
+        pair = plant_membership_pair(field, Fraction(1), 400 + inst, -60)
+        t, alpha, theta, tau = pair.t, pair.alpha, pair.theta, pair.tau
+        if inst % 3 == 2:  # gate breaker, as in the runner's plane block
+            degs = [q.deg if q.deg != NEG_INF else 0 for q in alpha.q]
+            t = IndexTuple.of((t.t[0],) + tuple(int(d) for d in degs))
+        plane = cell_plane(theta, t, alpha, tau)
+        samples = []
+        # solved residuals whose degrees straddle the row threshold
+        for k, depth in enumerate(range(t.t[0] - 1, t.t[0] + 6)):
+            delta = random_series(field, -60, derive_rng(inst, "pd", k)).shift(-depth)
+            Y = solve_matrix_for_residual(
+                field, alpha.q, alpha.p, theta, [delta], -60, 10 * inst + k, "pY"
+            )
+            exact = SeriesMatrix(
+                [[LaurentSeries.from_terms(field, s.terms()) for s in Y.rows[0]]]
+            )
+            samples += [Y, exact]
+        for k, floor in enumerate((-60, -60, -3, -2)):  # the last two above the cut
+            samples.append(generate_matrix({"kind": "random"}, field, 1, 2, floor, inst, f"r{k}"))
+        for Y in samples:
+            rep = _outcome(lambda: cell_plane_identity_check(Y, plane))
+            cell = _outcome(lambda: delta_membership(Y, theta, t, alpha, tau).member)
+            plane_route = _outcome(
+                lambda: plane.gate and plane_member(Y, plane.spec, plane.log_delta)
+            )
+            if "censored" in (cell, plane_route):
+                assert rep == "censored"
+            else:
+                assert rep.details["cell_member"] == cell
+                assert rep.details["plane_member"] == plane_route
+            seen[cell] += 1
+    assert seen[True] > 0 and seen[False] > 0
+
+
+def test_residual_solver_divides_past_any_margin():
+    # p of degree 12, far above the pivot q of degree 1
+    F = Fq(2)
+    q = (parse_poly_literal("X + 1", F),)
+    p = (parse_poly_literal("X^12", F),)
+    theta = (random_series(F, -40, derive_rng(1, "t")),)
+    deltas = (random_series(F, -40, derive_rng(1, "d")).shift(-5),)
+    Y = solve_matrix_for_residual(F, q, p, theta, deltas, -40, 3)
+    (row,) = matvec_affine(Y, q, p, theta)
+    assert Y.entry(0, 0).floor == -40
+    assert row == deltas[0].truncate(row.floor)
+    assert row.deg() == deltas[0].deg() == DegValue(-7)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from ffdioph import (
     LaurentSeries,
     NEG_INF,
     ParseError,
+    Poly,
     PrecisionExhaustedError,
     deg_lt,
     deg_max,
@@ -19,6 +21,7 @@ from ffdioph import (
 F2 = Fq(2)
 F3 = Fq(3)
 F4 = Fq(2, 2)
+F9 = Fq(3, 2)
 
 
 def S(text, field=F2, floor=NEG_INF):
@@ -148,6 +151,64 @@ def test_inverse_precision_guard():
     f = S("X + 1").truncate(-3)  # digits below -3 unknown
     with pytest.raises(PrecisionExhaustedError):
         f.inverse(-40)
+
+
+# ---------------------------------------------------------------------------
+# division by a polynomial
+# ---------------------------------------------------------------------------
+
+
+def _random_divisor(field, d, rng, monic):
+    lead = 1 if monic or field.q == 2 else rng.randrange(2, field.q)
+    return Poly(field, [rng.randrange(field.q) for _ in range(d)] + [lead])
+
+
+def _random_numerator(field, rng, exact):
+    top = rng.randrange(-6, 9)
+    if exact:
+        terms = {e: rng.randrange(field.q) for e in range(top - 12, top + 1)}
+        return LaurentSeries.from_terms(field, terms)
+    digits = [rng.randrange(1, field.q)] + [rng.randrange(field.q) for _ in range(top + 20)]
+    return LaurentSeries(field, top, digits, -20)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F9], ids=["F2", "F3", "F4", "F9"])
+def test_div_poly_matches_inverse_product_and_multiplies_back(field):
+    rng = random.Random(f"div_poly|{field.q}")
+    for d in range(5):
+        for trial in range(8):
+            q = _random_divisor(field, d, rng, monic=trial % 2 == 0)
+            a = _random_numerator(field, rng, exact=trial % 4 < 2)
+            deepest = -40 if a.is_exact() else a.floor - d  # the deepest floor allowed
+            for floor in (deepest, deepest + 3, a.top - d - 1, a.top - d, a.top - d + 2):
+                g = a.div_poly(q, floor)
+                assert g.floor == floor
+                inv = LaurentSeries.from_poly(q).inverse(min(floor - max(a.top, 0) - 1, -d))
+                assert g == (a * inv).truncate(floor)
+                # q g agrees with a down to floor + d, the deepest digit g reads
+                assert LaurentSeries.from_poly(q) * g == a.truncate(floor + d)
+
+
+def test_div_poly_truncates_an_exact_quotient():
+    q = Poly(F2, [1, 1])  # X + 1
+    got = S("X^3 + X^2").div_poly(q, -3)
+    assert got == LaurentSeries.from_terms(F2, {2: 1}, -3)
+    assert LaurentSeries.zero(F2).div_poly(q, -5) == LaurentSeries.zero(F2, -5)
+    assert S("X^-2").div_poly(q, -1) == LaurentSeries.zero(F2, -1)
+
+
+def test_div_poly_precision_boundary():
+    q = Poly(F3, [2, 0, 2])  # 2X^2 + 2: d = 2, non-monic
+    a = S("X^3 + 2X^-1 + X^-9", F3).truncate(-20)
+    assert a.div_poly(q, -22).floor == -22  # reads a down to -20 exactly
+    with pytest.raises(PrecisionExhaustedError):
+        a.div_poly(q, -23)
+    with pytest.raises(PrecisionExhaustedError):
+        LaurentSeries.zero(F3, floor=-4).div_poly(q, -7)
+    with pytest.raises(ZeroDivisionError):
+        a.div_poly(Poly.zero(F3), -5)
+    with pytest.raises(ValueError):
+        a.div_poly(Poly.one(F2), -5)
 
 
 # ---------------------------------------------------------------------------
