@@ -48,6 +48,7 @@ PrecisionExhaustedError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import PrecisionExhaustedError
 from .field import Fq
@@ -383,7 +384,7 @@ def _kernel_best(Y: SeriesMatrix, theta, boxes) -> tuple[DegValue, Witness]:
     """(B, witness) of the least row maximum of Y q + p + theta over a union
     of boxes, each a bounds list.  Boxes below their cap are exact, so of
     them only the first deepest is decided; every box at its cap is decided
-    too, and several decided boxes combine by _BruteBest's rule.
+    too, and the decided boxes combine by _BruteBest's rule.
     """
     if theta is not None and all(th.is_exact_zero() for th in theta):
         theta = None  # the kernel builds no zero shift column
@@ -398,8 +399,6 @@ def _kernel_best(Y: SeriesMatrix, theta, boxes) -> tuple[DegValue, Witness]:
             deepest = scan
     if deepest is not None:
         kept.append(deepest)
-    if len(kept) == 1:
-        return _decide_box(Y, theta, *kept[0])
     best = _BruteBest(max(max(scan[0]) for scan in kept))
     for scan in kept:
         B, w = _decide_box(Y, theta, *scan)
@@ -415,7 +414,7 @@ def _kernel_best(Y: SeriesMatrix, theta, boxes) -> tuple[DegValue, Witness]:
 def _poly_tiebreak_key(q: list[Poly], max_deg: int) -> tuple[int, ...]:
     # coefficients ordered by degree then coordinate index
     cols = [qj.coeffs + (0,) * (max_deg + 1 - len(qj.coeffs)) for qj in q]
-    return tuple(c for digit in zip(*cols) for c in digit)
+    return tuple(chain.from_iterable(zip(*cols)))
 
 
 def _iter_q(Y: SeriesMatrix, theta, caps, budget: int):

@@ -38,10 +38,10 @@ class Echelon:
     def insert(self, row: list[int] | int, b: int = 0) -> None:
         """Add the equation row . x = b.
 
-        row is a list of ncols elements, or of ncols + 1 whose last is the
-        right-hand side (b then stays 0); on GF(2) it may instead be an int
-        with bit j = column j, the right-hand side at bit ncols and no bit
-        above it.
+        row is a list of ncols elements, or of ncols + 1 whose last is a
+        right-hand side it carries; on GF(2) it may instead be an int with
+        bit j = column j, a carried right-hand side at bit ncols and no bit
+        above it.  b is added to the carried right-hand side (0 if none).
         """
         if self.gf2:
             self._insert_gf2(row, b)
@@ -49,6 +49,8 @@ class Echelon:
             r = list(row)
             if len(r) == self.ncols:
                 r.append(b)
+            elif b:
+                r[-1] = self.field.add(r[-1], b)
             self._insert_generic(r)
 
     def _insert_gf2(self, row: list[int] | int, b: int) -> None:
@@ -60,7 +62,7 @@ class Echelon:
                 if c:
                     v |= 1 << j
         if b:
-            v |= 1 << self.ncols
+            v ^= 1 << self.ncols
         # pivot rows are zero on each other's pivot columns, so clearing the
         # pivot bits v starts with clears all of them
         hits = v & self._mask

@@ -120,28 +120,31 @@ class Poly:
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Euclidean division: a = quot*b + rem with deg rem < deg b."""
+    """Euclidean division: a = quot*b + rem with deg rem < deg b.
+
+    The package's one long division.  Top-down: quotient coefficient k
+    clears the remainder's coefficient at k + deg b, with one
+    multiply-subtract per nonzero lower coefficient of b, so it costs
+    O(len(a) * nnz(b)) field operations.
+    """
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.field != b.field:
         raise ValueError("mixed-field polynomial division")
     F = a.field
-    rem = list(a.coeffs)
     db = len(b.coeffs) - 1
     lead_inv = F.inv(b.lc())
+    lower = [(i, c) for i, c in enumerate(b.coeffs[:db]) if c]
+    rem = list(a.coeffs)
     quot = [0] * max(0, len(rem) - db)
-    while len(rem) - 1 >= db and rem:
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        shift = len(rem) - 1 - db
-        factor = F.mul(rem[-1], lead_inv)
-        quot[shift] = factor
-        for i, c in enumerate(b.coeffs):
-            rem[shift + i] = F.sub(rem[shift + i], F.mul(factor, c))
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return Poly(F, quot), Poly(F, rem)
+    sub, mul = F.sub, F.mul
+    for k in range(len(quot) - 1, -1, -1):
+        top = rem[k + db]
+        if top:
+            f = quot[k] = mul(top, lead_inv)
+            for i, c in lower:
+                rem[k + i] = sub(rem[k + i], mul(f, c))
+    return Poly(F, quot), Poly(F, rem[:db])
 
 
 def iter_polys(field: Fq, max_deg: int):

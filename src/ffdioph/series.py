@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, PrecisionExhaustedError
 from .field import Fq
-from .poly import NEG_INF, Poly, format_terms, parse_terms
+from .poly import NEG_INF, Poly, format_terms, parse_terms, poly_divmod
 
 
 @dataclass(frozen=True)
@@ -312,56 +312,33 @@ class LaurentSeries:
         return LaurentSeries(self.field, self.top, coeffs, new_floor)
 
     def inverse(self, floor: int) -> "LaurentSeries":
-        """Multiplicative inverse with digits down to ``floor``.
+        """Inverse of an exact nonzero Laurent polynomial, down to ``floor``.
 
-        The result's digit at exponent -deg(f)-j needs f's digits down to
-        deg(f)-j, so a truncated input supports floors >= floor(f) - 2*deg(f)
-        only; anything deeper raises PrecisionExhaustedError.
+        An exact monomial has an exact inverse.  Otherwise, with lo the lowest
+        stored exponent, P = self * X^-lo is a polynomial with a nonzero
+        constant term, and 1/self = X^-lo / P comes from ``div_poly``,
+        truncated at ``floor``; for zero, P = 0 and ``div_poly`` raises
+        ZeroDivisionError.  A truncated input raises ValueError.
         """
-        if self.is_known_zero():
-            if self.is_exact_zero():
-                raise ZeroDivisionError("inverse of zero series")
-            raise PrecisionExhaustedError(
-                "cannot invert a series with no known nonzero digit"
-            )
+        if not self.is_exact():
+            raise ValueError("inverse takes an exact Laurent polynomial")
         F = self.field
-        a = self.top
-        if self.floor != NEG_INF:
-            deepest = self.floor - 2 * a
-            if floor < deepest:
-                raise PrecisionExhaustedError(
-                    f"inverse floor {floor} needs input digits below {self.floor}"
-                )
-        if len(self.coeffs) == 1 and self.is_exact():
-            # exact monomial: inverse is exact
-            return LaurentSeries.monomial(F, -a, F.inv(self.coeffs[0]))
-        if floor > -a:
-            raise ValueError("inverse floor must reach the leading exponent")
-        lead_inv = F.inv(self.coeffs[0])
-        top = -a
-        out = [0] * (top - floor + 1)
-        out[0] = lead_inv
-        # digit-by-digit long division: (f * g) must vanish at a+e for e < top
-        for idx in range(1, len(out)):
-            e = top - idx
-            acc = 0
-            # sum f_{a-s} * g_{e+s} over s >= 1
-            for s in range(1, min(idx, len(self.coeffs) - 1) + 1):
-                fc = self.coeffs[s]
-                if fc:
-                    acc = F.add(acc, F.mul(fc, out[idx - s]))
-            out[idx] = F.neg(F.mul(lead_inv, acc))
-        return LaurentSeries(F, top, out, floor)
+        if len(self.coeffs) == 1:
+            return LaurentSeries.monomial(F, -self.top, F.inv(self.coeffs[0]))
+        lo = self._stored_lo()
+        P = Poly(F, self.coeffs[::-1])
+        return LaurentSeries.one(F).div_poly(P, floor + lo).shift(-lo)
 
     def div_poly(self, q: Poly, floor: int) -> "LaurentSeries":
         """Quotient by an exact nonzero polynomial, with digits down to ``floor``.
 
-        Long division from the top: with d = deg q and c its leading
-        coefficient, the quotient's digit g_e = c^-1 (a_{e+d} - sum_{s=1..d}
-        q_{d-s} g_{e+s}), so it reads this series' digits down to floor + d
-        only, at O(d) field operations per digit.  A numerator not known that
-        deep raises PrecisionExhaustedError.  The result is truncated at
-        ``floor`` even when the quotient is exact.
+        With d = deg q, the digit window top..floor + d, scaled by X^-floor
+        (d zero low coefficients), is divided by q with ``poly_divmod``:
+        quotient coefficient k is the digit at floor + k, since the digits
+        below floor + d form a tail of degree < d that changes only the
+        remainder.  So it reads this series down to floor + d and no deeper;
+        a numerator not known that deep raises PrecisionExhaustedError.  The
+        result is truncated at ``floor`` even when the quotient is exact.
         """
         if q.field != self.field:
             raise ValueError("mixed-field series arithmetic")
@@ -373,20 +350,9 @@ class LaurentSeries:
             raise PrecisionExhaustedError(
                 f"quotient floor {floor} needs digits below the floor {self.floor}"
             )
-        if self.top == NEG_INF or self.top - d < floor:
-            return LaurentSeries.zero(F, floor)
-        lead_inv = F.inv(q.coeffs[d])
-        # (s, coefficient of X^(d-s)) for q's nonzero lower coefficients
-        lower = [(s, q.coeffs[d - s]) for s in range(1, d + 1) if q.coeffs[d - s]]
-        sub, mul = F.sub, F.mul
-        out = []  # out[k] is the quotient's digit at self.top - d - k
-        for k, a in enumerate(self.digits(self.top, floor + d)):
-            for s, b in lower:
-                if s > k:
-                    break
-                a = sub(a, mul(b, out[k - s]))
-            out.append(mul(lead_inv, a))
-        return LaurentSeries(F, self.top - d, out, floor)
+        window = [0] * d + self.digits(self.top, floor + d)[::-1]
+        quot, _ = poly_divmod(Poly(F, window), q)
+        return LaurentSeries(F, self.top - d, quot.coeffs[::-1], floor)
 
     # -- structure -----------------------------------------------------------
 

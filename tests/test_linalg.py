@@ -122,6 +122,48 @@ def test_gf2_packed_rows_equal_list_rows():
     }
 
 
+def test_carried_rhs_adds_to_b():
+    # b is added to a right-hand side the row already carries at column ncols
+    assert solve_affine(Fq(3), [[1, 0, 0]], [1], 2)[0] == [1, 0]
+    assert solve_affine(Fq(2), [0b101], [1], 2)[0] == [0, 0]  # 1 + 1 = 0
+
+
+@pytest.mark.parametrize("field", [Fq(2), Fq(3), Fq(2, 2)], ids=["F2", "F3", "F4"])
+def test_split_rhs_equals_whole_rhs(field):
+    # each row's right-hand side c split as c1 at column ncols plus c2 = c - c1
+    # in b gives the solution and basis of the whole c in either place; on
+    # GF(2) also with the row packed into an int
+    import random
+
+    rng = random.Random(f"split-rhs:{field.q}")
+    split_both = 0
+    for _ in range(60):
+        ncols = rng.randrange(1, 5)
+        eqs = []
+        for _ in range(rng.randrange(1, 6)):
+            row = [rng.randrange(field.q) for _ in range(ncols)]
+            c, c1 = rng.randrange(field.q), rng.randrange(field.q)
+            eqs.append((row, c, c1, field.sub(c, c1)))
+        variants = [
+            [(row, c) for row, c, _, _ in eqs],
+            [(row + [c], 0) for row, c, _, _ in eqs],
+            [(row + [c1], c2) for row, _, c1, c2 in eqs],
+        ]
+        if field.is_gf2():
+            variants.append(
+                [(sum(v << j for j, v in enumerate(row + [c1])), c2) for row, _, c1, c2 in eqs]
+            )
+        results = []
+        for variant in variants:
+            ech = Echelon(field, ncols)
+            for row, b in variant:
+                ech.insert(row, b)
+            results.append((ech.solution(), ech.basis()))
+        assert all(r == results[0] for r in results)
+        split_both += any(c1 and c2 for _, _, c1, c2 in eqs)
+    assert split_both > 20
+
+
 @pytest.mark.parametrize("field", [Fq(2), Fq(3), Fq(2, 2), Fq(3, 2)], ids=["F2", "F3", "F4", "F9"])
 def test_pivot_snapshot_survives_later_inserts(field):
     # pivots.copy() taken between inserts is the reduced form of the rows so

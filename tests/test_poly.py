@@ -29,14 +29,48 @@ def coeff_lists(p, max_len=6):
     return st.lists(st.integers(0, p - 1), min_size=0, max_size=max_len)
 
 
-@given(coeff_lists(3), coeff_lists(3, 4))
-def test_divmod_reconstruction(ac, bc):
-    a, b = Poly(F3, ac), Poly(F3, bc)
-    if b.is_zero():
-        return
+DIV_FIELDS = [Fq(2), Fq(3), Fq(2, 2), Fq(3, 2)]
+DIV_IDS = ["F2", "F3", "F4", "F9"]
+
+
+def assert_divmod(a, b):
+    # a = q b + r with deg r < deg b fixes q and r
     q, r = poly_divmod(a, b)
     assert q * b + r == a
     assert r.is_zero() or r.deg < b.deg
+    return q, r
+
+
+@pytest.mark.parametrize("field", DIV_FIELDS, ids=DIV_IDS)
+@given(data=st.data())
+def test_divmod_reconstruction(field, data):
+    a = Poly(field, data.draw(coeff_lists(field.q)))
+    b = Poly(field, data.draw(coeff_lists(field.q, 4)))
+    if not b.is_zero():
+        assert_divmod(a, b)
+
+
+@pytest.mark.parametrize("field", DIV_FIELDS, ids=DIV_IDS)
+def test_divmod_divisor_shapes(field):
+    # non-monic divisors, divisors with zero low coefficients (X^z times a
+    # polynomial with nonzero constant term) and deg a < deg b, one by one
+    import random
+
+    rng = random.Random(f"divmod:{field.q}")
+    for db in range(5):
+        for lead in range(1, field.q):
+            for z in range(db + 1):
+                core = [rng.randrange(1, field.q)] + [rng.randrange(field.q) for _ in range(db - z)]
+                core[-1] = lead
+                b = Poly(field, [0] * z + core)
+                assert b.deg == db and b.lc() == lead and not any(b.coeffs[:z])
+                for da in range(-1, db + 6):  # da = -1 is the zero numerator
+                    coeffs = [rng.randrange(field.q) for _ in range(da + 1)]
+                    a = Poly(field, coeffs[:-1] + [rng.randrange(1, field.q)] if coeffs else [])
+                    assert a.deg == (da if coeffs else NEG_INF)
+                    q, r = assert_divmod(a, b)
+                    if a.deg < db:
+                        assert q.is_zero() and r == a
 
 
 @given(coeff_lists(2), coeff_lists(2))

@@ -143,14 +143,17 @@ def test_inverse_multiply_back(f):
 def test_inverse_of_zero():
     with pytest.raises(ZeroDivisionError):
         LaurentSeries.zero(F2).inverse(-4)
-    with pytest.raises(PrecisionExhaustedError):
+    with pytest.raises(ValueError):
         LaurentSeries.zero(F2, floor=-5).inverse(-4)
 
 
 def test_inverse_precision_guard():
+    # inverse takes exact Laurent polynomials; a truncated input is refused
+    # at any floor, however shallow
     f = S("X + 1").truncate(-3)  # digits below -3 unknown
-    with pytest.raises(PrecisionExhaustedError):
-        f.inverse(-40)
+    for floor in (-1, -4, -40):
+        with pytest.raises(ValueError):
+            f.inverse(floor)
 
 
 # ---------------------------------------------------------------------------
