@@ -455,33 +455,42 @@ class _BruteBest:
     the least lexicographic key, so the witness depends on the candidate set
     alone, not on the order in which they are offered.  An exact -inf wins
     outright, since nothing lies below it; otherwise any censored candidate
-    censors the result."""
+    censors the result.  Keys are made only on ties, and the incumbent's is
+    kept, so an improvement costs no key and the one Witness is made by
+    result()."""
 
     def __init__(self, max_deg: int):
         self.max_deg = max_deg
-        self.best = {False: None, True: None}  # censored? -> (value, key, witness)
+        self.best = {False: None, True: None}  # censored? -> [value, q, ps, key]
 
     def offer(self, obj: DegValue, q: list[Poly], ps: list[Poly]):
         cur = self.best[obj.censored]
-        if cur is not None and obj.value > cur[0]:
-            return  # the key only breaks ties, so this candidate cannot win
-        cand = (obj.value, _poly_tiebreak_key(q, self.max_deg))
-        if cur is None or cand < cur[:2]:
-            self.best[obj.censored] = (*cand, Witness(tuple(ps), tuple(q)))
+        key = None
+        if cur is not None:
+            if obj.value > cur[0]:
+                return  # the key only breaks ties, so this candidate cannot win
+            if obj.value == cur[0]:
+                if cur[3] is None:
+                    cur[3] = _poly_tiebreak_key(cur[1], self.max_deg)
+                key = _poly_tiebreak_key(q, self.max_deg)
+                if key >= cur[3]:
+                    return
+        self.best[obj.censored] = [obj.value, q, ps, key]
 
     def result(self) -> tuple[DegValue, Witness]:
         exact, cens = self.best[False], self.best[True]
         if exact is not None and exact[0] == NEG_INF:
-            return DegValue(NEG_INF, False), exact[2]
-        if cens is not None:
+            B, win = DegValue(NEG_INF, False), exact
+        elif cens is not None:
             # any censored candidate may hide a lower true value, so the
             # minimum itself is only known as an upper bound
-            if exact is None or cens[0] <= exact[0]:
-                return DegValue.censored_at(cens[0]), cens[2]
-            return DegValue.censored_at(exact[0]), exact[2]
-        if exact is None:
+            win = cens if exact is None or cens[0] <= exact[0] else exact
+            B = DegValue.censored_at(win[0])
+        elif exact is None:
             raise AssertionError("no candidates offered")
-        return DegValue(exact[0], False), exact[2]
+        else:
+            B, win = DegValue(exact[0], False), exact
+        return B, Witness(tuple(win[2]), tuple(win[1]))
 
 
 def _brute(Y: SeriesMatrix, theta, T: int, caps, budget: int, objective):

@@ -216,8 +216,11 @@ def solve_matrix_for_residual(
     """Matrix Y with Y q + p + theta = delta row by row.
 
     The highest-degree coordinate of q is the pivot column; all other
-    entries are random, and each row's pivot entry is solved by one exact
-    long division by the pivot polynomial.  Exact down to the requested floor.
+    entries are random, drawn down to ``floor``, and each row's pivot entry
+    is solved down to ``floor`` by one exact long division by the pivot
+    polynomial.  That division reads theta and the deltas only down to
+    floor + deg q_pivot: inputs cut there give the same Y, and inputs known
+    less deep raise PrecisionExhaustedError.
     """
     m, n = len(p), len(q)
     qs = [LaurentSeries.from_poly(qj) for qj in q]
@@ -343,7 +346,9 @@ def plant_membership_pair(
         raise AssertionError("the two planted witnesses are dependent")
     p1 = (random_poly(field, rng.randrange(0, 2), rng),)
     p2 = (random_poly(field, rng.randrange(0, 2), rng),)
-    # work below the requested floor: the division by det can cost digits
+    # theta and the noise rows are drawn below the requested floor: the
+    # Cramer numerators, their products with q, must be known down to
+    # floor + deg det, which needs work <= floor + deg det - max deg q
     work = floor - 24
     theta = (random_series(field, work, derive_rng(seed, "pair-theta")),)
     depth = it.t[0] + math.ceil(tau * sigma) + 3
@@ -351,13 +356,17 @@ def plant_membership_pair(
     d2 = _noise_series(field, -depth - rng.randrange(0, 3), work, derive_rng(seed, "pair-d2"))
     rhs1 = d1 - LaurentSeries.from_poly(p1[0]) - theta[0]
     rhs2 = d2 - LaurentSeries.from_poly(p2[0]) - theta[0]
-    det_inv = LaurentSeries.from_poly(det).inverse(
-        work - 8 - 2 * max(0, det.deg)
-    )
     q2s = [LaurentSeries.from_poly(x) for x in q2]
     q1s = [LaurentSeries.from_poly(x) for x in q1]
-    y11 = ((rhs1 * q2s[1] - rhs2 * q1s[1]) * det_inv).truncate(floor)
-    y12 = ((rhs2 * q1s[0] - rhs1 * q2s[0]) * det_inv).truncate(floor)
+    # a digit of num / det at e >= floor reads num down to e + deg det and
+    # 1/det down to e - top, so each product comes out known down to floor
+    nums = [
+        (rhs1 * q2s[1] - rhs2 * q1s[1]).truncate(floor + det.deg),
+        (rhs2 * q1s[0] - rhs1 * q2s[0]).truncate(floor + det.deg),
+    ]
+    top = max(num.top for num in nums)
+    det_inv = LaurentSeries.from_poly(det).inverse(floor - top)
+    y11, y12 = (num * det_inv for num in nums)
     Y = SeriesMatrix([[y11, y12]])
     a1, a2 = Witness(p1, q1), Witness(p2, q2)
     for a in (a1, a2):

@@ -308,42 +308,52 @@ def _plane_block(cfg: ExperimentConfig, F, pair: MembershipPair, idx: int) -> di
 
     Even indices keep the pair's own gate-passing tuple; odd indices shrink
     the q-side scales so the gate fails and the cell must come out empty.
+
+    The check cuts column j of Y to plane.floor - max(deg q_j, 0) and reads
+    no deeper, so every sampled Y is drawn, or solved, only down to the
+    deepest of these cuts.  Each entry is drawn top-down from its own
+    stream, so it is a prefix of the draw to cfg.floor; the solver reads
+    theta and the deltas down to that depth plus deg q_pivot, which is at
+    or above plane.floor, where plane.theta is cut.  The clamp at cfg.floor
+    keeps Y no deeper than the config allows when the plane reaches below
+    it: there the check reads Y down to cfg.floor and no further.
     """
     t = pair.t
     alpha = pair.alpha
-    theta = pair.theta
     tau = pair.tau
     pm, pn = pair.Y.m, pair.Y.n
     gate_breaker = idx % 2 == 1
     if gate_breaker:
         degs = [q.deg if q.deg != NEG_INF else 0 for q in alpha.q]
         t = IndexTuple.of(tuple(t.t[:pm]) + tuple(int(d) for d in degs))
-    plane = cell_plane(theta, t, alpha, tau)
+    plane = cell_plane(pair.theta, t, alpha, tau)
+    draw = max(cfg.floor, plane.floor - max(max(q.deg, 0) for q in alpha.q))
     agree = 0
     total = 0
     members_seen = 0
     for s in range(cfg.plane_samples):
         if s % 2 == 0 and not gate_breaker:
             depth = max(t.t[:pm]) + 4
+            # a delta's top, -depth - 1, may lie below draw; it then keeps one digit
             deltas = [
-                random_series(F, cfg.floor, derive_rng(cfg.seed, "plane-d", idx, s, i)).shift(
-                    -depth
-                )
+                random_series(
+                    F, min(draw + depth, -1), derive_rng(cfg.seed, "plane-d", idx, s, i)
+                ).shift(-depth)
                 for i in range(pm)
             ]
             Y = solve_matrix_for_residual(
                 F,
                 alpha.q,
                 alpha.p,
-                theta,
+                plane.theta,
                 deltas,
-                cfg.floor,
+                draw,
                 cfg.seed * 49979687 + idx * 1009 + s,
                 "plane-Y",
             )
         else:
             Y = generate_matrix(
-                {"kind": "random"}, F, pm, pn, cfg.floor, cfg.seed, f"plane-rand/{idx}/{s}"
+                {"kind": "random"}, F, pm, pn, draw, cfg.seed, f"plane-rand/{idx}/{s}"
             )
         rep = cell_plane_identity_check(Y, plane)
         total += 1

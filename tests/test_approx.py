@@ -471,7 +471,7 @@ def test_brute_lex_tiebreak_deterministic():
 def test_brute_witness_independent_of_offer_order(objective):
     # censored ties, like exact ones, go to the least lexicographic key, so
     # offering the same candidates in reverse gives the same (B, witness)
-    from ffdioph.approx import _BruteBest, _iter_q, _optimal_p
+    from ffdioph.approx import Witness, _BruteBest, _iter_q, _optimal_p, _poly_tiebreak_key
 
     censored_ties = 0
     for i in range(12):
@@ -493,13 +493,19 @@ def test_brute_witness_independent_of_offer_order(objective):
             ps, resid = _optimal_p(rows)
             offers.append((key(r.deg() for r in resid), q, ps))
         results = []
-        for order in (offers, offers[::-1]):
+        shuffled = offers[:]
+        rng.shuffle(shuffled)
+        for order in (offers, offers[::-1], shuffled):
             best = _BruteBest(max(caps))
             for obj, q, ps in order:
                 best.offer(obj, q, ps)
             results.append(best.result())
-        assert results[0] == results[1]
+        assert results[0] == results[1] == results[2]
         B = results[0][0]
+        if not any(obj.censored for obj, _, _ in offers):
+            # eager oracle: the least (value, key) over every offer
+            _, q, ps = min(offers, key=lambda o: (o[0].value, _poly_tiebreak_key(o[1], max(caps))))
+            assert results[0][1] == Witness(tuple(ps), tuple(q))
         if B.censored and sum(obj == B for obj, _, _ in offers) > 1:
             censored_ties += 1
     assert censored_ties >= 3

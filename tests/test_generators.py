@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from ffdioph import (
 )
 from ffdioph.generators import (
     PlantParams,
+    _noise_series,
     cf_series,
     derive_rng,
     generate_matrix,
@@ -23,6 +25,7 @@ from ffdioph.generators import (
     random_series,
     rational_series,
 )
+from ffdioph.matrix import matvec_affine
 
 F2 = Fq(2)
 F3 = Fq(3)
@@ -158,3 +161,27 @@ def test_package_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+@pytest.mark.parametrize("field", [F2, F3, Fq(2, 2)], ids=["F2", "F3", "F4"])
+def test_membership_pair_matches_full_depth_cramer(field):
+    # oracle: Cramer's rule on the full-depth right-hand sides, with the det
+    # inverse taken 8 + 2 deg det digits below their floor; each noise row
+    # is redrawn from its own stream, its top read off the pair's residual
+    for eta, floor, seed in itertools.product(("1", "3/2", "2"), (-40, -60, -80), (3, 8)):
+        pair = plant_membership_pair(field, Fraction(eta), seed, floor)
+        (theta,) = pair.theta
+        work = theta.floor
+        rhs = []
+        for k, a in enumerate((pair.alpha, pair.alpha2), start=1):
+            (row,) = matvec_affine(pair.Y, a.q, a.p, pair.theta)
+            d = _noise_series(field, row.top, work, derive_rng(seed, f"pair-d{k}"))
+            rhs.append(d - LaurentSeries.from_poly(a.p[0]) - theta)
+        (q1, q2) = (
+            [LaurentSeries.from_poly(x) for x in a.q] for a in (pair.alpha, pair.alpha2)
+        )
+        det = pair.alpha.q[0] * pair.alpha2.q[1] - pair.alpha.q[1] * pair.alpha2.q[0]
+        det_inv = LaurentSeries.from_poly(det).inverse(work - 8 - 2 * max(0, det.deg))
+        y11 = ((rhs[0] * q2[1] - rhs[1] * q1[1]) * det_inv).truncate(floor)
+        y12 = ((rhs[1] * q1[0] - rhs[0] * q2[0]) * det_inv).truncate(floor)
+        assert pair.Y.rows[0] == (y11, y12), (eta, floor, seed)

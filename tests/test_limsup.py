@@ -32,12 +32,15 @@ from ffdioph import (
     witness_extract_uv,
     xi_and_t,
 )
+from ffdioph import runner
+from ffdioph.config import ExperimentConfig
 from ffdioph.generators import (
     PlantParams,
     derive_rng,
     generate_matrix,
     plant_membership_pair,
     plant_witness,
+    random_poly,
     random_series,
     solve_matrix_for_residual,
 )
@@ -464,3 +467,91 @@ def test_residual_solver_divides_past_any_margin():
     assert Y.entry(0, 0).floor == -40
     assert row == deltas[0].truncate(row.floor)
     assert row.deg() == deltas[0].deg() == DegValue(-7)
+
+
+def _deep_plane_sample(cfg, F, pair, idx, s):
+    # a plane block's sample s as drawn to cfg.floor, solved with the pair's
+    # uncut theta: the draws that _plane_block cuts short
+    pm, pn = pair.Y.m, pair.Y.n
+    alpha = pair.alpha
+    if s % 2 == 0 and idx % 2 == 0:
+        depth = max(pair.t.t[:pm]) + 4
+        deltas = [
+            random_series(F, cfg.floor, derive_rng(cfg.seed, "plane-d", idx, s, i)).shift(-depth)
+            for i in range(pm)
+        ]
+        seed = cfg.seed * 49979687 + idx * 1009 + s
+        return solve_matrix_for_residual(
+            F, alpha.q, alpha.p, pair.theta, deltas, cfg.floor, seed, "plane-Y"
+        )
+    return generate_matrix(
+        {"kind": "random"}, F, pm, pn, cfg.floor, cfg.seed, f"plane-rand/{idx}/{s}"
+    )
+
+
+@pytest.mark.parametrize(
+    "config, pair_floor",
+    [({"field": "p=2"}, None), ({"field": "p=3"}, None), ({"eta": "16", "floor": -110}, -160)],
+    ids=["F2", "F3", "eta16-clamp"],
+)
+def test_plane_block_samples_check_as_deep_draws(config, pair_floor, monkeypatch):
+    # every Y the runner's plane block checks, gate breakers (odd idx) and
+    # solved members alike, gives the check's answer on the deep draw.  A pair
+    # planted below cfg.floor has planes that reach past it, where the draw is
+    # clamped to cfg.floor; a pair planted at cfg.floor passes its own
+    # membership only when its plane stays above cfg.floor
+    cfg = ExperimentConfig.from_dict({"suite": "limsup", "seed": 5, "plane_samples": 6, **config})
+    F = cfg.fq()
+    check = runner.cell_plane_identity_check
+    seen = []
+
+    def recording_check(Y, plane):
+        seen.append((Y, plane))
+        return check(Y, plane)
+
+    monkeypatch.setattr(runner, "cell_plane_identity_check", recording_check)
+    clamped = members = 0
+    for idx in range(6):
+        seed = cfg.seed * 32452843 + idx
+        pair = _outcome(lambda: plant_membership_pair(F, cfg.eta, seed, pair_floor or cfg.floor))
+        if pair == "censored":  # at eta 16 some pairs need a deeper floor
+            continue
+        seen.clear()
+        _outcome(lambda: runner._plane_block(cfg, F, pair, idx))
+        assert seen
+        for s, (Y, plane) in enumerate(seen):
+            draw = max(cfg.floor, plane.floor - max(max(q.deg, 0) for q in pair.alpha.q))
+            assert min(e.floor for row in Y.rows for e in row) == draw
+            clamped += draw == cfg.floor
+            deep = _deep_plane_sample(cfg, F, pair, idx, s)
+            got = _outcome(lambda: check(Y, plane))
+            want = _outcome(lambda: check(deep, plane))
+            if want == "censored":
+                assert got == "censored"
+                continue
+            assert (got.holds, got.details) == (want.holds, want.details)
+            members += want.details["cell_member"]
+    assert members > 0
+    assert (clamped > 0) == (pair_floor is not None)
+
+
+@pytest.mark.parametrize("field", [Fq(2), Fq(3)], ids=["F2", "F3"])
+def test_residual_solver_reads_theta_to_floor_plus_pivot_degree(field):
+    # the pivot division reads theta and the deltas down to floor + deg q_pivot
+    def cut_at(x, c):
+        return tuple(s.truncate(c) for s in x)
+
+    for k in range(8):
+        rng = derive_rng(k, "solver-depth")
+        q = tuple(random_poly(field, rng.randrange(0, 4), rng) for _ in range(2))
+        p = (random_poly(field, rng.randrange(0, 3), rng),)
+        theta = (random_series(field, -70, derive_rng(k, "solver-theta")),)
+        deltas = (random_series(field, -70, derive_rng(k, "solver-d")).shift(-6),)
+        floor = -40 - k
+        cut = floor + max(qj.deg for qj in q)
+        Y = solve_matrix_for_residual(field, q, p, theta, deltas, floor, k)
+        assert solve_matrix_for_residual(
+            field, q, p, cut_at(theta, cut), cut_at(deltas, cut), floor, k
+        ) == Y
+        with pytest.raises(PrecisionExhaustedError):
+            solve_matrix_for_residual(field, q, p, theta, cut_at(deltas, cut + 1), floor, k)
