@@ -11,6 +11,9 @@ A field with q <= ``TABLE_LIMIT`` builds add, sub and mul tables and neg and
 inv vectors once, when constructed, and each operation is then one lookup;
 a larger field (a big user modulus) loops over base-p digits on every call.
 The tables are part of the context, so they travel with it to workers.
+Two row operations serve elimination: ``sub_scaled`` (r -= f * p in place)
+and ``scaled`` (f * row).  Each reads one row of the mul table per call on a
+tabled field and loops over digits on a larger one.
 """
 
 from __future__ import annotations
@@ -196,6 +199,32 @@ class Fq:
             base = self._mul_digits(base, base)
             e >>= 1
         return result
+
+    # -- row operations: one call per row, for elimination --------------
+
+    def sub_scaled(self, r: list[int], f: int, p: list[int], start: int = 0) -> None:
+        """r[j] -= f * p[j] in place for every j >= start."""
+        t = self._mul
+        if t is not None:
+            fm, sub = t[f], self._sub
+            for j in range(start, len(r)):
+                c = p[j]
+                if c:
+                    r[j] = sub[r[j]][fm[c]]
+        else:
+            add, neg, mul = self._add_digits, self._neg_digits, self._mul_digits
+            for j in range(start, len(r)):
+                c = p[j]
+                if c:
+                    r[j] = add(r[j], neg(mul(f, c)))
+
+    def scaled(self, f: int, row: list[int]) -> list[int]:
+        """The row f * row, as a new list."""
+        t = self._mul
+        if t is not None:
+            fm = t[f]
+            return [fm[c] for c in row]
+        return [self._mul_digits(f, c) for c in row]
 
     # -- digit loops: fill the tables, and serve fields above TABLE_LIMIT --
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .approx import Witness, witness_error_degs
-from .errors import ConfigError
+from .errors import ConfigError, PrecisionExhaustedError
 from .field import Fq
 from .limsup import TsetParams, delta_membership, tau0, xi_and_t
 from .matrix import SeriesMatrix, prod_plus_deg, zero_theta
@@ -204,7 +204,11 @@ class PlantedInstance:
 
 
 def _noise_series(field: Fq, top: int, floor: int, rng: random.Random):
-    """Series with exact leading exponent `top` and random tail."""
+    """Series with exact leading exponent `top` and random tail down to
+    `floor`; a top below the floor cannot be drawn, so it raises
+    PrecisionExhaustedError."""
+    if top < floor:
+        raise PrecisionExhaustedError(f"noise of degree {top} lies below the floor {floor}")
     coeffs = [rng.randrange(1, field.q)]
     coeffs.extend(rng.randrange(field.q) for _ in range(top - 1, floor - 1, -1))
     return LaurentSeries(field, top, coeffs, floor)

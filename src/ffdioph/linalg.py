@@ -2,22 +2,23 @@
 
 ``Echelon`` is the one elimination core: the reduced row echelon form of
 the rows inserted so far, one fully reduced row per pivot column, kept as a
-bit-packed int on GF(2) (bit j = column j) and as an element list driven by
-an ``Fq`` context on every other field.  Column ``ncols`` carries an
-optional right-hand side b of A x = b; it becomes a pivot exactly when the
-rows so far are inconsistent.  A row may carry b itself at column
-``ncols``: a list of ncols + 1 elements, or on GF(2) an int with bit j =
-column j.  ``approx`` hands over its constraint rows that way, packed on
-GF(2), so only list rows are packed entry by entry here.  The reduced form
-of a row space is unique, so results do not depend on row order or on how
-rows are given, and a caller can test feasibility after each batch of rows
-without starting over.  Pivot rows are never changed in place: a GF(2) row
-is an int, and ``insert`` replaces a list row it reduces by a reduced copy
-(copy-on-write).  So ``pivots.copy()`` is a snapshot of the form that later
-inserts leave intact, on every field.  ``nullspace`` and ``solve_affine``
-wrap one ``Echelon`` each and pass ncols-wide rows and b; basis vectors
-come out in a canonical order (free columns ascending, unit entry at the
-free column).
+bit-packed int on GF(2) (bit j = column j) and as an element list on every
+other field, updated by one ``Fq`` row operation per pivot (``sub_scaled``,
+``scaled``), which hides whether the field uses tables or digit loops.
+Column ``ncols`` carries an optional right-hand side b of A x = b; it
+becomes a pivot exactly when the rows so far are inconsistent.  A row may
+carry b itself at column ``ncols``: a list of ncols + 1 elements, or on
+GF(2) an int with bit j = column j.  ``approx`` hands over its constraint
+rows that way, packed on GF(2), so only list rows are packed entry by entry
+here.  The reduced form of a row space is unique, so results do not depend
+on row order or on how rows are given, and a caller can test feasibility
+after each batch of rows without starting over.  Pivot rows are never
+changed in place: a GF(2) row is an int, and ``insert`` replaces a list row
+it reduces by a reduced copy (copy-on-write).  So ``pivots.copy()`` is a
+snapshot of the form that later inserts leave intact, on every field.
+``nullspace`` and ``solve_affine`` wrap one ``Echelon`` each and pass
+ncols-wide rows and b; basis vectors come out in a canonical order (free
+columns ascending, unit entry at the free column).
 """
 
 from __future__ import annotations
@@ -85,22 +86,18 @@ class Echelon:
         for pc, p in self.pivots.items():
             f = r[pc]
             if f:
-                for j in range(pc, len(r)):
-                    if p[j]:
-                        r[j] = F.sub(r[j], F.mul(f, p[j]))
+                F.sub_scaled(r, f, p, pc)
         col = next((j for j, c in enumerate(r) if c), None)
         if col is None:
             return
         inv = F.inv(r[col])
         if inv != 1:
-            r = [F.mul(inv, c) for c in r]
+            r = F.scaled(inv, r)
         for pc, p in self.pivots.items():
             f = p[col]
             if f:
                 p = p.copy()  # copy-on-write: a snapshot may still hold p
-                for j in range(col, len(r)):
-                    if r[j]:
-                        p[j] = F.sub(p[j], F.mul(f, r[j]))
+                F.sub_scaled(p, f, r, col)
                 self.pivots[pc] = p
         self.pivots[col] = r
 

@@ -206,3 +206,34 @@ def test_large_prime_field_loops():
     F = Fq(67)
     assert F._mul is None
     assert F.mul(66, 66) == 1 and F.sub(3, 5) == 65 and F.mul(5, F.inv(5)) == 1
+
+
+ROW_OP_FIELDS = {
+    "F4": Fq(2, 2),
+    "F9": Fq(3, 2),
+    "F64": TABLE_FIELDS["F64"],
+    "F67": Fq(67),
+    "F128": Fq(2, 7, (1, 1, 0, 0, 0, 0, 0, 1)),  # X^7 + X + 1
+}
+
+
+@pytest.mark.parametrize("name", list(ROW_OP_FIELDS))
+def test_row_ops_equal_per_element_ops(name):
+    # sub_scaled and scaled against sub and mul entry by entry, on tabled
+    # fields (up to q = TABLE_LIMIT) and on the digit loops above it
+    F = ROW_OP_FIELDS[name]
+    assert (F._mul is None) == (F.q > TABLE_LIMIT)
+    rng = random.Random(f"row-ops:{name}")
+    for _ in range(60):
+        n = rng.randrange(0, 12)
+        r = [rng.randrange(F.q) if rng.random() < 0.7 else 0 for _ in range(n)]
+        p = [rng.randrange(F.q) if rng.random() < 0.7 else 0 for _ in range(n)]
+        f, start = rng.randrange(F.q), rng.randrange(0, n + 1)
+        before, p_before = list(r), list(p)
+        F.sub_scaled(r, f, p, start)
+        assert r == before[:start] + [
+            F.sub(a, F.mul(f, c)) for a, c in zip(before[start:], p[start:])
+        ]
+        assert p == p_before
+        assert F.scaled(f, p) == [F.mul(f, c) for c in p]
+        assert p == p_before

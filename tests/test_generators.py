@@ -5,6 +5,7 @@ import pytest
 
 from ffdioph import (
     ConfigError,
+    PrecisionExhaustedError,
     Fq,
     LaurentSeries,
     NEG_INF,
@@ -128,6 +129,23 @@ def test_plant_witness_reverifies_and_repeats():
 def test_plant_witness_dim_requirement():
     with pytest.raises(ValueError):
         PlantParams(F2, 2, 2, Fraction(1), Fraction(1), 4, -60)
+
+
+def test_noise_below_the_floor_is_precision_exhausted():
+    # a noise row whose top lies below the floor it is drawn to cannot be
+    # drawn; both callers then lose the instance to precision, not to a
+    # ValueError that would read as invalid input
+    with pytest.raises(PrecisionExhaustedError, match="below the floor"):
+        _noise_series(F2, -135, -134, derive_rng(0, "noise"))
+    assert _noise_series(F2, -134, -134, derive_rng(0, "noise")).top == -134
+    # limsup eta 16, floor -110, seed 5: instances 5 and 9 plant a noise row
+    # of degree -135 under work = floor - 24 = -134
+    for idx in (5, 9):
+        with pytest.raises(PrecisionExhaustedError, match="noise of degree -135"):
+            plant_membership_pair(F2, Fraction(16), 5 * 32452843 + idx, -110)
+    # plant_witness: the target error rows lie below a floor of -5
+    with pytest.raises(PrecisionExhaustedError, match="below the floor -5"):
+        plant_witness(PlantParams(F2, 1, 1, Fraction(1), Fraction(1), 3, -5), 9)
 
 
 def test_plant_exact_hit():

@@ -211,3 +211,105 @@ def test_pivot_snapshot_survives_later_inserts(field):
         assert whole.pivots == frozen
     # later inserts did reduce rows the snapshot holds
     assert reduced_after_snapshot >= 10
+
+
+def _mod_p_ops(p):
+    return (lambda a, b: (a - b) % p, lambda a, b: a * b % p, lambda a: pow(a, p - 2, p))
+
+
+def _gf2_poly_ops(modulus_bits, d):
+    """F_2[X]/(modulus) on ints with bit i = coefficient of X^i."""
+
+    def mul(a, b):
+        prod = 0
+        while b:
+            if b & 1:
+                prod ^= a
+            b >>= 1
+            a <<= 1
+            if a >> d & 1:
+                a ^= modulus_bits
+        return prod
+
+    def inv(a):
+        result, e = 1, 2**d - 2
+        while e:
+            if e & 1:
+                result = mul(result, a)
+            a, e = mul(a, a), e >> 1
+        return result
+
+    return (lambda a, b: a ^ b, mul, inv)
+
+
+def _rank(rows, ops):
+    """Rank by plain Gauss-Jordan elimination with the given (sub, mul, inv)."""
+    sub, mul, inv = ops
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        k = inv(rows[rank][col])
+        rows[rank] = [mul(k, c) for c in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize(
+    "field, ops",
+    [
+        (Fq(67), _mod_p_ops(67)),
+        (Fq(2, 7, (1, 1, 0, 0, 0, 0, 0, 1)), _gf2_poly_ops(0b10000011, 7)),
+    ],
+    ids=["F67", "F128"],
+)
+def test_elimination_above_table_limit(field, ops):
+    # fields above TABLE_LIMIT run the row operations' digit loops; rows are
+    # built as combinations of a few random ones, so most systems are rank
+    # deficient, and half the right-hand sides are A x0 (consistent)
+    import random
+
+    from ffdioph.field import TABLE_LIMIT
+
+    assert field.q > TABLE_LIMIT
+    rng = random.Random(f"big-field:{field.q}")
+    deficient = inconsistent = 0
+    for _ in range(30):
+        ncols = rng.randrange(1, 7)
+        gens = [[rng.randrange(field.q) for _ in range(ncols)] for _ in range(rng.randrange(1, 5))]
+        rows = []
+        for _ in range(rng.randrange(1, 7)):
+            row = [0] * ncols
+            for g in gens:
+                k = rng.randrange(field.q)
+                row = [field.add(a, field.mul(k, c)) for a, c in zip(row, g)]
+            rows.append(row)
+        if rng.random() < 0.5:
+            x0 = [rng.randrange(field.q) for _ in range(ncols)]
+            rhs = matvec_mod(field, rows, x0)
+        else:
+            rhs = [rng.randrange(field.q) for _ in rows]
+        basis = nullspace(field, rows, ncols)
+        x, affine_basis = solve_affine(field, rows, rhs, ncols)
+        assert affine_basis == basis
+        for vec in basis:
+            assert any(vec) and matvec_mod(field, rows, vec) == [0] * len(rows)
+        # the rank comes from an elimination written here, on the test's own
+        # field arithmetic: mod 67, or bit polynomials mod X^7 + X + 1
+        rank = _rank(rows, ops)
+        assert len(basis) == ncols - rank
+        augmented = _rank([row + [b] for row, b in zip(rows, rhs)], ops)
+        assert (x is None) == (augmented > rank)
+        deficient += rank < min(len(rows), ncols)
+        if x is None:
+            inconsistent += 1
+        else:
+            assert matvec_mod(field, rows, x) == rhs
+    assert inconsistent > 0 and deficient > 0
