@@ -30,6 +30,14 @@ column bounded by D; the multiplicative one (m = 1) passes the shapes
 (D_1..D_n) with sum D_j = T-1, whose decided boxes combine by the
 enumeration's rule (``_BruteBest``), so it never enumerates.
 
+One order basis serves every homogeneous standard box at once
+(``order_basis_depths``): when every entry of Y is truncated at one floor
+-L, it gives the scan's K for each degree bound D below its cap, from one
+pass over the orders 0..L of [A | -I], where A holds Y's digits as
+polynomials in z.  Its rows are digit lists reduced by ``Fq.sub_scaled``.
+``exponents.profile`` reads such profiles off it and keeps the kernel
+decision for capped bounds and one check.
+
 The enumeration is one search (``_brute``) over one candidate enumerator
 (``_iter_q``: deg q_j <= caps[j] and plus-product degree <= budget, each
 coordinate drawn from ``poly.iter_polys``) for both objectives.  The
@@ -404,6 +412,74 @@ def _kernel_best(Y: SeriesMatrix, theta, boxes) -> tuple[DegValue, Witness]:
         B, w = _decide_box(Y, theta, *scan)
         best.offer(B, w.q, w.p)
     return best.result()
+
+
+# ---------------------------------------------------------------------------
+# Homogeneous standard boxes, order basis
+#
+# Put A_ij(z) = sum_k a_ijk z^(k-1), a_ijk being Y_ij's digit at -k, and
+# Q*_j(z) = z^D q_j(1/z).  Digits -1..-K of every row of Y q vanish exactly
+# when sum_j A_ij Q*_j = P_i + O(z^(D+K)) with deg P_i < D, a simultaneous
+# Hermite-Pade problem, and one order basis of [A | -I] answers it for every
+# D at once (Beckermann-Labahn 1994).
+# ---------------------------------------------------------------------------
+
+
+def order_basis_depths(Y: SeriesMatrix, L: int, D_max: int) -> list[int]:
+    """[K(0), K(1), ...]: the depth scan's K for the homogeneous box
+    deg q_j <= D, for every D <= D_max below its cap, when every entry of Y
+    is truncated at -L.  Every D >= len(result) is at its cap.
+
+    The basis has n + m rows (Q*, P) of shifted degree max(deg Q*,
+    deg P + 1), unit rows to start with: Q* = e_j of degree 0 and P = -e_i
+    of degree 1.  A row is kept as its residual Q* A - P alone, m digit
+    lists of z^0..z^(L-1), with its degree: the basis reads nothing else
+    of it.  For order s and column i, the rows with a nonzero
+    coefficient of z^s there are cleared by the one of least (degree,
+    index), through ``Fq.sub_scaled``, and that pivot is multiplied by z.
+    Let δ(s) be the least degree after s orders.  The basis is reduced, so
+    some q != 0 of deg <= D clears digits -1..-(s-D) exactly when
+    δ(s) <= D (for s >= D, where a row with Q* = 0, some z^s P, has degree
+    > s).  So K(D) = max{s - D : δ(s) <= D, s <= L}, and the box is at its
+    cap exactly when δ(L) <= D or D >= L.  Every step finds a pivot, so the
+    degrees sum to m(s+1) after s orders: Minkowski's second theorem with
+    equality (Mahler 1941), checked after every order.  The basis stops
+    growing once δ(s) > D_max.
+    """
+    F, m, n = Y.field, Y.m, Y.n
+    res = [[row[j].digits(-1, -L) for row in Y.rows] for j in range(n)]
+    res += [[[int(k == i)] + [0] * (L - 1) for k in range(m)] for i in range(m)]
+    deg = [0] * n + [1] * m
+    least = [0]  # δ(0), δ(1), ...
+    for s in range(L):
+        for i in range(m):
+            live = [r for r in range(n + m) if res[r][i][s]]
+            if not live:
+                continue  # a lost pivot: the degree sum below reports it
+            piv = min(live, key=deg.__getitem__)  # ties: the least index
+            prow = res[piv]
+            inv = F.inv(prow[i][s])
+            for r in live:
+                if r != piv:
+                    f = F.mul(res[r][i][s], inv)
+                    for col, pcol in zip(res[r], prow):
+                        F.sub_scaled(col, f, pcol, s)
+            for pcol in prow:
+                pcol.insert(0, 0)
+                pcol.pop()
+            deg[piv] += 1
+        if sum(deg) != m * (s + 2):
+            raise AssertionError(f"order basis found no pivot at order {s}")
+        least.append(min(deg))
+        if least[-1] > D_max:
+            break
+    stop = min(D_max + 1, L, least[L] if len(least) > L else L)
+    depths, s = [], 0
+    for D in range(stop):
+        while least[s + 1] <= D:  # δ never falls, and its last value > D
+            s += 1
+        depths.append(s - D)
+    return depths
 
 
 # ---------------------------------------------------------------------------

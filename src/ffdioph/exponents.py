@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .approx import BestError, best_error, best_error_mult
+from .approx import BestError, best_error, best_error_mult, order_basis_depths
 from .errors import FFDiophError, PrecisionExhaustedError
 from .matrix import SeriesMatrix
 from .poly import NEG_INF
@@ -70,20 +70,48 @@ def profile(
     (see ``best_error`` and ``best_error_mult``: the multiplicative kernel
     route covers m = 1 and enumerates for m >= 2).  For the standard kind
     both routes depend on T only through the degree bound D = (T-1)//n, so
-    ``best_error`` runs once per D, at T = n*D + 1, and the other horizons
-    with that D share its entry.  Precision exhaustion in a single entry is
-    recorded as a censored value rather than aborting the whole profile.
-    Raises AssertionError if an exact entry exceeds an earlier exact one.
+    an entry is decided once per D, at T = n*D + 1, and the other horizons
+    with that D share it.  A homogeneous standard kernel profile (theta
+    None or all exact zero) whose entries of Y are all truncated at one
+    floor -L < 0 reads every D below its precision cap off one order basis
+    (``order_basis_depths``): B = -(K(D)+1)*m, with no scan and no witness.
+    ``best_error`` still decides every capped D, so censored entries are
+    the scan's, and it decides the deepest uncapped D again as a check.
+    Every other profile runs ``best_error`` (or ``best_error_mult``) per D.
+    Precision exhaustion in a single entry is recorded as a censored value
+    rather than aborting the whole profile.  Raises AssertionError if the
+    check disagrees or an exact entry exceeds an earlier exact one.
     """
     if T_max < 1:
         raise ValueError("T_max must be >= 1")
     if kind not in ("standard", "multiplicative"):
         raise ValueError(f"unknown profile kind {kind!r}")
+    depths = []  # K(D) of the uncapped degree bounds, from the order basis
+    floors = {s.floor for row in Y.rows for s in row}
+    if (
+        kind == "standard"
+        and method == "kernel"
+        and (theta is None or all(th.is_exact_zero() for th in theta))
+        and len(floors) == 1
+        and NEG_INF < min(floors) < 0
+    ):
+        depths = order_basis_depths(Y, -min(floors), (T_max - 1) // Y.n)
     entries = []
     for T in range(1, T_max + 1):
+        D = (T - 1) // Y.n
         if kind == "standard" and (T - 1) % Y.n:
-            # same degree bound D = (T-1)//n as T-1: reuse its entry
+            # same degree bound D as T-1: reuse its entry
             entries.append(ProfileEntry(T, entries[-1].B))
+            continue
+        if D < len(depths):
+            B = DegValue.exact(-(depths[D] + 1) * Y.m)
+            if D == len(depths) - 1:
+                check = best_error(Y, theta, T, method=method).B
+                if check != B:
+                    raise AssertionError(
+                        f"order basis gives B({T}) = {B}, the scan {check}"
+                    )
+            entries.append(ProfileEntry(T, B))
             continue
         try:
             if kind == "standard":

@@ -16,6 +16,9 @@ after each batch of rows without starting over.  Pivot rows are never
 changed in place: a GF(2) row is an int, and ``insert`` replaces a list row
 it reduces by a reduced copy (copy-on-write).  So ``pivots.copy()`` is a
 snapshot of the form that later inserts leave intact, on every field.
+On GF(2) a new pivot row is swept out of the other pivot rows only if some
+row added before held its pivot bit, so inserting rows that are already
+reduced, as the solvers do with a scan's pivot rows, costs no sweep.
 ``nullspace`` and ``solve_affine`` wrap one ``Echelon`` each and pass
 ncols-wide rows and b; basis vectors come out in a canonical order (free
 columns ascending, unit entry at the free column).
@@ -35,6 +38,7 @@ class Echelon:
         self.gf2 = field.is_gf2()
         self.pivots: dict[int, object] = {}  # pivot column -> reduced row
         self._mask = 0  # GF(2): bit set of the pivot columns
+        self._seen = 0  # GF(2): OR of the pivot rows ever added
 
     def insert(self, row: list[int] | int, b: int = 0) -> None:
         """Add the equation row . x = b.
@@ -75,11 +79,15 @@ class Echelon:
             return
         low = v & -v
         col = low.bit_length() - 1
-        for pc, r in self.pivots.items():
-            if r & low:
-                self.pivots[pc] = r ^ v
+        # every pivot row is a sum of rows added before, so only a bit one
+        # of those held can need clearing: a reduced row skips the sweep
+        if self._seen & low:
+            for pc, r in self.pivots.items():
+                if r & low:
+                    self.pivots[pc] = r ^ v
         self.pivots[col] = v
         self._mask |= low
+        self._seen |= v
 
     def _insert_generic(self, r: list[int]) -> None:
         F = self.field

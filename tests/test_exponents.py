@@ -243,3 +243,126 @@ def test_profile_reuses_a_censored_degree_bound(monkeypatch):
     prof = profile(Y, None, 4, "standard")
     assert seen == [1, 3]
     assert [e.B for e in prof.entries] == [DegValue.censored_at(-1)] * 4
+
+
+def per_bound(Y, theta, T, method="kernel"):
+    """B(T) from best_error alone, as profile records it."""
+    from ffdioph.approx import best_error
+
+    try:
+        return best_error(Y, theta, T, method).B
+    except PrecisionExhaustedError:
+        return DegValue.censored_at(-Y.m)
+
+
+def random_matrix(F, m, n, floor, *tags):
+    return SeriesMatrix(
+        [[random_series(F, floor, derive_rng(21, *tags, i, j)) for j in range(n)] for i in range(m)]
+    )
+
+
+BASIS_FIELDS = {
+    "F2": Fq(2),
+    "F3": Fq(3),
+    "F4": Fq(2, 2),
+    "F5": Fq(5),
+    "F9": Fq(3, 2),
+    "F67": Fq(67),
+    "F128": Fq(2, 7, (1, 1, 0, 0, 0, 0, 0, 1)),  # X^7 + X + 1
+}
+
+
+@pytest.mark.parametrize("name", list(BASIS_FIELDS))
+def test_basis_profile_equals_best_error_per_degree_bound(name):
+    # a homogeneous kernel profile on one common floor reads its uncapped
+    # entries off the order basis; each must equal best_error's own scan, at
+    # deep floors (nearly all uncapped) and shallow ones (mostly capped)
+    F = BASIS_FIELDS[name]
+    uncapped = capped = 0
+    for m, n in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)]:
+        for floor, T_max in [(-60 - 10 * m * n % 31, 10 * n), (-6 - m * n, 12 * n)]:
+            Y = random_matrix(F, m, n, floor, "basis", name, m, n, floor)
+            prof = profile(Y, None, T_max, "standard", "kernel")
+            assert [e.B for e in prof.entries] == [
+                per_bound(Y, None, T) for T in range(1, T_max + 1)
+            ], (m, n, floor)
+            bounds = [prof.entry(n * D + 1) for D in range((T_max - 1) // n + 1)]
+            capped += sum(e.censored for e in bounds)
+            uncapped += sum(not e.censored for e in bounds)
+    assert uncapped >= 70 and capped >= 30
+
+
+@pytest.mark.parametrize("theta", [None, "zero"])
+@pytest.mark.parametrize("m, n, floor, T_max", [(1, 1, -12, 14), (1, 2, -9, 16), (2, 1, -10, 9), (2, 2, -11, 14)])
+def test_basis_profile_calls_best_error_at_capped_and_check_bounds(monkeypatch, m, n, floor, T_max, theta):
+    # best_error decides each capped degree bound and, as a check, the
+    # deepest uncapped one, and no other; an all-exact-zero theta is None
+    import ffdioph.exponents as exponents
+
+    real = exponents.best_error
+    seen = []
+
+    def spy(Y, theta, T, method="kernel"):
+        seen.append(T)
+        return real(Y, theta, T, method=method)
+
+    Y = random_matrix(Fq(3), m, n, floor, "spy", m, n)
+    shift = None if theta is None else (LaurentSeries.zero(Y.field),) * m
+    bounds = [per_bound(Y, None, n * D + 1) for D in range((T_max - 1) // n + 1)]
+    last = max(D for D, B in enumerate(bounds) if not B.censored)
+    assert any(B.censored for B in bounds) and last > 0
+    monkeypatch.setattr(exponents, "best_error", spy)
+    prof = profile(Y, shift, T_max, "standard", "kernel")
+    assert seen == [n * D + 1 for D, B in enumerate(bounds) if B.censored or D == last]
+    assert [prof.entry(n * D + 1).B for D in range(len(bounds))] == bounds
+
+
+def test_basis_profile_check_refuses_a_wrong_value(monkeypatch):
+    import ffdioph.exponents as exponents
+    from dataclasses import replace
+
+    real = exponents.best_error
+
+    def off_by_one(Y, theta, T, method="kernel"):
+        be = real(Y, theta, T, method=method)
+        return be if be.censored else replace(be, B=be.B.shift(-1))
+
+    monkeypatch.setattr(exponents, "best_error", off_by_one)
+    Y = random_matrix(F2, 1, 1, -40, "wrong")
+    with pytest.raises(AssertionError, match="order basis gives B"):
+        profile(Y, None, 12, "standard", "kernel")
+
+
+def _profile_inputs():
+    F3 = Fq(3)
+    common = random_matrix(F3, 1, 2, -40, "route")
+    exact = SeriesMatrix([[parse_series_literal(t, F3) for t in ("X^-1 + X^-4", "X^-2 + X^-3")]])
+    mixed = SeriesMatrix([[common.entry(0, 0), common.entry(0, 1).truncate(-39)]])
+    shift = (random_series(F3, -40, derive_rng(21, "route-theta")),)
+    return {
+        "exact": (exact, None, "standard", "kernel"),
+        "mixed-floor": (mixed, None, "standard", "kernel"),
+        "shifted": (common, shift, "standard", "kernel"),
+        "brute": (random_matrix(F2, 1, 2, -12, "route-brute"), None, "standard", "brute"),
+        "multiplicative": (common, None, "multiplicative", "kernel"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_profile_inputs()))
+def test_other_profiles_call_best_error_for_every_bound(monkeypatch, case):
+    import ffdioph.exponents as exponents
+
+    Y, theta, kind, method = _profile_inputs()[case]
+    seen = []
+    for name in ("best_error", "best_error_mult"):
+        real = getattr(exponents, name)
+
+        def spy(Y, theta, T, method="kernel", real=real):
+            seen.append(T)
+            return real(Y, theta, T, method=method)
+
+        monkeypatch.setattr(exponents, name, spy)
+    T_max = 7
+    profile(Y, theta, T_max, kind, method)
+    step = Y.n if kind == "standard" else 1
+    assert seen == list(range(1, T_max + 1, step))

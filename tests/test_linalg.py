@@ -122,6 +122,50 @@ def test_gf2_packed_rows_equal_list_rows():
     }
 
 
+def test_gf2_reduced_rows_give_the_raw_rows_form():
+    # inserting the pivot rows of a GF(2) echelon form into a fresh one (the
+    # scan's pivot rows going to nullspace and solve_affine) skips every
+    # back-substitution sweep, and gives the same form, solution and basis
+    # as the raw rows, also in another order
+    import random
+
+    class Sweeps(dict):
+        """A pivots dict that counts the sweeps over its rows."""
+
+        count = 0
+
+        def items(self):
+            self.count += 1
+            return super().items()
+
+    F = Fq(2)
+    rng = random.Random("gf2-reduced-rows")
+    for _ in range(200):
+        ncols = rng.randrange(1, 40)
+        density = rng.choice([0.1, 0.5, 0.9])
+        shifted = rng.random() < 0.5
+        eqs = [
+            (sum(int(rng.random() < density) << j for j in range(ncols)),
+             rng.randrange(2) if shifted else 0)
+            for _ in range(rng.randrange(0, ncols + 5))
+        ]
+        raw = Echelon(F, ncols)
+        for row, b in eqs:
+            raw.insert(row, b)
+        shuffled = Echelon(F, ncols)
+        for row, b in rng.sample(eqs, len(eqs)):
+            shuffled.insert(row, b)
+        reduced = Echelon(F, ncols)
+        reduced.pivots = Sweeps()
+        for r in raw.pivots.values():
+            reduced.insert(r)
+        assert reduced.pivots.count == 0
+        for ech in (shuffled, reduced):
+            assert ech.pivots == raw.pivots
+            assert ech.basis() == raw.basis()
+            assert ech.solution() == raw.solution()
+
+
 def test_carried_rhs_adds_to_b():
     # b is added to a right-hand side the row already carries at column ncols
     assert solve_affine(Fq(3), [[1, 0, 0]], [1], 2)[0] == [1, 0]
