@@ -30,13 +30,16 @@ column bounded by D; the multiplicative one (m = 1) passes the shapes
 (D_1..D_n) with sum D_j = T-1, whose decided boxes combine by the
 enumeration's rule (``_BruteBest``), so it never enumerates.
 
-One order basis serves every homogeneous standard box at once
-(``order_basis_depths``): when every entry of Y is truncated at one floor
--L, it gives the scan's K for each degree bound D below its cap, from one
-pass over the orders 0..L of [A | -I], where A holds Y's digits as
-polynomials in z.  Its rows are digit lists reduced by ``Fq.sub_scaled``.
-``exponents.profile`` reads such profiles off it and keeps the kernel
-decision for capped bounds and one check.
+One order basis serves every standard box at once (``order_basis_depths``):
+when every entry of Y and every non-zero entry of theta is truncated at one
+floor -L, it gives the scan's K for each degree bound D below its cap, from
+one pass over the orders of [A | -I], where A holds Y's digits as
+polynomials in z; a shift adds a row z^D Theta per D, reduced alongside the
+basis until it would pivot.  A residual is one int on GF(2), reduced by
+XOR, and one digit list reduced by ``Fq.sub_scaled`` elsewhere, grown over
+a window of orders before all L digits.  ``exponents.profile`` reads such
+profiles off it and keeps the kernel decision for capped bounds and one
+check.
 
 The enumeration is one search (``_brute``) over one candidate enumerator
 (``_iter_q``: deg q_j <= caps[j] and plus-product degree <= budget, each
@@ -415,71 +418,138 @@ def _kernel_best(Y: SeriesMatrix, theta, boxes) -> tuple[DegValue, Witness]:
 
 
 # ---------------------------------------------------------------------------
-# Homogeneous standard boxes, order basis
+# Standard boxes, order basis
 #
 # Put A_ij(z) = sum_k a_ijk z^(k-1), a_ijk being Y_ij's digit at -k, and
 # Q*_j(z) = z^D q_j(1/z).  Digits -1..-K of every row of Y q vanish exactly
 # when sum_j A_ij Q*_j = P_i + O(z^(D+K)) with deg P_i < D, a simultaneous
 # Hermite-Pade problem, and one order basis of [A | -I] answers it for every
-# D at once (Beckermann-Labahn 1994).
+# D at once (Beckermann-Labahn 1994).  A shift adds Theta_i(z), theta_i's
+# digits -1, -2, ... at z^0, z^1, ..., as one more row z^D Theta per D.
 # ---------------------------------------------------------------------------
 
 
-def order_basis_depths(Y: SeriesMatrix, L: int, D_max: int) -> list[int]:
-    """[K(0), K(1), ...]: the depth scan's K for the homogeneous box
-    deg q_j <= D, for every D <= D_max below its cap, when every entry of Y
-    is truncated at -L.  Every D >= len(result) is at its cap.
+def order_basis_depths(Y: SeriesMatrix, theta, L: int, D_max: int) -> list[int]:
+    """[K(0), K(1), ...]: the depth scan's K for the box deg q_j <= D of
+    Y q + theta (theta None: homogeneous), for every D <= D_max below its
+    cap, when every entry of Y and every non-zero entry of theta is
+    truncated at -L.  Every D >= len(result) is at its cap.
 
     The basis has n + m rows (Q*, P) of shifted degree max(deg Q*,
     deg P + 1), unit rows to start with: Q* = e_j of degree 0 and P = -e_i
-    of degree 1.  A row is kept as its residual Q* A - P alone, m digit
-    lists of z^0..z^(L-1), with its degree: the basis reads nothing else
-    of it.  For order s and column i, the rows with a nonzero
-    coefficient of z^s there are cleared by the one of least (degree,
-    index), through ``Fq.sub_scaled``, and that pivot is multiplied by z.
+    of degree 1.  A row is kept as its residual Q* A - P alone, with its
+    degree: the basis reads nothing else of it.  A residual is one sequence
+    whose entry s*m + i is the coefficient of z^s in column i: an int on
+    GF(2), where a row operation is XOR and z is << m, and a digit list
+    reduced by ``Fq.sub_scaled`` elsewhere.  For order s and column i, the
+    rows with a nonzero coefficient of z^s there are cleared by the one of
+    least (degree, index), and that pivot is multiplied by z.  Every step
+    finds a pivot, so the degrees sum to m(s+1) after s orders: Minkowski's
+    second theorem with equality (Mahler 1941), checked after every order.
+
     Let δ(s) be the least degree after s orders.  The basis is reduced, so
-    some q != 0 of deg <= D clears digits -1..-(s-D) exactly when
+    some q != 0 of deg <= D clears digits -1..-(s-D) of Y q exactly when
     δ(s) <= D (for s >= D, where a row with Q* = 0, some z^s P, has degree
-    > s).  So K(D) = max{s - D : δ(s) <= D, s <= L}, and the box is at its
-    cap exactly when δ(L) <= D or D >= L.  Every step finds a pivot, so the
-    degrees sum to m(s+1) after s orders: Minkowski's second theorem with
-    equality (Mahler 1941), checked after every order.  The basis stops
-    growing once δ(s) > D_max.
+    > s).  So K(D) = max{s - D : δ(s) <= D, s <= L}, the box is at its cap
+    exactly when δ(L) <= D or D >= L.
+
+    A shift adds, just before order D, a last row (0, z^D, 0) of degree D
+    whose residual is z^D Theta: the order basis of [A; z^D Theta; -I].  A
+    row of degree <= D holds the shift as c z^D, and the shift row is the
+    only one with c != 0 there until it pivots, which it does only over
+    rows of larger degree.  So depth k = s - D + 1 is feasible exactly when
+    the shift row has not pivoted by order s (q != 0, as theta does not
+    clear the k digits), unless theta itself clears them (k <= zθ, digits
+    -1..-zθ being zero in every theta_i): then q must be a nonzero
+    homogeneous solution, so δ(s+1) <= D; theta None is zθ = L.  K(D) is
+    the last feasible depth; a D feasible at depth L - D is at its cap, and
+    so is every larger D.  Until it pivots, the shift row reduces no other
+    row, so the others stay the basis of [A | -I] and the degrees sum to
+    m(s+2) + D after order s: one basis serves every D, and each open D
+    keeps only its shift row, cleared by the basis's pivots.  The basis
+    stops once every D <= D_max is decided.
+
+    Residuals are grown on a window of W orders near the (D_max+1)(n+m)/m
+    that the basis takes in general, and on all L only when it has not
+    stopped inside the window: orders below W read only coefficients below
+    W, so both give the same depths.
     """
     F, m, n = Y.field, Y.m, Y.n
-    res = [[row[j].digits(-1, -L) for row in Y.rows] for j in range(n)]
-    res += [[[int(k == i)] + [0] * (L - 1) for k in range(m)] for i in range(m)]
-    deg = [0] * n + [1] * m
-    least = [0]  # δ(0), δ(1), ...
-    for s in range(L):
-        for i in range(m):
-            live = [r for r in range(n + m) if res[r][i][s]]
-            if not live:
-                continue  # a lost pivot: the degree sum below reports it
-            piv = min(live, key=deg.__getitem__)  # ties: the least index
-            prow = res[piv]
-            inv = F.inv(prow[i][s])
-            for r in live:
-                if r != piv:
-                    f = F.mul(res[r][i][s], inv)
-                    for col, pcol in zip(res[r], prow):
-                        F.sub_scaled(col, f, pcol, s)
-            for pcol in prow:
-                pcol.insert(0, 0)
-                pcol.pop()
-            deg[piv] += 1
-        if sum(deg) != m * (s + 2):
-            raise AssertionError(f"order basis found no pivot at order {s}")
-        least.append(min(deg))
-        if least[-1] > D_max:
-            break
-    stop = min(D_max + 1, L, least[L] if len(least) > L else L)
-    depths, s = [], 0
-    for D in range(stop):
-        while least[s + 1] <= D:  # δ never falls, and its last value > D
-            s += 1
-        depths.append(s - D)
-    return depths
+    gf2 = F.is_gf2()
+    top = min(D_max, L - 1)  # every larger D is at its cap
+    zth = L
+    if theta is not None:
+        th = [t.digits(-1, -L) for t in theta]
+        zth = min(next((k for k, x in enumerate(t) if x), L) for t in th)
+
+    def row(cols, D=0):
+        # entry s*m + i is the coefficient of z^s in column i, orders < W
+        flat = [0] * ((D + len(cols[0])) * m)
+        for i, col in enumerate(cols):
+            flat[D * m + i :: m] = col
+        return _pack_gf2(flat) if gf2 else flat
+
+    def run(W):
+        """The depths from residuals of W orders, or None when the basis
+        has not stopped by order W - 1 and W < L."""
+        res = [row([e.digits(-1, -W) for e in col]) for col in zip(*Y.rows)]
+        res += [row([[int(k == i)] + [0] * (W - 1) for k in range(m)]) for i in range(m)]
+        deg = [0] * n + [1] * m
+        depths, shifts = {}, {}  # D -> K(D); D -> its shift row, unpivoted
+        low = 0  # every D < low is decided or has left the test on δ
+        for s in range(W):
+            if s <= top and zth < L:
+                shifts[s] = row([t[: W - s] for t in th], s)
+            for at in range(s * m, s * m + m):
+                if gf2:
+                    live = [r for r, x in enumerate(res) if x >> at & 1]
+                else:
+                    live = [r for r, x in enumerate(res) if x[at]]
+                if not live:
+                    continue  # a lost pivot: the degree sum reports it
+                piv = min(live, key=deg.__getitem__)  # ties: the least index
+                prow = res[piv]
+                inv = None if gf2 else F.inv(prow[at])
+                for D, v in list(shifts.items()) if shifts else ():
+                    if not (v >> at & 1 if gf2 else v[at]):
+                        continue
+                    if deg[piv] > D:  # it pivots itself: depth s - D + 1 fails
+                        del shifts[D]
+                        depths[D] = s - D
+                    elif gf2:
+                        shifts[D] = v ^ prow
+                    else:
+                        F.sub_scaled(v, F.mul(v[at], inv), prow, at)
+                if gf2:
+                    for r in live:
+                        if r != piv:
+                            res[r] ^= prow
+                    res[piv] = prow << m
+                else:
+                    for r in live:
+                        if r != piv:
+                            F.sub_scaled(res[r], F.mul(res[r][at], inv), prow, at)
+                    prow[:0] = [0] * m  # z times the pivot
+                    del prow[-m:]
+                deg[piv] += 1
+            if sum(deg) != m * (s + 2):
+                raise AssertionError(f"order basis found no pivot at order {s}")
+            least = min(deg)
+            while low < least and low <= s and low <= top:
+                if s - low < zth:  # theta clears depth s - low + 1: δ(s+1) > low
+                    depths[low] = s - low
+                    shifts.pop(low, None)
+                low += 1
+            if len(depths) > top:
+                break
+        else:
+            if W < L:
+                return None
+        stop = next((D for D in range(top + 1) if D not in depths), top + 1)
+        return [depths[D] for D in range(stop)]
+
+    depths = run(min((D_max + 1) * (n + m) // m + n + m, L))
+    return depths if depths is not None else run(L)
 
 
 # ---------------------------------------------------------------------------

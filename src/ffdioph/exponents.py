@@ -71,13 +71,14 @@ def profile(
     route covers m = 1 and enumerates for m >= 2).  For the standard kind
     both routes depend on T only through the degree bound D = (T-1)//n, so
     an entry is decided once per D, at T = n*D + 1, and the other horizons
-    with that D share it.  A homogeneous standard kernel profile (theta
-    None or all exact zero) whose entries of Y are all truncated at one
-    floor -L < 0 reads every D below its precision cap off one order basis
-    (``order_basis_depths``): B = -(K(D)+1)*m, with no scan and no witness.
-    ``best_error`` still decides every capped D, so censored entries are
-    the scan's, and it decides the deepest uncapped D again as a check.
-    Every other profile runs ``best_error`` (or ``best_error_mult``) per D.
+    with that D share it.  A standard kernel profile whose entries of Y,
+    and of theta but for exact zeros, are all truncated at one floor
+    -L < 0 reads every D below its precision cap off one order basis
+    (``order_basis_depths``, given an all-exact-zero theta as None):
+    B = -(K(D)+1)*m, with no scan and no witness.  ``best_error`` still
+    decides every capped D, so censored entries are the scan's, and it
+    decides the deepest uncapped D again as a check.  Every other profile
+    runs ``best_error`` (or ``best_error_mult``) per D.
     Precision exhaustion in a single entry is recorded as a censored value
     rather than aborting the whole profile.  Raises AssertionError if the
     check disagrees or an exact entry exceeds an earlier exact one.
@@ -87,15 +88,16 @@ def profile(
     if kind not in ("standard", "multiplicative"):
         raise ValueError(f"unknown profile kind {kind!r}")
     depths = []  # K(D) of the uncapped degree bounds, from the order basis
-    floors = {s.floor for row in Y.rows for s in row}
+    shift = [th for th in theta or () if not th.is_exact_zero()]
+    floors = {s.floor for row in Y.rows for s in [*row, *shift]}
     if (
         kind == "standard"
         and method == "kernel"
-        and (theta is None or all(th.is_exact_zero() for th in theta))
         and len(floors) == 1
         and NEG_INF < min(floors) < 0
     ):
-        depths = order_basis_depths(Y, -min(floors), (T_max - 1) // Y.n)
+        theta_in = theta if shift else None  # all exact zero: homogeneous
+        depths = order_basis_depths(Y, theta_in, -min(floors), (T_max - 1) // Y.n)
     entries = []
     for T in range(1, T_max + 1):
         D = (T - 1) // Y.n

@@ -14,7 +14,8 @@ from ffdioph import (
     profile,
 )
 from ffdioph.exponents import EstimateWindowError, ExponentProfile, ProfileEntry
-from ffdioph.generators import cf_series, derive_rng, lacunary_series, random_series
+from ffdioph.generators import cf_series, derive_rng, lacunary_series, random_series, rational_series
+from ffdioph.poly import Poly
 
 F2 = Fq(2)
 
@@ -223,7 +224,9 @@ def test_profile_solves_each_degree_bound_once(monkeypatch, n, T_max, calls, flo
     Y = SeriesMatrix(
         [[random_series(F2, floor, derive_rng(31, "once", n, j)) for j in range(n)]]
     )
-    theta = (random_series(F2, floor, derive_rng(31, "once-theta", n)),)
+    # a shift one digit deeper than Y: two floors keep the kernel route off
+    # the order basis, so it too decides each degree bound by best_error
+    theta = (random_series(F2, floor - 1, derive_rng(31, "once-theta", n)),)
     prof = profile(Y, theta, T_max, "standard", method)
     assert seen == [n * D + 1 for D in range(calls)]
     assert [e.B for e in prof.entries] == [fresh(T) for T in range(1, T_max + 1)]
@@ -272,31 +275,53 @@ BASIS_FIELDS = {
 }
 
 
+def shifts_on_floor(F, m, floor, *tags):
+    """Shifts whose non-zero entries sit on Y's floor: a random one, one whose
+    first 1-3 digits are zero in every row, and one zero down to the floor
+    (not exact zero)."""
+    rand = [random_series(F, floor, derive_rng(21, "shift", *tags, i)) for i in range(m)]
+    z = 1 + derive_rng(21, "zeros", *tags).randrange(3)
+    lead = [
+        LaurentSeries.from_terms(F, {e: c for e, c in t.terms().items() if e < -z}, floor)
+        for t in rand
+    ]
+    zero = [LaurentSeries.zero(F, floor)] * m
+    return {"random": rand, "leading-zeros": lead, "zero-to-floor": zero}
+
+
 @pytest.mark.parametrize("name", list(BASIS_FIELDS))
 def test_basis_profile_equals_best_error_per_degree_bound(name):
-    # a homogeneous kernel profile on one common floor reads its uncapped
-    # entries off the order basis; each must equal best_error's own scan, at
-    # deep floors (nearly all uncapped) and shallow ones (mostly capped)
+    # a kernel profile on one common floor reads its uncapped entries off the
+    # order basis; each must equal best_error's own scan, at deep floors
+    # (nearly all uncapped) and shallow ones (mostly capped), with theta None
+    # on every shape and one of shifts_on_floor's shifts in turn
     F = BASIS_FIELDS[name]
     uncapped = capped = 0
+    kinds = []
     for m, n in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)]:
         for floor, T_max in [(-60 - 10 * m * n % 31, 10 * n), (-6 - m * n, 12 * n)]:
             Y = random_matrix(F, m, n, floor, "basis", name, m, n, floor)
-            prof = profile(Y, None, T_max, "standard", "kernel")
-            assert [e.B for e in prof.entries] == [
-                per_bound(Y, None, T) for T in range(1, T_max + 1)
-            ], (m, n, floor)
-            bounds = [prof.entry(n * D + 1) for D in range((T_max - 1) // n + 1)]
-            capped += sum(e.censored for e in bounds)
-            uncapped += sum(not e.censored for e in bounds)
-    assert uncapped >= 70 and capped >= 30
+            shifts = shifts_on_floor(F, m, floor, name, m, n)
+            kind = list(shifts)[len(kinds) % len(shifts)]
+            kinds.append(kind)
+            for theta in (None, shifts[kind]):
+                prof = profile(Y, theta, T_max, "standard", "kernel")
+                want = []  # best_error depends on T only through D = (T-1)//n
+                for T in range(1, T_max + 1):
+                    want.append(want[-1] if (T - 1) % n else per_bound(Y, theta, T))
+                assert [e.B for e in prof.entries] == want, (m, n, floor, theta and kind)
+                bounds = [prof.entry(n * D + 1) for D in range((T_max - 1) // n + 1)]
+                capped += sum(e.censored for e in bounds)
+                uncapped += sum(not e.censored for e in bounds)
+    assert uncapped >= 140 and capped >= 60
 
 
-@pytest.mark.parametrize("theta", [None, "zero"])
+@pytest.mark.parametrize("theta", [None, "zero", "random"])
 @pytest.mark.parametrize("m, n, floor, T_max", [(1, 1, -12, 14), (1, 2, -9, 16), (2, 1, -10, 9), (2, 2, -11, 14)])
 def test_basis_profile_calls_best_error_at_capped_and_check_bounds(monkeypatch, m, n, floor, T_max, theta):
     # best_error decides each capped degree bound and, as a check, the
-    # deepest uncapped one, and no other; an all-exact-zero theta is None
+    # deepest uncapped one, and no other; an all-exact-zero theta is None,
+    # and a random one on Y's floor goes through the basis as well
     import ffdioph.exponents as exponents
 
     real = exponents.best_error
@@ -307,8 +332,12 @@ def test_basis_profile_calls_best_error_at_capped_and_check_bounds(monkeypatch, 
         return real(Y, theta, T, method=method)
 
     Y = random_matrix(Fq(3), m, n, floor, "spy", m, n)
-    shift = None if theta is None else (LaurentSeries.zero(Y.field),) * m
-    bounds = [per_bound(Y, None, n * D + 1) for D in range((T_max - 1) // n + 1)]
+    shift = {
+        None: None,
+        "zero": (LaurentSeries.zero(Y.field),) * m,
+        "random": shifts_on_floor(Y.field, m, floor, "spy", m, n)["random"],
+    }[theta]
+    bounds = [per_bound(Y, shift, n * D + 1) for D in range((T_max - 1) // n + 1)]
     last = max(D for D, B in enumerate(bounds) if not B.censored)
     assert any(B.censored for B in bounds) and last > 0
     monkeypatch.setattr(exponents, "best_error", spy)
@@ -329,8 +358,9 @@ def test_basis_profile_check_refuses_a_wrong_value(monkeypatch):
 
     monkeypatch.setattr(exponents, "best_error", off_by_one)
     Y = random_matrix(F2, 1, 1, -40, "wrong")
-    with pytest.raises(AssertionError, match="order basis gives B"):
-        profile(Y, None, 12, "standard", "kernel")
+    for theta in (None, shifts_on_floor(F2, 1, -40, "wrong")["random"]):
+        with pytest.raises(AssertionError, match="order basis gives B"):
+            profile(Y, theta, 12, "standard", "kernel")
 
 
 def _profile_inputs():
@@ -338,7 +368,8 @@ def _profile_inputs():
     common = random_matrix(F3, 1, 2, -40, "route")
     exact = SeriesMatrix([[parse_series_literal(t, F3) for t in ("X^-1 + X^-4", "X^-2 + X^-3")]])
     mixed = SeriesMatrix([[common.entry(0, 0), common.entry(0, 1).truncate(-39)]])
-    shift = (random_series(F3, -40, derive_rng(21, "route-theta")),)
+    # on another floor than Y's, a shift keeps the profile off the order basis
+    shift = (random_series(F3, -39, derive_rng(21, "route-theta")),)
     return {
         "exact": (exact, None, "standard", "kernel"),
         "mixed-floor": (mixed, None, "standard", "kernel"),
@@ -366,3 +397,48 @@ def test_other_profiles_call_best_error_for_every_bound(monkeypatch, case):
     profile(Y, theta, T_max, kind, method)
     step = Y.n if kind == "standard" else 1
     assert seen == list(range(1, T_max + 1, step))
+
+
+def _window_inputs():
+    F3, F128 = Fq(3), BASIS_FIELDS["F128"]
+    den = Poly(F3, [1, 1, 1])
+    rational = SeriesMatrix([[rational_series(F3, Poly(F3, [1]), den, -30)]])
+    return {
+        # F128 3x2: the basis stops inside its window of 21 orders, far
+        # above the floor -89
+        "window": (random_matrix(F128, 3, 2, -89, "basis", "F128", 3, 2, -89), None, 89, 9),
+        # 1/(X^2+X+1): δ stays at most 2, so the basis never stops and every
+        # D >= 2 is at its cap; the same with a shift of one denominator
+        "fallback": (rational, None, 30, 6),
+        "fallback-shifted": (rational, (rational_series(F3, Poly(F3, [0, 1]), den, -30),), 30, 6),
+    }
+
+
+@pytest.mark.parametrize("case", list(_window_inputs()))
+def test_order_basis_reads_all_digits_only_past_its_window(monkeypatch, case):
+    # the basis reduces residuals over a window of orders first and over all
+    # L digits only when it has not stopped inside it; either way its depths
+    # are the scan's, and the first capped D is capped for best_error too
+    from ffdioph.approx import order_basis_depths
+
+    Y, theta, L, D_max = _window_inputs()[case]
+    entries = [s for row in Y.rows for s in row]
+    real, lows = LaurentSeries.digits, []
+
+    def spy(self, hi, lo):
+        if any(self is s for s in entries):
+            lows.append(lo)
+        return real(self, hi, lo)
+
+    monkeypatch.setattr(LaurentSeries, "digits", spy)
+    depths = order_basis_depths(Y, theta, L, D_max)
+    monkeypatch.undo()
+    if case == "window":
+        assert -L < min(lows) and len(depths) == D_max + 1
+    else:
+        assert -L < max(lows) and min(lows) == -L and len(depths) <= D_max
+    n, m = Y.n, Y.m
+    got = [DegValue.exact(-(K + 1) * m) for K in depths]
+    assert got == [per_bound(Y, theta, n * D + 1) for D in range(len(depths))]
+    if len(depths) <= D_max:
+        assert per_bound(Y, theta, n * len(depths) + 1).censored
