@@ -31,15 +31,15 @@ column bounded by D; the multiplicative one (m = 1) passes the shapes
 enumeration's rule (``_BruteBest``), so it never enumerates.
 
 One order basis serves every standard box at once (``order_basis_depths``):
-when every entry of Y and every non-zero entry of theta is truncated at one
-floor -L, it gives the scan's K for each degree bound D below its cap, from
-one pass over the orders of [A | -I], where A holds Y's digits as
-polynomials in z; a shift adds a row z^D Theta per D, reduced alongside the
-basis until it would pivot.  A residual is one int on GF(2), reduced by
-XOR, and one digit list reduced by ``Fq.sub_scaled`` elsewhere, grown over
-a window of orders before all L digits.  ``exponents.profile`` reads such
-profiles off it and keeps the kernel decision for capped bounds and one
-check.
+it gives the scan's K for each degree bound D below its cap, from one pass
+over the orders of [A | -I], where A holds Y's digits as polynomials in z,
+read down to -L: L is minus the shallowest finite floor of Y and theta, or
+on all-exact inputs the exact cap plus the largest D.  A shift adds a row
+z^D Theta per D, reduced alongside the basis until it would pivot.  A
+residual is one int on GF(2), reduced by XOR, and one digit list reduced by
+``Fq.sub_scaled`` elsewhere, grown over a window of orders before all L
+digits.  ``exponents.profile`` reads every standard kernel profile off it
+and keeps the kernel decision for capped bounds and one check.
 
 The enumeration is one search (``_brute``) over one candidate enumerator
 (``_iter_q``: deg q_j <= caps[j] and plus-product degree <= budget, each
@@ -429,11 +429,16 @@ def _kernel_best(Y: SeriesMatrix, theta, boxes) -> tuple[DegValue, Witness]:
 # ---------------------------------------------------------------------------
 
 
-def order_basis_depths(Y: SeriesMatrix, theta, L: int, D_max: int) -> list[int]:
+def order_basis_depths(Y: SeriesMatrix, theta, D_max: int) -> list[int]:
     """[K(0), K(1), ...]: the depth scan's K for the box deg q_j <= D of
-    Y q + theta (theta None: homogeneous), for every D <= D_max below its
-    cap, when every entry of Y and every non-zero entry of theta is
-    truncated at -L.  Every D >= len(result) is at its cap.
+    Y q + theta (theta None: homogeneous), for every D <= D_max below the
+    cap L - D.  Every D >= len(result) is at that cap.
+
+    The basis reads digits -1..-L.  L is minus the shallowest finite floor
+    of Y and theta (``_search_caps`` at D = 0): L - D is at most the scan's
+    cap, so a K below it is the scan's.  On all-exact inputs L is the exact
+    cap plus D_max: a q feasible at that cap is an exact hit, feasible at
+    every depth, so the basis caps its D as the scan does.
 
     The basis has n + m rows (Q*, P) of shifted degree max(deg Q*,
     deg P + 1), unit rows to start with: Q* = e_j of degree 0 and P = -e_i
@@ -461,13 +466,13 @@ def order_basis_depths(Y: SeriesMatrix, theta, L: int, D_max: int) -> list[int]:
     the shift row has not pivoted by order s (q != 0, as theta does not
     clear the k digits), unless theta itself clears them (k <= zθ, digits
     -1..-zθ being zero in every theta_i): then q must be a nonzero
-    homogeneous solution, so δ(s+1) <= D; theta None is zθ = L.  K(D) is
-    the last feasible depth; a D feasible at depth L - D is at its cap, and
-    so is every larger D.  Until it pivots, the shift row reduces no other
-    row, so the others stay the basis of [A | -I] and the degrees sum to
-    m(s+2) + D after order s: one basis serves every D, and each open D
-    keeps only its shift row, cleared by the basis's pivots.  The basis
-    stops once every D <= D_max is decided.
+    homogeneous solution, so δ(s+1) <= D; theta None or zero to -L is
+    zθ = L.  K(D) is the last feasible depth; a D feasible at depth L - D
+    is at its cap, and so is every larger D.  Until it pivots, the shift
+    row reduces no other row, so the others stay the basis of [A | -I] and
+    the degrees sum to m(s+2) + D after order s: one basis serves every D,
+    and each open D keeps only its shift row, cleared by the basis's
+    pivots.  The basis stops once every D <= D_max is decided.
 
     Residuals are grown on a window of W orders near the (D_max+1)(n+m)/m
     that the basis takes in general, and on all L only when it has not
@@ -476,11 +481,11 @@ def order_basis_depths(Y: SeriesMatrix, theta, L: int, D_max: int) -> list[int]:
     """
     F, m, n = Y.field, Y.m, Y.n
     gf2 = F.is_gf2()
+    L, exact = _search_caps(Y, theta, [0] * n)
+    L += D_max if exact else 0  # L - D reaches the exact cap for every D
     top = min(D_max, L - 1)  # every larger D is at its cap
-    zth = L
-    if theta is not None:
-        th = [t.digits(-1, -L) for t in theta]
-        zth = min(next((k for k, x in enumerate(t) if x), L) for t in th)
+    th = [t.digits(-1, -L) for t in theta or ()]
+    zth = min((next((k for k, x in enumerate(t) if x), L) for t in th), default=L)
 
     def row(cols, D=0):
         # entry s*m + i is the coefficient of z^s in column i, orders < W

@@ -71,14 +71,14 @@ def profile(
     route covers m = 1 and enumerates for m >= 2).  For the standard kind
     both routes depend on T only through the degree bound D = (T-1)//n, so
     an entry is decided once per D, at T = n*D + 1, and the other horizons
-    with that D share it.  A standard kernel profile whose entries of Y,
-    and of theta but for exact zeros, are all truncated at one floor
-    -L < 0 reads every D below its precision cap off one order basis
-    (``order_basis_depths``, given an all-exact-zero theta as None):
-    B = -(K(D)+1)*m, with no scan and no witness.  ``best_error`` still
-    decides every capped D, so censored entries are the scan's, and it
-    decides the deepest uncapped D again as a check.  Every other profile
-    runs ``best_error`` (or ``best_error_mult``) per D.
+    with that D share it.  A standard kernel profile reads every D below
+    its cap off one order basis (``order_basis_depths``, which works out
+    its own floor from Y and theta): B = -(K(D)+1)*m, with no scan and no
+    witness.  ``best_error`` still decides every capped D, so censored
+    entries are the scan's, and it decides the deepest uncapped D again as
+    a check.  Brute and multiplicative profiles run ``best_error`` (or
+    ``best_error_mult``) per D.  A theta of length other than Y.m is
+    refused before either route runs.
     Precision exhaustion in a single entry is recorded as a censored value
     rather than aborting the whole profile.  Raises AssertionError if the
     check disagrees or an exact entry exceeds an earlier exact one.
@@ -87,17 +87,11 @@ def profile(
         raise ValueError("T_max must be >= 1")
     if kind not in ("standard", "multiplicative"):
         raise ValueError(f"unknown profile kind {kind!r}")
+    if theta is not None and len(theta) != Y.m:
+        raise ValueError("shift vector length must match row count")
     depths = []  # K(D) of the uncapped degree bounds, from the order basis
-    shift = [th for th in theta or () if not th.is_exact_zero()]
-    floors = {s.floor for row in Y.rows for s in [*row, *shift]}
-    if (
-        kind == "standard"
-        and method == "kernel"
-        and len(floors) == 1
-        and NEG_INF < min(floors) < 0
-    ):
-        theta_in = theta if shift else None  # all exact zero: homogeneous
-        depths = order_basis_depths(Y, theta_in, -min(floors), (T_max - 1) // Y.n)
+    if kind == "standard" and method == "kernel":
+        depths = order_basis_depths(Y, theta, (T_max - 1) // Y.n)
     entries = []
     for T in range(1, T_max + 1):
         D = (T - 1) // Y.n

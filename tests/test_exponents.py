@@ -224,12 +224,32 @@ def test_profile_solves_each_degree_bound_once(monkeypatch, n, T_max, calls, flo
     Y = SeriesMatrix(
         [[random_series(F2, floor, derive_rng(31, "once", n, j)) for j in range(n)]]
     )
-    # a shift one digit deeper than Y: two floors keep the kernel route off
-    # the order basis, so it too decides each degree bound by best_error
     theta = (random_series(F2, floor - 1, derive_rng(31, "once-theta", n)),)
     prof = profile(Y, theta, T_max, "standard", method)
-    assert seen == [n * D + 1 for D in range(calls)]
+    bounds = [n * D + 1 for D in range(calls)]
+    if method == "brute":
+        assert seen == bounds
+    else:  # the order basis decides the other bounds
+        assert seen == basis_calls(n, [fresh(T) for T in bounds])
     assert [e.B for e in prof.entries] == [fresh(T) for T in range(1, T_max + 1)]
+
+
+@pytest.mark.parametrize("kind", ["standard", "multiplicative"])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_profile_rejects_a_shift_of_the_wrong_length(monkeypatch, rows, kind):
+    # before either route runs: the order basis would otherwise read a
+    # wrong shift, or fail inside with an unrelated message
+    import ffdioph.exponents as exponents
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("a route ran on a shift of the wrong length")
+
+    for name in ("best_error", "best_error_mult", "order_basis_depths"):
+        monkeypatch.setattr(exponents, name, unreached)
+    Y = random_matrix(Fq(3), 2, 1, -20, "length")
+    theta = tuple(random_series(Y.field, -20, derive_rng(21, "length", i)) for i in range(rows))
+    with pytest.raises(ValueError, match="shift vector length must match row count"):
+        profile(Y, theta, 6, kind)
 
 
 def test_profile_reuses_a_censored_degree_bound(monkeypatch):
@@ -256,6 +276,15 @@ def per_bound(Y, theta, T, method="kernel"):
         return best_error(Y, theta, T, method).B
     except PrecisionExhaustedError:
         return DegValue.censored_at(-Y.m)
+
+
+def basis_calls(n, bounds):
+    """The T at which a kernel profile calls best_error, from the values of
+    its degree bounds D = 0, 1, ...: every capped D (censored, or an exact
+    hit) and, as the check, the deepest uncapped one."""
+    capped = [B.censored or B.value == NEG_INF for B in bounds]
+    last = max((D for D, c in enumerate(capped) if not c), default=None)
+    return [n * D + 1 for D, c in enumerate(capped) if c or D == last]
 
 
 def random_matrix(F, m, n, floor, *tags):
@@ -291,10 +320,10 @@ def shifts_on_floor(F, m, floor, *tags):
 
 @pytest.mark.parametrize("name", list(BASIS_FIELDS))
 def test_basis_profile_equals_best_error_per_degree_bound(name):
-    # a kernel profile on one common floor reads its uncapped entries off the
-    # order basis; each must equal best_error's own scan, at deep floors
-    # (nearly all uncapped) and shallow ones (mostly capped), with theta None
-    # on every shape and one of shifts_on_floor's shifts in turn
+    # a kernel profile reads its uncapped entries off the order basis; each
+    # must equal best_error's own scan, at deep floors (nearly all uncapped)
+    # and shallow ones (mostly capped), with theta None on every shape and
+    # one of shifts_on_floor's shifts in turn
     F = BASIS_FIELDS[name]
     uncapped = capped = 0
     kinds = []
@@ -314,14 +343,76 @@ def test_basis_profile_equals_best_error_per_degree_bound(name):
                 capped += sum(e.censored for e in bounds)
                 uncapped += sum(not e.censored for e in bounds)
     assert uncapped >= 140 and capped >= 60
+    # the basis works out its own floor: exact entries, several floors and
+    # a shift on a floor of its own take the same route
+    for layout, (Y, theta, T_max) in floor_layouts(F, name).items():
+        prof = profile(Y, theta, T_max, "standard", "kernel")
+        want = [per_bound(Y, theta, T) for T in range(1, T_max + 1, Y.n)]
+        assert [prof.entry(T).B for T in range(1, T_max + 1, Y.n)] == want, layout
 
 
-@pytest.mark.parametrize("theta", [None, "zero", "random"])
-@pytest.mark.parametrize("m, n, floor, T_max", [(1, 1, -12, 14), (1, 2, -9, 16), (2, 1, -10, 9), (2, 2, -11, 14)])
-def test_basis_profile_calls_best_error_at_capped_and_check_bounds(monkeypatch, m, n, floor, T_max, theta):
+def floor_layouts(F, *tags):
+    """(Y, theta, T_max) on floors other than one common one: exact entries,
+    the zero matrix, exact entries beside truncated ones, two floors, shifts
+    on a shallower and on a deeper floor than Y's, and an exact shift."""
+
+    def exact(*tags):  # a Laurent polynomial with its last digit at -5
+        terms = {-e: derive_rng(21, "exact", *tags, e).randrange(F.q) for e in range(1, 5)}
+        return LaurentSeries.from_terms(F, {**terms, -5: 1})
+
+    def series(floor, *tags):
+        return random_series(F, floor, derive_rng(21, "layout", *tags, floor))
+
+    literal = SeriesMatrix([[exact(*tags, j) for j in range(2)]])
+    zero = SeriesMatrix([[LaurentSeries.zero(F)], [LaurentSeries.zero(F)]])
+    beside = SeriesMatrix(
+        [[exact(*tags, "beside"), series(-14, *tags)], [series(-14, *tags, 1), series(-14, *tags, 2)]]
+    )
+    two = SeriesMatrix([[series(-13, *tags)], [series(-16, *tags)]])
+    Y = random_matrix(F, 1, 1, -14, "layout", *tags)
+    return {
+        "exact": (literal, None, 12),
+        "exact-shifted": (literal, (exact(*tags, "shift"),), 12),
+        "zero": (zero, None, 5),
+        "exact-beside-truncated": (beside, None, 10),
+        "mixed-floors": (two, (series(-15, *tags, "shift"),) * 2, 10),
+        "shift-shallower": (Y, (series(-11, *tags, "shift"),), 12),
+        "shift-deeper": (Y, (series(-17, *tags, "shift"),), 12),
+        "exact-shift": (Y, (exact(*tags, "shift"),), 12),
+    }
+
+
+def _call_list_inputs():
+    F3 = Fq(3)
+    cases = {}
+    for m, n, floor, T_max in [(1, 1, -12, 14), (1, 2, -9, 16), (2, 1, -10, 9), (2, 2, -11, 14)]:
+        Y = random_matrix(F3, m, n, floor, "spy", m, n)
+        shifts = {
+            None: None,
+            "zero": (LaurentSeries.zero(F3),) * m,
+            "random": shifts_on_floor(F3, m, floor, "spy", m, n)["random"],
+        }
+        for theta, shift in shifts.items():
+            cases[f"{m}-{n}-{floor}-{T_max}-{theta}"] = (Y, shift, T_max)
+    common = random_matrix(F3, 1, 2, -40, "route")
+    exact = SeriesMatrix([[parse_series_literal(t, F3) for t in ("X^-1 + X^-4", "X^-2 + X^-3")]])
+    mixed = SeriesMatrix([[common.entry(0, 0), common.entry(0, 1).truncate(-39)]])
+    shift = (random_series(F3, -39, derive_rng(21, "route-theta")),)
+    cases["exact"] = (exact, None, 7)
+    # X^-6: depth 5 for every D <= 5, past L - D from D = 2 on if L were
+    # only the exact cap 7; the basis reads these D as it takes L = 7 + D_max
+    cases["exact-deep"] = (SeriesMatrix([[parse_series_literal("X^-6", F3)]]), None, 8)
+    cases["mixed-floor"] = (mixed, None, 29)
+    cases["shifted"] = (common, shift, 29)
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_call_list_inputs()))
+def test_basis_profile_calls_best_error_at_capped_and_check_bounds(monkeypatch, case):
     # best_error decides each capped degree bound and, as a check, the
-    # deepest uncapped one, and no other; an all-exact-zero theta is None,
-    # and a random one on Y's floor goes through the basis as well
+    # deepest uncapped one, and no other: homogeneous, with an all-exact-zero
+    # theta or a random one on Y's floor, and on an exact Y, two floors and
+    # a shift on a floor of its own
     import ffdioph.exponents as exponents
 
     real = exponents.best_error
@@ -331,18 +422,15 @@ def test_basis_profile_calls_best_error_at_capped_and_check_bounds(monkeypatch, 
         seen.append(T)
         return real(Y, theta, T, method=method)
 
-    Y = random_matrix(Fq(3), m, n, floor, "spy", m, n)
-    shift = {
-        None: None,
-        "zero": (LaurentSeries.zero(Y.field),) * m,
-        "random": shifts_on_floor(Y.field, m, floor, "spy", m, n)["random"],
-    }[theta]
+    Y, shift, T_max = _call_list_inputs()[case]
+    n = Y.n
     bounds = [per_bound(Y, shift, n * D + 1) for D in range((T_max - 1) // n + 1)]
-    last = max(D for D, B in enumerate(bounds) if not B.censored)
-    assert any(B.censored for B in bounds) and last > 0
+    calls = basis_calls(n, bounds)
+    # some D to read off the basis, and a capped one
+    assert calls[0] > 1 and len(calls) > 1
     monkeypatch.setattr(exponents, "best_error", spy)
     prof = profile(Y, shift, T_max, "standard", "kernel")
-    assert seen == [n * D + 1 for D, B in enumerate(bounds) if B.censored or D == last]
+    assert seen == calls
     assert [prof.entry(n * D + 1).B for D in range(len(bounds))] == bounds
 
 
@@ -364,18 +452,9 @@ def test_basis_profile_check_refuses_a_wrong_value(monkeypatch):
 
 
 def _profile_inputs():
-    F3 = Fq(3)
-    common = random_matrix(F3, 1, 2, -40, "route")
-    exact = SeriesMatrix([[parse_series_literal(t, F3) for t in ("X^-1 + X^-4", "X^-2 + X^-3")]])
-    mixed = SeriesMatrix([[common.entry(0, 0), common.entry(0, 1).truncate(-39)]])
-    # on another floor than Y's, a shift keeps the profile off the order basis
-    shift = (random_series(F3, -39, derive_rng(21, "route-theta")),)
     return {
-        "exact": (exact, None, "standard", "kernel"),
-        "mixed-floor": (mixed, None, "standard", "kernel"),
-        "shifted": (common, shift, "standard", "kernel"),
         "brute": (random_matrix(F2, 1, 2, -12, "route-brute"), None, "standard", "brute"),
-        "multiplicative": (common, None, "multiplicative", "kernel"),
+        "multiplicative": (random_matrix(Fq(3), 1, 2, -40, "route"), None, "multiplicative", "kernel"),
     }
 
 
@@ -404,6 +483,7 @@ def _window_inputs():
     den = Poly(F3, [1, 1, 1])
     rational = SeriesMatrix([[rational_series(F3, Poly(F3, [1]), den, -30)]])
     return {
+        # (Y, theta, L, D_max), L = -floor being the depth the basis may read;
         # F128 3x2: the basis stops inside its window of 21 orders, far
         # above the floor -89
         "window": (random_matrix(F128, 3, 2, -89, "basis", "F128", 3, 2, -89), None, 89, 9),
@@ -431,7 +511,7 @@ def test_order_basis_reads_all_digits_only_past_its_window(monkeypatch, case):
         return real(self, hi, lo)
 
     monkeypatch.setattr(LaurentSeries, "digits", spy)
-    depths = order_basis_depths(Y, theta, L, D_max)
+    depths = order_basis_depths(Y, theta, D_max)
     monkeypatch.undo()
     if case == "window":
         assert -L < min(lows) and len(depths) == D_max + 1
