@@ -17,8 +17,9 @@ unknown fixed at 1: theta is column n, of degree bound 0, whose entry is
 the right-hand side at column ncols.  Constraint rows are slices of one
 digit table that each call fills once (``_digit_table``, from
 ``LaurentSeries.digits``).  On GF(2) every window is packed once into an
-int and each row is built as an int by one shift and mask per column, the
-form ``linalg.Echelon`` eliminates by XOR; other fields use element lists.
+int by ``linalg.pack_gf2``, the packer of ``linalg``'s int row format, and
+each row is built as an int by one shift and mask per column, the form
+``linalg.Echelon`` eliminates by XOR; other fields use element lists.
 The scan's pivot rows go to the solvers as they are.  One kernel decision
 (``_kernel_best``) takes a list of boxes and an all-exact-zero theta as
 None, so it builds no zero column.  It reads a box's value off its scan
@@ -63,7 +64,7 @@ from itertools import chain
 
 from .errors import PrecisionExhaustedError
 from .field import Fq
-from .linalg import Echelon, nullspace, solve_affine
+from .linalg import Echelon, nullspace, pack_gf2, solve_affine
 from .matrix import SeriesMatrix, cut_matrix, cut_series, matvec_affine, prod_plus_deg
 from .poly import NEG_INF, Poly, iter_polys
 from .series import DegValue, LaurentSeries, deg_max, deg_sum
@@ -138,23 +139,6 @@ def _optimal_p(rows) -> tuple[list[Poly], list[LaurentSeries]]:
     return ps, resid
 
 
-def _witness_for(Y: SeriesMatrix, theta, q: list[Poly], depth=None):
-    """Witness (optimal p, q) and the residual rows of Y q + p + theta.
-
-    With a depth, each residual row is computed only down to exponent -depth:
-    Y and theta are cut there by ``cut_matrix`` and ``cut_series`` first, so
-    the product reads no deeper digit.  p reads only exponents >= 0 and is the
-    same either way.  The caller must know Y and theta that deep.
-    """
-    if depth is not None:
-        Y = cut_matrix(Y, q, -depth)
-        if theta is not None:
-            theta = [cut_series(th, -depth) for th in theta]
-    rows = matvec_affine(Y, q, [Poly.zero(Y.field)] * Y.m, theta)
-    ps, resid = _optimal_p(rows)
-    return Witness(tuple(ps), tuple(q)), resid
-
-
 def witness_error_degs(Y: SeriesMatrix, theta, w: Witness) -> tuple[DegValue, ...]:
     """Exact degrees of the rows of Y q + p + theta for a stored witness."""
     rows = matvec_affine(Y, w.q, w.p, theta)
@@ -164,18 +148,6 @@ def witness_error_degs(Y: SeriesMatrix, theta, w: Witness) -> tuple[DegValue, ..
 # ---------------------------------------------------------------------------
 # Dirichlet solver
 # ---------------------------------------------------------------------------
-
-
-# GF(2) digit -> ASCII bit, so that a window packs into an int at C speed
-_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _pack_gf2(digits: list[int]) -> int:
-    """GF(2) digits as one int, bit t = digits[t].
-
-    Base 2 is exempt from the int/str digit limit, so any window length packs.
-    """
-    return int(bytes(digits[::-1]).translate(_ASCII_BITS) or b"0", 2)
 
 
 def _digit_table(Y: SeriesMatrix, theta, bounds, depths) -> list[list[tuple]]:
@@ -200,7 +172,7 @@ def _digit_table(Y: SeriesMatrix, theta, bounds, depths) -> list[list[tuple]]:
         if gf2:
             packed, off = [], 0
             for w, width in cols:
-                packed.append((_pack_gf2(w), (1 << width) - 1, off))
+                packed.append((pack_gf2(w), (1 << width) - 1, off))
                 off += width
             cols = packed
         tab.append(cols)
@@ -344,11 +316,16 @@ def _deepest_feasible_depth(Y: SeriesMatrix, theta, bounds, cap: int):
 
 def _solve_witness(Y: SeriesMatrix, theta, bounds, rows, depth):
     """(witness, residual rows) for the canonical q != 0 that rows admit,
-    multiplied out to exponent -depth (None: the inputs' floors), or None.
+    with its optimal p, or None.
 
     rows go to the solvers as ``_table_row`` builds them, a shift's
     right-hand side at column ncols.  A reduced form is unique, so the
     scan's pivot rows of depth K give the q of all K*m constraint rows.
+    With a depth, each residual row of Y q + p + theta is computed only down
+    to exponent -depth: Y and theta are cut there by ``cut_matrix`` and
+    ``cut_series`` first, so the product reads no deeper digit (None: the
+    inputs' floors).  p reads only exponents >= 0 and is the same either
+    way.  The caller must know Y and theta that deep.
     """
     ncols = sum(d + 1 for d in bounds)
     if theta is None:
@@ -360,7 +337,13 @@ def _solve_witness(Y: SeriesMatrix, theta, bounds, rows, depth):
             vec = basis[0] if basis else None  # q = 0 is not allowed
     if vec is None:
         return None
-    return _witness_for(Y, theta, _vector_to_q(Y.field, vec, bounds), depth)
+    q = _vector_to_q(Y.field, vec, bounds)
+    if depth is not None:
+        Y = cut_matrix(Y, q, -depth)
+        if theta is not None:
+            theta = [cut_series(th, -depth) for th in theta]
+    ps, resid = _optimal_p(matvec_affine(Y, q, [Poly.zero(Y.field)] * Y.m, theta))
+    return Witness(tuple(ps), tuple(q)), resid
 
 
 def _decide_box(
@@ -492,7 +475,7 @@ def order_basis_depths(Y: SeriesMatrix, theta, D_max: int) -> list[int]:
         flat = [0] * ((D + len(cols[0])) * m)
         for i, col in enumerate(cols):
             flat[D * m + i :: m] = col
-        return _pack_gf2(flat) if gf2 else flat
+        return pack_gf2(flat) if gf2 else flat
 
     def run(W):
         """The depths from residuals of W orders, or None when the basis
@@ -732,6 +715,8 @@ def best_error_mult(
     """
     if T < 1:
         raise ValueError("horizon T must be >= 1")
+    if theta is not None and len(theta) != Y.m:
+        raise ValueError("shift vector length must match row count")
     if method not in ("kernel", "brute"):
         raise ValueError(f"unknown method {method!r}")
     if method == "kernel" and Y.m == 1:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .approx import Witness, compositions, witness_error_degs
 from .errors import PreconditionError
-from .matrix import SeriesMatrix, cut_matrix, cut_series, matvec_affine, prod_plus_deg, sup_deg
+from .matrix import SeriesMatrix, cut_matrix, cut_series, prod_plus_deg, sup_deg
 from .poly import NEG_INF
 from .series import DegValue, LaurentSeries, deg_lt, deg_max, deg_sum
 from .transference import CheckReport
@@ -222,8 +222,8 @@ class MembershipResult:
 def _membership_deg(Y: SeriesMatrix, theta, t: IndexTuple, alpha: Witness) -> DegValue:
     if len(t.t) != Y.m + Y.n:
         raise ValueError("index tuple length must be m + n")
-    rows = matvec_affine(Y, alpha.q, alpha.p, theta)
-    coords = [r.deg().shift(t.t[j]) for j, r in enumerate(rows)]
+    degs = witness_error_degs(Y, theta, alpha)
+    coords = [d.shift(t.t[j]) for j, d in enumerate(degs)]
     for i, qi in enumerate(alpha.q):
         d = qi.deg
         if d == NEG_INF:

@@ -8,11 +8,12 @@ other field, updated by one ``Fq`` row operation per pivot (``sub_scaled``,
 Column ``ncols`` carries an optional right-hand side b of A x = b; it
 becomes a pivot exactly when the rows so far are inconsistent.  A row may
 carry b itself at column ``ncols``: a list of ncols + 1 elements, or on
-GF(2) an int with bit j = column j.  ``approx`` hands over its constraint
-rows that way, packed on GF(2), so only list rows are packed entry by entry
-here.  The reduced form of a row space is unique, so results do not depend
-on row order or on how rows are given, and a caller can test feasibility
-after each batch of rows without starting over.  Pivot rows are never
+GF(2) an int with bit j = column j.  ``pack_gf2`` is the one packer into
+that int: ``insert`` packs a list row with it, and ``approx`` its digit
+windows, handing over int rows.  The reduced form of a row space is
+unique, so results do not depend on row order or on how rows are given,
+and a caller can test feasibility after each batch of rows without
+starting over.  Pivot rows are never
 changed in place: a GF(2) row is an int, and ``insert`` replaces a list row
 it reduces by a reduced copy (copy-on-write).  So ``pivots.copy()`` is a
 snapshot of the form that later inserts leave intact, on every field.
@@ -27,6 +28,18 @@ columns ascending, unit entry at the free column).
 from __future__ import annotations
 
 from .field import Fq
+
+# GF(2) element -> ASCII bit, so that a list packs into an int at C speed
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def pack_gf2(digits) -> int:
+    """GF(2) elements as one int, bit t = digits[t]: the package's one
+    packer into the int row format.
+
+    Base 2 is exempt from the int/str digit limit, so any length packs.
+    """
+    return int(bytes(digits[::-1]).translate(_ASCII_BITS) or b"0", 2)
 
 
 class Echelon:
@@ -59,13 +72,7 @@ class Echelon:
             self._insert_generic(r)
 
     def _insert_gf2(self, row: list[int] | int, b: int) -> None:
-        if isinstance(row, int):
-            v = row
-        else:
-            v = 0
-            for j, c in enumerate(row):
-                if c:
-                    v |= 1 << j
+        v = row if isinstance(row, int) else pack_gf2(row)
         if b:
             v ^= 1 << self.ncols
         # pivot rows are zero on each other's pivot columns, so clearing the

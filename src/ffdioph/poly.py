@@ -89,16 +89,10 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        F = self.field
-        if not self.coeffs or not other.coeffs:
-            return Poly.zero(F)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    if y:
-                        out[i + j] = F.add(out[i + j], F.mul(x, y))
-        return Poly(F, out)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return Poly.zero(self.field)
+        return Poly(self.field, mul_coeffs(self.field, a, b, len(a) + len(b) - 1))
 
     def __eq__(self, other) -> bool:
         return (
@@ -117,6 +111,24 @@ class Poly:
         return format_terms(
             {e: c for e, c in enumerate(self.coeffs) if c}, self.field
         )
+
+
+def mul_coeffs(F: Fq, a, b, width: int) -> list[int]:
+    """Entries k < width of the convolution of a and b, the sum of a[i] * b[k - i]:
+    the one product loop of ``Poly`` (low degree first) and ``LaurentSeries``
+    (high exponent first, cut at its floor), one add and mul per nonzero pair."""
+    out = [0] * width
+    nonzero = [(j, y) for j, y in enumerate(b) if y]
+    add, mul = F.add, F.mul
+    for i, x in enumerate(a[:width]):
+        if not x:
+            continue
+        for j, y in nonzero:
+            k = i + j
+            if k >= width:
+                break
+            out[k] = add(out[k], mul(x, y))
+    return out
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:

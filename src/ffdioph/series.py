@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, PrecisionExhaustedError
 from .field import Fq
-from .poly import NEG_INF, Poly, format_terms, parse_terms, poly_divmod
+from .poly import NEG_INF, Poly, format_terms, mul_coeffs, parse_terms, poly_divmod
 
 
 @dataclass(frozen=True)
@@ -276,20 +276,8 @@ class LaurentSeries:
             return LaurentSeries.zero(F, floor)
         top = self.top + other.top
         lo = floor if floor != NEG_INF else self._stored_lo() + other._stored_lo()
-        width = top - lo + 1
-        out = [0] * width
-        # the digit at top - k collects self.coeffs[i] * other.coeffs[k - i];
-        # other's nonzero digits are listed once, and k < width bounds both loops
-        nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        add, mul = F.add, F.mul
-        for i, a in enumerate(self.coeffs[:width]):
-            if not a:
-                continue
-            for j, b in nonzero:
-                k = i + j
-                if k >= width:
-                    break
-                out[k] = add(out[k], mul(a, b))
+        # the digit at top - k collects self.coeffs[i] * other.coeffs[k - i]
+        out = mul_coeffs(F, self.coeffs, other.coeffs, top - lo + 1)
         return LaurentSeries(F, top, out, floor)
 
     def shift(self, k: int) -> "LaurentSeries":

@@ -87,11 +87,25 @@ def check_mult_dominance(
     )
 
 
-def _check_transpose_pair(prof: ExponentProfile, prof_t: ExponentProfile) -> None:
+def _check_transpose_pair(
+    name: str, prof: ExponentProfile, prof_t: ExponentProfile, tol: Fraction
+) -> tuple[ExponentEstimate, ExponentEstimate] | CheckReport:
+    """The estimates of prof and prof_t, standard profiles of a matrix and
+    its transpose, or the check's report when a window is unusable."""
     if prof.kind != "standard" or prof_t.kind != "standard":
         raise ValueError("transpose checks apply to standard profiles")
     if (prof.m, prof.n, prof.T_max) != (prof_t.n, prof_t.m, prof_t.T_max):
         raise ValueError("profiles are not of a matrix and its transpose")
+    try:
+        return estimate(prof), estimate(prof_t)
+    except EstimateWindowError as exc:
+        return CheckReport(
+            name=name,
+            holds=None,
+            exact=False,
+            tolerance=tol,
+            note=f"window unusable: {exc}",
+        )
 
 
 def check_bz(
@@ -103,17 +117,10 @@ def check_bz(
     Checks omega(Y,theta) >= 1/omega_hat(Y^t) - tol and
     omega_hat(Y,theta) >= 1/omega(Y^t) - tol on window proxies.
     """
-    _check_transpose_pair(prof, prof_t)
-    try:
-        inhom, transposed = estimate(prof), estimate(prof_t)
-    except EstimateWindowError as exc:
-        return CheckReport(
-            name="bz",
-            holds=None,
-            exact=False,
-            tolerance=tol,
-            note=f"window unusable: {exc}",
-        )
+    got = _check_transpose_pair("bz", prof, prof_t, tol)
+    if isinstance(got, CheckReport):
+        return got
+    inhom, transposed = got
     if inhom.infinite or transposed.infinite:
         return CheckReport(
             name="bz",
@@ -144,17 +151,10 @@ def check_dyson(
 
     prof and prof_t are the homogeneous profiles of Y and Y^t.
     """
-    _check_transpose_pair(prof, prof_t)
-    try:
-        est, est_t = estimate(prof), estimate(prof_t)
-    except EstimateWindowError as exc:
-        return CheckReport(
-            name="dyson",
-            holds=None,
-            exact=False,
-            tolerance=tol,
-            note=f"window unusable: {exc}",
-        )
+    got = _check_transpose_pair("dyson", prof, prof_t, tol)
+    if isinstance(got, CheckReport):
+        return got
+    est, est_t = got
     if est.censored or est_t.censored:
         return CheckReport(
             name="dyson",

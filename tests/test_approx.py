@@ -752,6 +752,26 @@ def test_mult_example_1x2():
     assert be.B == DegValue.exact(NEG_INF)
 
 
+@pytest.mark.parametrize("method", ["kernel", "brute"])
+@pytest.mark.parametrize("length", [0, 2])
+def test_mult_rejects_a_shift_of_the_wrong_length(monkeypatch, length, method):
+    # refused up front with best_error's message: an empty shift used to be
+    # read as homogeneous by the kernel and as zero by the enumeration, and
+    # the enumeration ignored a second entry
+    import ffdioph.approx as approx
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("a route ran on a shift of the wrong length")
+
+    for name in ("_kernel_best", "_brute"):
+        monkeypatch.setattr(approx, name, unreached)
+    rng = derive_rng(24, "mult-length")
+    Y = SeriesMatrix([[random_series(F2, -20, rng) for _ in range(2)]])
+    theta = tuple(random_series(F2, -20, rng) for _ in range(length))
+    with pytest.raises(ValueError, match="shift vector length must match row count"):
+        best_error_mult(Y, theta, 4, method)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("field", [F2, F3, F4], ids=["F2", "F3", "F4"])
 def test_mult_kernel_equals_brute(field, n):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ffdioph import Fq, NEG_INF, Poly, parse_poly_literal, poly_divmod
 
@@ -73,10 +73,21 @@ def test_divmod_divisor_shapes(field):
                         assert q.is_zero() and r == a
 
 
-@given(coeff_lists(2), coeff_lists(2))
-def test_degree_multiplicative(ac, bc):
-    a, b = Poly(F2, ac), Poly(F2, bc)
+@given(st.sampled_from(DIV_FIELDS[:3]), coeff_lists(4), coeff_lists(4))
+@example(F2, [], [1, 1])  # a zero factor
+@example(F3, [0, 0, 2], [])
+@example(Fq(2, 2), [0, 3, 0], [2, 0, 1])  # zero coefficients inside
+def test_degree_multiplicative(field, ac, bc):
+    # coefficients against a schoolbook term-dict oracle, on F2, F3 and F4
+    a = Poly(field, [c % field.q for c in ac])
+    b = Poly(field, [c % field.q for c in bc])
     prod = a * b
+    want = {}
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            want[i + j] = field.add(want.get(i + j, 0), field.mul(x, y))
+    assert {k: c for k, c in enumerate(prod.coeffs) if c} == {k: c for k, c in want.items() if c}
+    assert not prod.coeffs or prod.coeffs[-1]
     if a.is_zero() or b.is_zero():
         assert prod.is_zero()
     else:

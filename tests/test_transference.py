@@ -153,6 +153,63 @@ def test_chain_mult_above_standard_proxy():
             assert es.omega_proxy >= 1 - tol
 
 
+def _depths(prof, width):
+    """{D: K(D)} read off the entries at T = width*D + 1, where
+    B = -(K+1)*m: inf for an exact hit, None for a censored entry."""
+    out = {}
+    for D in range((prof.T_max - 1) // width + 1):
+        B = prof.entry(width * D + 1).B
+        if B.censored:
+            out[D] = None
+        else:
+            out[D] = float("inf") if B.value == NEG_INF else -B.value // prof.m - 1
+    return out
+
+
+@pytest.mark.parametrize("field", [F2, Fq(3)], ids=["F2", "F3"])
+def test_inhomogeneous_transference_bound(field):
+    # the inhomogeneous system of depth K over deg q_j <= D is solvable for
+    # every theta once the transposed homogeneous one has no nonzero x of
+    # deg < K clearing its D + K digits: with delta(s) = min{D : D + K^t(D)
+    # >= s} of Y^t, K_theta(D) >= G(D) = max{K : delta(D+K) >= K}, unless
+    # q = 0 already clears theta's digits -1..-G(D)
+    checked = equal = 0
+    for m, n in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        for seed in range(2):
+            rng = derive_rng(seed, "transfer", field.q, m, n)
+            Y = SeriesMatrix(
+                [[random_series(field, -160, rng) for _ in range(n)] for _ in range(m)]
+            )
+            theta = tuple(random_series(field, -160, rng) for _ in range(m))
+            K = _depths(profile(Y, theta, 30), n)
+            K_t = _depths(profile(Y.transpose(), None, 90), m)
+
+            def delta(s):
+                # None: past the known part of Y^t's profile
+                for D, k in K_t.items():
+                    if k is None:
+                        return None
+                    if D + k >= s:
+                        return D
+                return None
+
+            for D, k in K.items():
+                if k is None:
+                    continue
+                # delta(s+1) <= delta(s) + 1, so the valid K form a prefix
+                G = 0
+                while (d := delta(D + G + 1)) is not None and d >= G + 1:
+                    G += 1
+                if d is None:
+                    continue
+                if not any(t.coeff(-e) for t in theta for e in range(1, G + 1)):
+                    continue
+                checked += 1
+                equal += k == G
+                assert k >= G, (m, n, seed, D, k, G)
+    assert checked > 100 and equal > 50
+
+
 def test_mult_dominance_exact_hits_on_both_sides():
     from ffdioph import LaurentSeries
 
