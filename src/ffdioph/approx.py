@@ -39,8 +39,12 @@ on all-exact inputs the exact cap plus the largest D.  A shift adds a row
 z^D Theta per D, reduced alongside the basis until it would pivot.  A
 residual is one int on GF(2), reduced by XOR, and one digit list reduced by
 ``Fq.sub_scaled`` elsewhere, grown over a window of orders before all L
-digits.  ``exponents.profile`` reads every standard kernel profile off it
-and keeps the kernel decision for capped bounds and one check.
+digits.  Column shifts r serve the multiplicative shapes (m = 1): shape
+(D_1..D_n) is the box of D = max D_j with column j's unknowns shifted by
+r_j = D - D_j, so one basis serves every shape of one r.
+``exponents.profile`` reads every standard kernel profile and every m = 1
+multiplicative one off such bases, and keeps the kernel decision for capped
+horizons and one check.
 
 The enumeration is one search (``_brute``) over one candidate enumerator
 (``_iter_q``: deg q_j <= caps[j] and plus-product degree <= budget, each
@@ -401,44 +405,50 @@ def _kernel_best(Y: SeriesMatrix, theta, boxes) -> tuple[DegValue, Witness]:
 
 
 # ---------------------------------------------------------------------------
-# Standard boxes, order basis
+# Boxes and multiplicative shapes, order basis
 #
 # Put A_ij(z) = sum_k a_ijk z^(k-1), a_ijk being Y_ij's digit at -k, and
 # Q*_j(z) = z^D q_j(1/z).  Digits -1..-K of every row of Y q vanish exactly
 # when sum_j A_ij Q*_j = P_i + O(z^(D+K)) with deg P_i < D, a simultaneous
 # Hermite-Pade problem, and one order basis of [A | -I] answers it for every
 # D at once (Beckermann-Labahn 1994).  A shift adds Theta_i(z), theta_i's
-# digits -1, -2, ... at z^0, z^1, ..., as one more row z^D Theta per D.
+# digits -1, -2, ... at z^0, z^1, ..., as one more row z^D Theta per D.  A
+# box deg q_j <= D - r_j is Q*_j = z^r_j R_j with deg R_j + r_j <= D: column
+# j of A times z^r_j, and R_j's unit row starting at shifted degree r_j.
 # ---------------------------------------------------------------------------
 
 
-def order_basis_depths(Y: SeriesMatrix, theta, D_max: int) -> list[int]:
-    """[K(0), K(1), ...]: the depth scan's K for the box deg q_j <= D of
-    Y q + theta (theta None: homogeneous), for every D <= D_max below the
-    cap L - D.  Every D >= len(result) is at that cap.
+def order_basis_depths(Y: SeriesMatrix, theta, D_max: int, col_shifts=None) -> list[int]:
+    """[K(0), K(1), ...]: the depth scan's K for the box deg q_j <= D - r_j
+    of Y q + theta (theta None: homogeneous), for every D <= D_max below the
+    cap L - D.  Every D >= len(result) is at that cap.  The column shifts
+    r = col_shifts (min r = 0; None, all zeros, is the standard box D) serve
+    the multiplicative shapes: shape (D_1..D_n) is the box of D = max D_j
+    and r_j = D - D_j, so one basis serves every shape of one r.
 
     The basis reads digits -1..-L.  L is minus the shallowest finite floor
     of Y and theta (``_search_caps`` at D = 0): L - D is at most the scan's
-    cap, so a K below it is the scan's.  On all-exact inputs L is the exact
-    cap plus D_max: a q feasible at that cap is an exact hit, feasible at
-    every depth, so the basis caps its D as the scan does.
+    cap, since r_j >= 0, so a K below it is the scan's.  On all-exact inputs
+    L is the exact cap plus D_max: a q feasible at that cap is an exact hit,
+    feasible at every depth, so the basis caps its D as the scan does.
 
-    The basis has n + m rows (Q*, P) of shifted degree max(deg Q*,
-    deg P + 1), unit rows to start with: Q* = e_j of degree 0 and P = -e_i
-    of degree 1.  A row is kept as its residual Q* A - P alone, with its
-    degree: the basis reads nothing else of it.  A residual is one sequence
-    whose entry s*m + i is the coefficient of z^s in column i: an int on
-    GF(2), where a row operation is XOR and z is << m, and a digit list
-    reduced by ``Fq.sub_scaled`` elsewhere.  For order s and column i, the
-    rows with a nonzero coefficient of z^s there are cleared by the one of
-    least (degree, index), and that pivot is multiplied by z.  Every step
-    finds a pivot, so the degrees sum to m(s+1) after s orders: Minkowski's
-    second theorem with equality (Mahler 1941), checked after every order.
+    The basis has n + m rows (Q*, P) of shifted degree max_j(deg Q*_j + r_j,
+    deg P + 1), unit rows to start with: Q* = e_j of degree r_j and P = -e_i
+    of degree 1.  A row is kept as its residual Q* A_r - P alone, A_r being
+    A with column j times z^r_j, and its degree: the basis reads nothing
+    else of it.  A residual is one sequence whose entry s*m + i is the
+    coefficient of z^s in column i: an int on GF(2), where a row operation
+    is XOR and z is << m, and a digit list reduced by ``Fq.sub_scaled``
+    elsewhere.  For order s and column i, the rows with a nonzero
+    coefficient of z^s there are cleared by the one of least (degree,
+    index), and that pivot is multiplied by z.  Every step finds a pivot, so
+    the degrees sum to sum(r) + m(s+1) after s orders: Minkowski's second
+    theorem with equality (Mahler 1941), checked after every order.
 
     Let δ(s) be the least degree after s orders.  The basis is reduced, so
-    some q != 0 of deg <= D clears digits -1..-(s-D) of Y q exactly when
-    δ(s) <= D (for s >= D, where a row with Q* = 0, some z^s P, has degree
-    > s).  So K(D) = max{s - D : δ(s) <= D, s <= L}, the box is at its cap
+    some q != 0 of deg q_j <= D - r_j clears digits -1..-(s-D) of Y q
+    exactly when δ(s) <= D (for s >= D, where a row with Q* = 0, some z^s P,
+    has degree > s).  So K(D) = max{s - D : δ(s) <= D, s <= L}, the box is at its cap
     exactly when δ(L) <= D or D >= L.
 
     A shift adds, just before order D, a last row (0, z^D, 0) of degree D
@@ -453,9 +463,9 @@ def order_basis_depths(Y: SeriesMatrix, theta, D_max: int) -> list[int]:
     zθ = L.  K(D) is the last feasible depth; a D feasible at depth L - D
     is at its cap, and so is every larger D.  Until it pivots, the shift
     row reduces no other row, so the others stay the basis of [A | -I] and
-    the degrees sum to m(s+2) + D after order s: one basis serves every D,
-    and each open D keeps only its shift row, cleared by the basis's
-    pivots.  The basis stops once every D <= D_max is decided.
+    the degrees sum to sum(r) + m(s+2) + D after order s: one basis serves
+    every D, and each open D keeps only its shift row, cleared by the
+    basis's pivots.  The basis stops once every D <= D_max is decided.
 
     Residuals are grown on a window of W orders near the (D_max+1)(n+m)/m
     that the basis takes in general, and on all L only when it has not
@@ -464,30 +474,33 @@ def order_basis_depths(Y: SeriesMatrix, theta, D_max: int) -> list[int]:
     """
     F, m, n = Y.field, Y.m, Y.n
     gf2 = F.is_gf2()
+    rs = col_shifts or [0] * n
     L, exact = _search_caps(Y, theta, [0] * n)
     L += D_max if exact else 0  # L - D reaches the exact cap for every D
     top = min(D_max, L - 1)  # every larger D is at its cap
     th = [t.digits(-1, -L) for t in theta or ()]
     zth = min((next((k for k, x in enumerate(t) if x), L) for t in th), default=L)
 
-    def row(cols, D=0):
-        # entry s*m + i is the coefficient of z^s in column i, orders < W
-        flat = [0] * ((D + len(cols[0])) * m)
-        for i, col in enumerate(cols):
-            flat[D * m + i :: m] = col
-        return pack_gf2(flat) if gf2 else flat
-
     def run(W):
         """The depths from residuals of W orders, or None when the basis
         has not stopped by order W - 1 and W < L."""
-        res = [row([e.digits(-1, -W) for e in col]) for col in zip(*Y.rows)]
+
+        def row(cols, D=0):
+            # entry s*m + i is the coefficient of z^s in column i, s < W;
+            # cols hold the coefficients of z^D, z^(D+1), ...
+            flat = [0] * (W * m)
+            for i, col in enumerate(cols):
+                flat[D * m + i :: m] = col[: max(0, W - D)]
+            return pack_gf2(flat) if gf2 else flat
+
+        res = [row([e.digits(-1, -W) for e in col], rj) for col, rj in zip(zip(*Y.rows), rs)]
         res += [row([[int(k == i)] + [0] * (W - 1) for k in range(m)]) for i in range(m)]
-        deg = [0] * n + [1] * m
+        deg = list(rs) + [1] * m
         depths, shifts = {}, {}  # D -> K(D); D -> its shift row, unpivoted
         low = 0  # every D < low is decided or has left the test on δ
         for s in range(W):
             if s <= top and zth < L:
-                shifts[s] = row([t[: W - s] for t in th], s)
+                shifts[s] = row(th, s)
             for at in range(s * m, s * m + m):
                 if gf2:
                     live = [r for r, x in enumerate(res) if x >> at & 1]
@@ -520,7 +533,7 @@ def order_basis_depths(Y: SeriesMatrix, theta, D_max: int) -> list[int]:
                     prow[:0] = [0] * m  # z times the pivot
                     del prow[-m:]
                 deg[piv] += 1
-            if sum(deg) != m * (s + 2):
+            if sum(deg) != sum(rs) + m * (s + 2):
                 raise AssertionError(f"order basis found no pivot at order {s}")
             least = min(deg)
             while low < least and low <= s and low <= top:

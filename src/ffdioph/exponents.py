@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .approx import BestError, best_error, best_error_mult, order_basis_depths
+from .approx import BestError, best_error, best_error_mult, compositions, order_basis_depths
 from .errors import FFDiophError, PrecisionExhaustedError
 from .matrix import SeriesMatrix
 from .poly import NEG_INF
@@ -67,18 +67,21 @@ def profile(
     """Best-error degrees for all horizons up to T_max.
 
     method picks the best-error route for both kinds, "kernel" or "brute"
-    (see ``best_error`` and ``best_error_mult``: the multiplicative kernel
-    route covers m = 1 and enumerates for m >= 2).  For the standard kind
+    (see ``best_error`` and ``best_error_mult``).  For the standard kind
     both routes depend on T only through the degree bound D = (T-1)//n, so
     an entry is decided once per D, at T = n*D + 1, and the other horizons
-    with that D share it.  A standard kernel profile reads every D below
-    its cap off one order basis (``order_basis_depths``, which works out
-    its own floor from Y and theta): B = -(K(D)+1)*m, with no scan and no
-    witness.  ``best_error`` still decides every capped D, so censored
-    entries are the scan's, and it decides the deepest uncapped D again as
-    a check.  Brute and multiplicative profiles run ``best_error`` (or
-    ``best_error_mult``) per D.  A theta of length other than Y.m is
-    refused before either route runs.
+    with that D share it.  A kernel profile, standard or multiplicative with
+    m = 1, reads every horizon below its cap off order bases
+    (``order_basis_depths``, which works out its own floor from Y and
+    theta), with no scan and no witness: a standard one reads D off one
+    basis, B = -(K(D)+1)*m; a multiplicative one reads each degree shape
+    (D_1..D_n), sum D_j = T-1, off the basis of its column shifts
+    r_j = max D - D_j, one basis per r, and B is -(K+1) for the largest K
+    over the shapes.  The route still decides every capped horizon, so
+    censored entries and -inf are the scan's, and it decides the deepest
+    horizon read off the bases again as a check.  Brute profiles and
+    multiplicative ones with m >= 2 run the route per horizon.  A theta of
+    length other than Y.m is refused before either route runs.
     Precision exhaustion in a single entry is recorded as a censored value
     rather than aborting the whole profile.  Raises AssertionError if the
     check disagrees or an exact entry exceeds an earlier exact one.
@@ -89,36 +92,34 @@ def profile(
         raise ValueError(f"unknown profile kind {kind!r}")
     if theta is not None and len(theta) != Y.m:
         raise ValueError("shift vector length must match row count")
-    depths = []  # K(D) of the uncapped degree bounds, from the order basis
-    if kind == "standard" and method == "kernel":
-        depths = order_basis_depths(Y, theta, (T_max - 1) // Y.n)
+
+    def route(T: int) -> BestError:
+        if kind == "standard":
+            return best_error(Y, theta, T, method=method)
+        if method == "kernel":
+            # the default stays implicit: the benchmark's call-counting
+            # hook (bench/tracing.py) takes best_error_mult(Y, theta, T)
+            return best_error_mult(Y, theta, T)
+        return best_error_mult(Y, theta, T, method=method)
+
+    read = {}  # T -> B(T) of the horizons the order bases give
+    if method == "kernel" and (kind == "standard" or Y.m == 1):
+        read = _basis_reads(Y, theta, T_max, kind)
+    check = max(read, default=None)
     entries = []
     for T in range(1, T_max + 1):
-        D = (T - 1) // Y.n
         if kind == "standard" and (T - 1) % Y.n:
-            # same degree bound D as T-1: reuse its entry
+            # same degree bound D = (T-1)//n as T-1: reuse its entry
             entries.append(ProfileEntry(T, entries[-1].B))
             continue
-        if D < len(depths):
-            B = DegValue.exact(-(depths[D] + 1) * Y.m)
-            if D == len(depths) - 1:
-                check = best_error(Y, theta, T, method=method).B
-                if check != B:
-                    raise AssertionError(
-                        f"order basis gives B({T}) = {B}, the scan {check}"
-                    )
+        if T in read:
+            B = DegValue.exact(read[T])
+            if T == check and (scan := route(T).B) != B:
+                raise AssertionError(f"order basis gives B({T}) = {B}, the scan {scan}")
             entries.append(ProfileEntry(T, B))
             continue
         try:
-            if kind == "standard":
-                be: BestError = best_error(Y, theta, T, method=method)
-            elif method == "kernel":
-                # the default stays implicit: the benchmark's call-counting
-                # hook (bench/tracing.py) takes best_error_mult(Y, theta, T)
-                be = best_error_mult(Y, theta, T)
-            else:
-                be = best_error_mult(Y, theta, T, method=method)
-            entries.append(ProfileEntry(T, be.B))
+            entries.append(ProfileEntry(T, route(T).B))
         except PrecisionExhaustedError:
             # the trivial bound deg <= -1 per row survives any truncation
             entries.append(ProfileEntry(T, DegValue.censored_at(-Y.m)))
@@ -131,6 +132,34 @@ def profile(
                 f"exceeds B({prev.T}) = {prev.B.value}"
             )
     return ExponentProfile(kind, Y.m, Y.n, T_max, tuple(entries))
+
+
+def _basis_reads(Y: SeriesMatrix, theta, T_max: int, kind: str) -> dict[int, int]:
+    """{T: B(T)} for every horizon up to T_max whose entry the order bases
+    give (``order_basis_depths``); the other horizons are capped.
+
+    A standard horizon reads its degree bound D = (T-1)//n, at T = n*D + 1,
+    off one basis.  A multiplicative one (m = 1) is the least value over its
+    shapes D_j >= 0, sum D_j = T-1, each read off the basis of its column
+    shifts r_j = M - D_j, M = max D_j, at D = M: one basis per r serves every
+    T, run to the M of the deepest horizon, (T_max - 1 + sum r)//n.  Such a
+    T is read only when none of its shapes is capped.
+    """
+    if kind == "standard":
+        depths = order_basis_depths(Y, theta, (T_max - 1) // Y.n)
+        return {Y.n * D + 1: -(K + 1) * Y.m for D, K in enumerate(depths)}
+    read, bases = {}, {}
+    for T in range(1, T_max + 1):
+        Ks = []
+        for shape in compositions(T - 1, Y.n):
+            M = max(shape)
+            r = tuple(M - d for d in shape)
+            if r not in bases:
+                bases[r] = order_basis_depths(Y, theta, (T_max - 1 + sum(r)) // Y.n, r)
+            Ks.append(bases[r][M] if M < len(bases[r]) else None)
+        if None not in Ks:
+            read[T] = -(max(Ks) + 1)
+    return read
 
 
 def estimate(prof: ExponentProfile) -> ExponentEstimate:

@@ -9,11 +9,14 @@ copy and safe to share between workers.
 
 A field with q <= ``TABLE_LIMIT`` builds add, sub and mul tables and neg and
 inv vectors once, when constructed, and each operation is then one lookup;
-a larger field (a big user modulus) loops over base-p digits on every call.
-The tables are part of the context, so they travel with it to workers.
-Two row operations serve elimination: ``sub_scaled`` (r -= f * p in place)
-and ``scaled`` (f * row).  Each reads one row of the mul table per call on a
-tabled field and loops over digits on a larger one.
+a larger field (a big user modulus) loops over base-p digits on every call,
+except on GF(2^d), whose coordinates are an element's bits: there add is
+XOR and mul a carry-less product.  The tables are part of the context, so
+they travel with it to workers.  Two row operations serve elimination:
+``sub_scaled`` (r -= f * p in place) and ``scaled`` (f * row).  Each reads
+one row of the mul table per call on a tabled field, and on a larger one
+works mod p inline on a prime field and through the digit loops on an
+extension.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ _BUILTIN_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 
 # Fields with at most this many elements do all arithmetic by table lookup
 # (three q x q tables and two vectors, built in ``Fq.__init__``); larger
-# fields loop over base-p digits on every call.
+# fields work on base-p digits on every call.
 TABLE_LIMIT = 64
 
 
@@ -73,7 +76,7 @@ class Fq:
     workers; every operation is a pure function of its arguments.
     """
 
-    __slots__ = ("p", "d", "q", "modulus", "_add", "_sub", "_mul", "_neg", "_inv")
+    __slots__ = ("p", "d", "q", "modulus", "_mod_bits", "_add", "_sub", "_mul", "_neg", "_inv")
 
     def __init__(self, p: int, d: int = 1, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -103,6 +106,9 @@ class Fq:
         self.d = d
         self.q = p**d
         self.modulus = modulus
+        # on GF(2^d) an element's bits are its coordinates, and so are the
+        # modulus's: the digit loops work on them as ints
+        self._mod_bits = sum(c << i for i, c in enumerate(modulus)) if p == 2 and d > 1 else None
         self._add = self._sub = self._mul = self._neg = self._inv = None
         if self.q <= TABLE_LIMIT:
             self._build_tables()
@@ -211,6 +217,12 @@ class Fq:
                 c = p[j]
                 if c:
                     r[j] = sub[r[j]][fm[c]]
+        elif self.d == 1:
+            mod = self.p
+            for j in range(start, len(r)):
+                c = p[j]
+                if c:
+                    r[j] = (r[j] - f * c) % mod
         else:
             add, neg, mul = self._add_digits, self._neg_digits, self._mul_digits
             for j in range(start, len(r)):
@@ -224,6 +236,9 @@ class Fq:
         if t is not None:
             fm = t[f]
             return [fm[c] for c in row]
+        if self.d == 1:
+            mod = self.p
+            return [f * c % mod for c in row]
         return [self._mul_digits(f, c) for c in row]
 
     # -- digit loops: fill the tables, and serve fields above TABLE_LIMIT --
@@ -231,6 +246,8 @@ class Fq:
     def _add_digits(self, a: int, b: int) -> int:
         if self.d == 1:
             return (a + b) % self.p
+        if self._mod_bits is not None:
+            return a ^ b
         p, val, mult = self.p, 0, 1
         for _ in range(self.d):
             val += ((a + b) % p) * mult
@@ -242,6 +259,8 @@ class Fq:
     def _neg_digits(self, a: int) -> int:
         if self.d == 1:
             return (-a) % self.p
+        if self._mod_bits is not None:
+            return a
         p, val, mult = self.p, 0, 1
         for _ in range(self.d):
             val += ((-a) % p) * mult
@@ -254,6 +273,18 @@ class Fq:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
+        if self._mod_bits is not None:  # a carry-less product
+            prod = 0
+            while b:
+                if b & 1:
+                    prod ^= a
+                a <<= 1
+                b >>= 1
+            mod = self._mod_bits
+            for k in range(prod.bit_length() - 1, self.d - 1, -1):
+                if prod >> k & 1:
+                    prod ^= mod << (k - self.d)
+            return prod
         p = self.p
         ca, cb = list(self.coords(a)), list(self.coords(b))
         prod = [0] * (2 * self.d - 1)

@@ -454,7 +454,8 @@ def test_basis_profile_check_refuses_a_wrong_value(monkeypatch):
 def _profile_inputs():
     return {
         "brute": (random_matrix(F2, 1, 2, -12, "route-brute"), None, "standard", "brute"),
-        "multiplicative": (random_matrix(Fq(3), 1, 2, -40, "route"), None, "multiplicative", "kernel"),
+        # m = 2: the multiplicative kernel route enumerates per horizon
+        "multiplicative": (random_matrix(F2, 2, 1, -40, "route"), None, "multiplicative", "kernel"),
     }
 
 
@@ -476,6 +477,114 @@ def test_other_profiles_call_best_error_for_every_bound(monkeypatch, case):
     profile(Y, theta, T_max, kind, method)
     step = Y.n if kind == "standard" else 1
     assert seen == list(range(1, T_max + 1, step))
+
+
+def per_horizon_mult(Y, theta, T):
+    """B(T) from best_error_mult's kernel route alone, as profile records it."""
+    from ffdioph.approx import best_error_mult
+
+    try:
+        return best_error_mult(Y, theta, T).B
+    except PrecisionExhaustedError:
+        return DegValue.censored_at(-Y.m)
+
+
+def mult_inputs(F, *tags):
+    """(Y, theta, T_max) of m = 1 multiplicative profiles: n = 1, 2, 3 on a
+    deep floor, homogeneous and with a random shift, and on a shallow floor
+    where shapes reach their caps; an exact literal, homogeneous and with an
+    exact shift; and columns and a shift on floors of their own."""
+    cases = {}
+    for n, T_max in [(1, 12), (2, 10), (3, 7)]:
+        for floor in (-40, -5 - n):
+            Y = random_matrix(F, 1, n, floor, "mult", *tags, n, floor)
+            theta = (random_series(F, floor, derive_rng(21, "mult-theta", *tags, n, floor)),)
+            cases[f"1x{n}{floor}"] = (Y, None, T_max)
+            cases[f"1x{n}{floor}-shifted"] = (Y, theta, T_max)
+    # X^-1 and X^-(3+j) with nonzero digits: X^3 and X^4 clear the two
+    # columns, exact hits from T = 4 on, all capped
+    exact = [
+        LaurentSeries.from_terms(
+            F, {-1 - e: 1 + derive_rng(21, "lit", *tags, j, e).randrange(F.q - 1) for e in (0, 2 + j)}
+        )
+        for j in range(3)
+    ]
+    cases["exact"] = (SeriesMatrix([exact[:2]]), None, 9)
+    cases["exact-shifted"] = (SeriesMatrix([exact[:2]]), (exact[2],), 9)
+    cols = [random_series(F, floor, derive_rng(21, "mixed", *tags, floor)) for floor in (-13, -16, -11)]
+    cases["mixed-floors"] = (SeriesMatrix([cols[:2]]), (random_series(F, -15, derive_rng(21, "mixed", *tags)),), 10)
+    cases["shift-shallower"] = (SeriesMatrix([cols[1:]]), (cols[0],), 8)
+    return cases
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F4", "F128"])
+def test_mult_basis_profile_equals_best_error_mult_per_horizon(name):
+    # an m = 1 multiplicative kernel profile reads each horizon whose shapes
+    # are all uncapped off one order basis per column shift vector; every
+    # entry must equal best_error_mult's own scans over the shapes
+    import ffdioph.exponents as exponents
+
+    F = BASIS_FIELDS[name]
+    read = total = 0
+    for case, (Y, theta, T_max) in mult_inputs(F, name).items():
+        prof = profile(Y, theta, T_max, "multiplicative", "kernel")
+        want = [per_horizon_mult(Y, theta, T) for T in range(1, T_max + 1)]
+        assert [e.B for e in prof.entries] == want, case
+        read += len(exponents._basis_reads(Y, theta, T_max, "multiplicative"))
+        total += T_max
+    # both routes are reached: horizons off the bases and capped ones
+    assert 60 <= read <= total - 30
+
+
+def _mult_capped(Y, theta, T):
+    """Whether some shape of horizon T is at its scan cap."""
+    from ffdioph.approx import _deepest_feasible_depth, _search_caps, compositions
+
+    for shape in compositions(T - 1, Y.n):
+        cap, _ = _search_caps(Y, theta, list(shape))
+        if _deepest_feasible_depth(Y, theta, list(shape), cap)[0] == cap:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("shifted", [False, True], ids=["homogeneous", "shifted"])
+def test_mult_basis_profile_calls_best_error_mult_at_capped_and_check_horizons(monkeypatch, n, shifted):
+    # on one common floor a shape is capped for its basis exactly when it is
+    # for its scan, so best_error_mult decides the horizons with a capped
+    # shape and, as a check, the deepest other one, and no other horizon
+    import ffdioph.exponents as exponents
+
+    F3 = Fq(3)
+    T_max, floor = {1: 10, 2: 9, 3: 7}[n], -3 * n - 4
+    Y = random_matrix(F3, 1, n, floor, "mult-spy", n)
+    theta = (random_series(F3, floor, derive_rng(21, "mult-spy", n)),) if shifted else None
+    capped = [T for T in range(1, T_max + 1) if _mult_capped(Y, theta, T)]
+    check = max(T for T in range(1, T_max + 1) if T not in capped)
+    assert capped and check < T_max  # some horizons to read off the bases
+    real, seen = exponents.best_error_mult, []
+
+    def spy(Y, theta, T, method="kernel"):
+        seen.append(T)
+        return real(Y, theta, T, method=method)
+
+    monkeypatch.setattr(exponents, "best_error_mult", spy)
+    prof = profile(Y, theta, T_max, "multiplicative", "kernel")
+    assert seen == sorted(capped + [check])
+    monkeypatch.undo()
+    assert [e.B for e in prof.entries] == [per_horizon_mult(Y, theta, T) for T in range(1, T_max + 1)]
+
+
+def test_order_basis_refuses_a_lost_pivot(monkeypatch):
+    # the degree sum sum(r) + m(s+2) after order s holds only when every
+    # step finds a pivot; residuals that lose every row must raise
+    import ffdioph.approx as approx
+
+    Y = random_matrix(F2, 1, 3, -30, "pivot")
+    assert approx.order_basis_depths(Y, None, 6, (0, 2, 1))
+    monkeypatch.setattr(approx, "pack_gf2", lambda digits: 0)
+    with pytest.raises(AssertionError, match="order basis found no pivot at order 0"):
+        approx.order_basis_depths(Y, None, 6, (0, 2, 1))
 
 
 def _window_inputs():

@@ -166,7 +166,18 @@ def _depths(prof, width):
     return out
 
 
-@pytest.mark.parametrize("field", [F2, Fq(3)], ids=["F2", "F3"])
+def _delta(K, s):
+    """delta(s) = min{D : D + K(D) >= s} from _depths' K; None when a
+    censored entry comes first or the profile ends before it."""
+    for D, k in K.items():
+        if k is None:
+            return None
+        if D + k >= s:
+            return D
+    return None
+
+
+@pytest.mark.parametrize("field", [F2, Fq(3), Fq(2, 2)], ids=["F2", "F3", "F4"])
 def test_inhomogeneous_transference_bound(field):
     # the inhomogeneous system of depth K over deg q_j <= D is solvable for
     # every theta once the transposed homogeneous one has no nonzero x of
@@ -183,22 +194,12 @@ def test_inhomogeneous_transference_bound(field):
             theta = tuple(random_series(field, -160, rng) for _ in range(m))
             K = _depths(profile(Y, theta, 30), n)
             K_t = _depths(profile(Y.transpose(), None, 90), m)
-
-            def delta(s):
-                # None: past the known part of Y^t's profile
-                for D, k in K_t.items():
-                    if k is None:
-                        return None
-                    if D + k >= s:
-                        return D
-                return None
-
             for D, k in K.items():
                 if k is None:
                     continue
                 # delta(s+1) <= delta(s) + 1, so the valid K form a prefix
                 G = 0
-                while (d := delta(D + G + 1)) is not None and d >= G + 1:
+                while (d := _delta(K_t, D + G + 1)) is not None and d >= G + 1:
                     G += 1
                 if d is None:
                     continue
@@ -208,6 +209,35 @@ def test_inhomogeneous_transference_bound(field):
                 equal += k == G
                 assert k >= G, (m, n, seed, D, k, G)
     assert checked > 100 and equal > 50
+
+
+@pytest.mark.parametrize("field", [F2, Fq(3)], ids=["F2", "F3"])
+def test_khintchine_bounds_per_order(field):
+    # after s orders the N = m + n degrees of Y's order basis sum to m(s+1)
+    # and the least is delta(s); by duality Y^t's least is s + 1 minus the
+    # largest of them, so
+    # (N-1) delta(s) - (m-1)(s+1) <= delta^t(s) <= s + 1 - (m(s+1) - delta(s))/(N-1)
+    checked = low = high = 0
+    for m, n in ((1, 2), (2, 1), (2, 2)):
+        N = m + n
+        for seed in range(2):
+            rng = derive_rng(seed, "khintchine", field.q, m, n)
+            Y = SeriesMatrix(
+                [[random_series(field, -160, rng) for _ in range(n)] for _ in range(m)]
+            )
+            K = _depths(profile(Y, None, 40 * n + 1), n)
+            K_t = _depths(profile(Y.transpose(), None, 40 * m + 1), m)
+            for s in range(1, 60):
+                d, dt = _delta(K, s), _delta(K_t, s)
+                if d is None or dt is None:
+                    continue
+                lo = (N - 1) * d - (m - 1) * (s + 1)
+                hi = s + 1 - Fraction(m * (s + 1) - d, N - 1)
+                assert lo <= dt <= hi, (m, n, seed, s, d, dt)
+                checked += 1
+                low += dt == lo
+                high += dt == hi
+    assert checked > 300 and low > 80 and high > 80
 
 
 def test_mult_dominance_exact_hits_on_both_sides():
