@@ -96,11 +96,12 @@ def _cmd_verify(args) -> int:
             f"{sorted(_VERIFY_SUITES + ('all',))}"
         )
     cfg = _load_config(args, None)
+    # every suite's config is checked before any suite runs
+    sub_cfgs = [cfg.replace(suite=suite) for suite in names]
     sub_reports = []
     worst = 0
     severity = {0: 0, 2: 1, 1: 2, 3: 3}
-    for suite in names:
-        sub_cfg = cfg.replace(suite=suite)
+    for suite, sub_cfg in zip(names, sub_cfgs):
         report, code = run_config(sub_cfg)
         sub_reports.append(report)
         if severity[code] > severity[worst]:

@@ -18,20 +18,21 @@ Schema (every key is optional; `ExperimentConfig` declares the defaults):
                             "zero" and 0 give the zero shift
     eta            "a/b"    level of the index-tuple family
     eps            "a/b"    premise margin
-    tau            "a/b"    cell scale slope; null = tau0(eps)/2 (1/8 for audit-tset)
+    tau            "a/b"    cell scale slope, > 0 (below tau0(eps) for limsup);
+                            null = tau0(eps)/2 (1/8 for audit-tset)
     tol_bz         "a/b"    transpose-bound diagnostic tolerance
     tol_dyson      "a/b"    exponent-one diagnostic tolerance
     method         str      best-error path, "kernel" | "brute", for both
                             profile kinds (the multiplicative kernel path
                             covers m = 1 and enumerates for m >= 2)
     profile_kind   str      "standard" | "multiplicative"
-    instances      int      randomized-suite instance count
-    sigma_bound    int      target size for dirichlet / level cutoff for tset
-    uv_budget      int      grid budget for the tset audit
+    instances      int      randomized-suite instance count, >= 1
+    sigma_bound    int      target size for dirichlet / level cutoff for tset, >= 0
+    uv_budget      int      grid budget for the tset audit, >= 0
     mode           str      tset mode, "multiplicative" | "dual"
-    mult_T_max     int      horizon for the multiplicative dominance check
-    plane_samples  int      sampled matrices per plane-identity instance
-    plant_T        int      premise horizon for planted witnesses
+    mult_T_max     int      horizon for the multiplicative dominance check, >= 1
+    plane_samples  int      sampled matrices per plane-identity instance, >= 0
+    plant_T        int      premise horizon for planted witnesses, >= 1
     sigma_threshold int     finitely-many-exceptions cutoff
 
 Only `tau` may be null.  `workers` is excluded from the config echo in
@@ -53,6 +54,13 @@ _CHOICES = {
     "method": ("kernel", "brute"),
     "profile_kind": ("standard", "multiplicative"),
     "mode": ("multiplicative", "dual"),
+}
+
+
+# the least accepted value of each bounded integer key, checked in this order
+_INT_MINIMA = {
+    "workers": 1, "T_max": 1, "instances": 1, "mult_T_max": 1, "plant_T": 1,
+    "plane_samples": 0, "sigma_bound": 0, "uv_budget": 0,
 }
 
 
@@ -138,10 +146,9 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**{k: _parse(k, kinds[k], v) for k, v in raw.items()})
-        if cfg.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if cfg.T_max < 1:
-            raise ConfigError("T_max must be >= 1")
+        for key, least in _INT_MINIMA.items():
+            if getattr(cfg, key) < least:
+                raise ConfigError(f"{key} must be >= {least}")
         if cfg.floor > -2 * cfg.T_max:
             raise ConfigError(
                 f"floor must be <= -2*T_max = {-2 * cfg.T_max}, got {cfg.floor}"
@@ -150,12 +157,21 @@ class ExperimentConfig:
             raise ConfigError("eta must be >= 1")
         if cfg.eps <= 0:
             raise ConfigError("eps must be positive")
+        if cfg.tau is not None and cfg.tau <= 0:
+            raise ConfigError("tau must be positive")
         try:
             cfg.fq()  # validate the field spec eagerly; the field is kept
         except (ParseError, ValueError) as exc:
             raise ConfigError(f"bad field spec {cfg.field!r}: {exc}") from exc
         if cfg.suite == "limsup" and cfg.m != 1 and cfg.n != 1:
             raise ConfigError("the limsup suite needs m = 1 or n = 1")
+        if cfg.suite == "limsup" and cfg.tau is not None:
+            # imported here: only a limsup config with a given tau needs it
+            from .limsup import TsetParams, tau0
+
+            t0 = tau0(cfg.eps, TsetParams(cfg.m, cfg.n, cfg.eta))
+            if not cfg.tau < t0:
+                raise ConfigError(f"tau must be below tau0 = {t0} in the limsup suite")
         return cfg
 
     @classmethod

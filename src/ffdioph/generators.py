@@ -374,7 +374,7 @@ def plant_membership_pair(
     Y = SeriesMatrix([[y11, y12]])
     a1, a2 = Witness(p1, q1), Witness(p2, q2)
     for a in (a1, a2):
-        res = delta_membership(Y, theta, it, a, tau, "standard")
+        res = delta_membership(Y, theta, it, a, tau)
         if not res.member:
             raise AssertionError("constructed pair misses its membership")
     return MembershipPair(Y, theta, it, tau, a1, a2)

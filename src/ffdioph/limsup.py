@@ -216,45 +216,32 @@ class MembershipResult:
     deg: DegValue
     member: bool
     threshold: Fraction
-    variant: str
 
 
-def _membership_deg(Y: SeriesMatrix, theta, t: IndexTuple, alpha: Witness) -> DegValue:
-    if len(t.t) != Y.m + Y.n:
-        raise ValueError("index tuple length must be m + n")
-    degs = witness_error_degs(Y, theta, alpha)
-    coords = [d.shift(t.t[j]) for j, d in enumerate(degs)]
-    for i, qi in enumerate(alpha.q):
-        d = qi.deg
-        if d == NEG_INF:
-            coords.append(DegValue(NEG_INF, False))
-        else:
-            coords.append(DegValue(d - t.t[Y.m + i], False))
-    return deg_max(coords)
+def _membership(degs, t: IndexTuple, alpha: Witness, tau):
+    """Cell membership read off the witness's row degrees (the output of
+    ``witness_error_degs``): row i raised by t_i and q_j lowered by
+    t_(m+j), the largest coordinate compared with -tau*sigma.
+
+    Returns the result, the scaled rows and the scaled degrees of the
+    nonzero q_j.
+    """
+    m = len(degs)
+    rows = [d.shift(t.t[i]) for i, d in enumerate(degs)]
+    qs = [qj.deg - t.t[m + j] for j, qj in enumerate(alpha.q) if qj.deg != NEG_INF]
+    d = deg_max(rows + [DegValue(x) for x in qs])
+    threshold = -Fraction(tau) * t.sigma
+    return MembershipResult(d, deg_lt(d, threshold), threshold), rows, qs
 
 
 def delta_membership(
-    Y: SeriesMatrix,
-    theta,
-    t: IndexTuple,
-    alpha: Witness,
-    tau: Fraction,
-    variant: str = "standard",
+    Y: SeriesMatrix, theta, t: IndexTuple, alpha: Witness, tau: Fraction
 ) -> MembershipResult:
-    """Does the scaled affine image of alpha fall below e^(-tau*sigma)?
-
-    variant="standard" scales by the index tuple itself; "shifted" uses the
-    construction's rescaled diagonal, which lowers every coordinate's
-    exponent by one.
-    """
-    if variant not in ("standard", "shifted"):
-        raise ValueError(f"unknown variant {variant!r}")
-    d = _membership_deg(Y, theta, t, alpha)
-    if variant == "shifted":
-        d = d.shift(-1)
-    threshold = -Fraction(tau) * t.sigma
-    member = deg_lt(d, threshold)
-    return MembershipResult(d, member, threshold, variant)
+    """Does the affine image of alpha, scaled by the index tuple, fall below
+    e^(-tau*sigma)?"""
+    if len(t.t) != Y.m + Y.n:
+        raise ValueError("index tuple length must be m + n")
+    return _membership(witness_error_degs(Y, theta, alpha), t, alpha, tau)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +264,11 @@ def witness_extract_uv(
     most 1/e.  Raises PreconditionError naming the failed inequality.
     """
     eta, eps = Fraction(eta), Fraction(eps)
-    degs = witness_error_degs(Y, theta, alpha)
+    return _envelopes(witness_error_degs(Y, theta, alpha), alpha, T, eta, eps)
+
+
+def _envelopes(degs, alpha: Witness, T: int, eta: Fraction, eps: Fraction):
+    """``witness_extract_uv`` read off the witness's row degrees."""
     cut = -(eta + eps) * T
     if not deg_lt(deg_sum(degs), cut):
         raise PreconditionError("row product premise fails at this horizon")
@@ -317,9 +308,11 @@ def prop_forward_check(
     """Build the index tuple from a premise witness and verify membership.
 
     Asserts: the balance offset exceeds tau0 * sigma, and the cell
-    membership holds at tau in at least one scaling variant.  The premises
-    place the tuple in the family, so a rejection is an internal error.  Below sigma_threshold a membership miss is
-    reported as threshold-exempt rather than a failure, matching the
+    membership holds at tau, either at the tuple's own scaling or at the
+    construction's rescaled diagonal, which reads the same degree one lower.
+    The premises place the tuple in the family, so a rejection is an
+    internal error.  Below sigma_threshold a membership miss is reported as
+    threshold-exempt rather than a failure, matching the
     finitely-many-exceptions proviso.
     """
     eta, eps, tau = Fraction(eta), Fraction(eps), Fraction(tau)
@@ -327,18 +320,18 @@ def prop_forward_check(
     t0 = tau0(eps, params)
     if not tau < t0:
         raise PreconditionError(f"tau must be below tau0 = {t0}")
-    u, v = witness_extract_uv(Y, theta, alpha, T, eta, eps)
+    degs = witness_error_degs(Y, theta, alpha)
+    u, v = _envelopes(degs, alpha, T, eta, eps)
     got = xi_and_t(u, v, params)
     if got is None:
         # the premises give sigma(u) >= (eta+eps)T > eta*T > eta*sigma(v)
         raise AssertionError("premise envelopes fell outside the half-space")
     xi, it = got
     xi_ok = xi > t0 * it.sigma
-    variants = {}
-    for variant in ("standard", "shifted"):
-        res = delta_membership(Y, theta, it, alpha, tau, variant)
-        variants[variant] = res
-    member_ok = any(r.member for r in variants.values())
+    std = _membership(degs, it, alpha, tau)[0]
+    member_standard = std.member
+    member_shifted = deg_lt(std.deg.shift(-1), std.threshold)
+    member_ok = member_standard or member_shifted
     # below the cutoff the finitely-many-exceptions proviso applies: the
     # exempt status is recorded, and a membership miss is not a failure
     exempt = it.sigma < sigma_threshold
@@ -356,8 +349,8 @@ def prop_forward_check(
             "sigma": it.sigma,
             "tau0": t0,
             "xi_exceeds_tau0_sigma": xi_ok,
-            "member_standard": variants["standard"].member,
-            "member_shifted": variants["shifted"].member,
+            "member_standard": member_standard,
+            "member_shifted": member_shifted,
             "threshold_exempt": exempt,
         },
         note=note,
@@ -384,22 +377,17 @@ def prop_backward_check(
     coordinates scaled down) and then the derived premises exactly.
     """
     eta, tau = Fraction(eta), Fraction(tau)
-    mem = delta_membership(Y, theta, t, alpha, tau, "standard")
+    if len(t.t) != Y.m + Y.n:
+        raise ValueError("index tuple length must be m + n")
+    degs = witness_error_degs(Y, theta, alpha)
+    mem, rows, qs = _membership(degs, t, alpha, tau)
     if not mem.member:
         raise PreconditionError("cell membership precondition fails")
     m, n = Y.m, Y.n
     sigma = t.sigma
-    degs = witness_error_degs(Y, theta, alpha)
-    row_block = deg_sum(
-        d.shift(t.t[j]) for j, d in enumerate(degs)
-    )
+    row_block = deg_sum(rows)
     row_bound_ok = deg_lt(row_block, -m * tau * sigma)
-    q_terms = [
-        qi.deg - t.t[m + i]
-        for i, qi in enumerate(alpha.q)
-        if qi.deg != NEG_INF
-    ]
-    q_block = sum(q_terms)
+    q_block = sum(qs)
     q_bound_ok = q_block < -n * tau * sigma
     T_prime = Fraction(sigma, 1) / (eta + 1)
     eps_prime = m * tau * (eta + 1)
@@ -447,8 +435,8 @@ def intersection_check(
     tau = Fraction(tau)
     if alpha.p == alpha2.p and alpha.q == alpha2.q:
         raise ValueError("witnesses must be distinct")
-    mem1 = delta_membership(Y, theta, t, alpha, tau, "standard")
-    mem2 = delta_membership(Y, theta, t, alpha2, tau, "standard")
+    mem1 = delta_membership(Y, theta, t, alpha, tau)
+    mem2 = delta_membership(Y, theta, t, alpha2, tau)
     if not (mem1.member and mem2.member):
         raise PreconditionError("both cell memberships must hold")
     p_diff = tuple(a - b for a, b in zip(alpha.p, alpha2.p))
@@ -471,7 +459,7 @@ def intersection_check(
             details={"q_diff_zero": True, "contradicted_coords": forced},
         )
     diff = Witness(p_diff, q_diff)
-    mem_diff = delta_membership(Y, None, t, diff, tau, "standard")
+    mem_diff = delta_membership(Y, None, t, diff, tau)
     return CheckReport(
         name="intersection",
         holds=mem_diff.member,
@@ -593,9 +581,7 @@ def cell_plane_identity_check(Y: SeriesMatrix, plane: CellPlane) -> CheckReport:
     the plane's floor first, which changes neither route's answer.
     """
     Y = cut_matrix(Y, plane.alpha.q, plane.floor)
-    cell = delta_membership(
-        Y, plane.theta, plane.t, plane.alpha, plane.tau, "standard"
-    ).member
+    cell = delta_membership(Y, plane.theta, plane.t, plane.alpha, plane.tau).member
     plane_route = plane.gate and plane_member(Y, plane.spec, plane.log_delta)
     return CheckReport(
         name="cell_plane_identity",

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -107,3 +108,41 @@ def test_from_json_file(tmp_path):
     p.write_text("{nope")
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json_file(p)
+
+
+@pytest.mark.parametrize(
+    "suite, raw, key",
+    [
+        ("dirichlet", {"instances": -3}, "instances"),
+        ("transference", {"mult_T_max": 0}, "mult_T_max"),
+        ("limsup", {"plant_T": 0}, "plant_T"),
+        ("limsup", {"plane_samples": -1}, "plane_samples"),
+        ("dirichlet", {"sigma_bound": -1}, "sigma_bound"),
+        ("audit-tset", {"uv_budget": -1}, "uv_budget"),
+        ("limsup", {"tau": "-1"}, "tau"),
+    ],
+)
+def test_out_of_range_key_exits_3_before_any_instance(tmp_path, capsys, suite, raw, key):
+    from ffdioph import cli
+
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["verify", suite, "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be")
+    assert "instance(s)" not in err
+
+
+@pytest.mark.parametrize("raw", [{"suite": "limsup", "tau": "1"}, {"tau": "1/8"}])
+def test_limsup_tau_at_or_above_tau0_exits_3(tmp_path, capsys, raw):
+    # tau0 = 1/8 at eta = eps = 1 and m = n = 1; a limsup sub-run of
+    # `verify all` is checked before the first suite runs
+    from ffdioph import cli
+
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    suite = raw.get("suite", "all")
+    assert cli.main(["verify", suite, "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "error: tau must be below tau0 = 1/8" in err
+    assert "instance(s)" not in err

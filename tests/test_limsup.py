@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -32,7 +33,9 @@ from ffdioph import (
     witness_extract_uv,
     xi_and_t,
 )
+from ffdioph import limsup as limsup_module
 from ffdioph import runner
+from ffdioph.approx import witness_error_degs
 from ffdioph.config import ExperimentConfig
 from ffdioph.generators import (
     PlantParams,
@@ -44,7 +47,9 @@ from ffdioph.generators import (
     random_series,
     solve_matrix_for_residual,
 )
-from ffdioph.matrix import matvec_affine
+from ffdioph.matrix import matvec_affine, prod_plus_deg
+from ffdioph.series import deg_lt, deg_max, deg_sum
+from ffdioph.transference import CheckReport
 
 F2 = Fq(2)
 ONE = Poly.one(F2)
@@ -178,15 +183,6 @@ def test_delta_membership_examples():
     assert r.deg.value == 3 and not r.member
 
 
-def test_delta_membership_shifted_is_one_lower():
-    Y0 = single(LaurentSeries.zero(F2))
-    t = IndexTuple.of((2, 2))
-    a = Witness((ZERO,), (X,))
-    std = delta_membership(Y0, None, t, a, Fraction(1, 8), "standard")
-    sh = delta_membership(Y0, None, t, a, Fraction(1, 8), "shifted")
-    assert sh.deg.value == std.deg.value - 1
-
-
 # ---------------------------------------------------------------------------
 # forward direction
 # ---------------------------------------------------------------------------
@@ -235,6 +231,25 @@ def test_forward_example():
     assert d["t"].t == (4, 4) and d["xi"] == 2 and d["tau0"] == Fraction(1, 8)
     assert d["member_standard"] and d["member_shifted"]
     assert not d["threshold_exempt"]
+
+
+def test_forward_shifted_membership_is_one_lower():
+    # eta 3/2, eps 1/4, T 1: u = 2, v = 0, xi = 4/5, so t = (2, 0) and the
+    # largest scaled coordinate is exactly 0.  The tuple's own scaling misses
+    # the threshold -tau*sigma = -1/50; the rescaled diagonal, one lower,
+    # clears it.
+    Y = single(S("X^-2"))
+    alpha = Witness((ZERO,), (ONE,))
+    eta, eps = Fraction(3, 2), Fraction(1, 4)
+    tau = tau0(eps, TsetParams(1, 1, eta)) / 2
+    rep = prop_forward_check(Y, None, alpha, 1, eta, eps, tau)
+    d = rep.details
+    assert d["t"].t == (2, 0)
+    assert d["member_shifted"] and not d["member_standard"]
+    assert rep.holds and rep.note == ""
+    mem = delta_membership(Y, None, d["t"], alpha, tau)
+    assert mem.deg == DegValue(0) and mem.threshold == Fraction(-1, 50)
+    assert not mem.member and mem.deg.value - 1 < mem.threshold
 
 
 def test_forward_requires_small_tau():
@@ -318,6 +333,128 @@ def test_forward_backward_roundtrip_planted():
         )
         assert bwd.holds
         assert bwd.details["eps_prime"] > 0
+
+
+def _planted(field, m, n, eta, eps, T, seed):
+    """A planted premise witness and the default slope tau0 / 2."""
+    inst = plant_witness(PlantParams(field, m, n, eta, eps, T, -60), seed)
+    return inst, tau0(inst.eps, TsetParams(m, n, inst.eta)) / 2
+
+
+def test_each_check_multiplies_its_witness_out_once(monkeypatch):
+    calls = []
+    real = limsup_module.witness_error_degs
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(limsup_module, "witness_error_degs", counting)
+    inst, tau = _planted(F2, 1, 1, Fraction(1), Fraction(1), 3, 0)
+    fwd = prop_forward_check(
+        inst.Y, inst.theta, inst.alpha, inst.T, inst.eta, inst.eps, tau
+    )
+    assert len(calls) == 1 and fwd.details["member_standard"]
+    prop_backward_check(inst.Y, inst.theta, fwd.details["t"], inst.alpha, tau, inst.eta)
+    assert len(calls) == 2
+
+
+def _oracle_membership(Y, theta, t, alpha, tau, lower):
+    """Cell membership from a product of its own: rows raised by t_i, q_j
+    lowered by t_(m+j), and `lower` subtracted from the largest coordinate."""
+    degs = witness_error_degs(Y, theta, alpha)
+    coords = [d.shift(t.t[j]) for j, d in enumerate(degs)]
+    for i, qi in enumerate(alpha.q):
+        if qi.deg == NEG_INF:
+            coords.append(DegValue(NEG_INF, False))
+        else:
+            coords.append(DegValue(qi.deg - t.t[Y.m + i], False))
+    return deg_lt(deg_max(coords).shift(-lower), -tau * t.sigma)
+
+
+def _oracle_forward(Y, theta, alpha, T, eta, eps, tau, sigma_threshold=8):
+    params = TsetParams(Y.m, Y.n, eta)
+    t0 = tau0(eps, params)
+    u, v = witness_extract_uv(Y, theta, alpha, T, eta, eps)
+    xi, it = xi_and_t(u, v, params)
+    xi_ok = xi > t0 * it.sigma
+    member_standard = _oracle_membership(Y, theta, it, alpha, tau, 0)
+    member_shifted = _oracle_membership(Y, theta, it, alpha, tau, 1)
+    member_ok = member_standard or member_shifted
+    exempt = it.sigma < sigma_threshold
+    details = {
+        "u": u,
+        "v": v,
+        "xi": xi,
+        "t": it,
+        "sigma": it.sigma,
+        "tau0": t0,
+        "xi_exceeds_tau0_sigma": xi_ok,
+        "member_standard": member_standard,
+        "member_shifted": member_shifted,
+        "threshold_exempt": exempt,
+    }
+    note = "threshold-exempt" if exempt and not member_ok else ""
+    return CheckReport(
+        "forward_inclusion", xi_ok and (member_ok or exempt), True,
+        details=details, note=note,
+    )
+
+
+def _oracle_backward(Y, theta, t, alpha, tau, eta):
+    assert _oracle_membership(Y, theta, t, alpha, tau, 0)
+    m, n, sigma = Y.m, Y.n, t.sigma
+    degs = witness_error_degs(Y, theta, alpha)
+    row_block = deg_sum(d.shift(t.t[j]) for j, d in enumerate(degs))
+    q_block = sum(
+        qi.deg - t.t[m + i] for i, qi in enumerate(alpha.q) if qi.deg != NEG_INF
+    )
+    T_prime = Fraction(sigma) / (eta + 1)
+    eps_prime = m * tau * (eta + 1)
+    details = {
+        "row_block_deg": row_block,
+        "q_block_deg": q_block,
+        "T_prime": T_prime,
+        "eps_prime": eps_prime,
+        "row_bound_ok": deg_lt(row_block, -m * tau * sigma),
+        "q_bound_ok": q_block < -n * tau * sigma,
+        "product_premise_ok": deg_lt(deg_sum(degs), -(eta + eps_prime) * T_prime),
+        "plus_product_premise_ok": prod_plus_deg(alpha.q) < T_prime,
+    }
+    flags = [v for k, v in details.items() if k.endswith("_ok")]
+    return CheckReport("backward_inclusion", all(flags), True, details=details)
+
+
+def _report_bytes(rep):
+    return json.dumps(runner.jsonable(rep), sort_keys=True)
+
+
+@pytest.mark.parametrize("field", [F2, Fq(3)], ids=["F2", "F3"])
+def test_checks_match_separate_products(field):
+    # the checks read one product each; the oracle multiplies out every
+    # membership, envelope and block bound on its own.  Short horizons and
+    # eps 1/4 plant shifted-only members, which skip the backward check.
+    shifted_only = backward = 0
+    for (m, n), eta, eps, T, seed in itertools.product(
+        [(1, 1), (1, 2), (2, 1)],
+        [Fraction(1), Fraction(3, 2), Fraction(2)],
+        [Fraction(1), Fraction(1, 4)],
+        [1, 3],
+        range(2),
+    ):
+        inst, tau = _planted(field, m, n, eta, eps, T, seed)
+        args = (inst.Y, inst.theta, inst.alpha, inst.T, inst.eta, inst.eps, tau)
+        fwd = prop_forward_check(*args)
+        assert _report_bytes(fwd) == _report_bytes(_oracle_forward(*args))
+        d = fwd.details
+        if d["member_standard"]:
+            back = (inst.Y, inst.theta, d["t"], inst.alpha, tau, inst.eta)
+            bwd = prop_backward_check(*back)
+            assert _report_bytes(bwd) == _report_bytes(_oracle_backward(*back))
+            backward += 1
+        else:
+            shifted_only += d["member_shifted"]
+    assert backward > 0 and shifted_only > 0
 
 
 # ---------------------------------------------------------------------------
