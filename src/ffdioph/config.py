@@ -10,7 +10,8 @@ Schema (every key is optional; `ExperimentConfig` declares the defaults):
     field          str      field spec, "p=2" or "p=3" or "p=2,d=2,modulus=..."
     dims           [m, n]   matrix shape; the dirichlet suite treats these as
                             maxima for its random shapes
-    floor          int      precision floor, at most -2*T_max
+    floor          int      precision floor, at most -2*T_max; in the
+                            transference suite also at most -2*mult_T_max
     T_max          int      profile horizon
     Y              spec     matrix spec; see generators
     theta          spec     shift spec; in the transference suite the default
@@ -18,8 +19,9 @@ Schema (every key is optional; `ExperimentConfig` declares the defaults):
                             "zero" and 0 give the zero shift
     eta            "a/b"    level of the index-tuple family
     eps            "a/b"    premise margin
-    tau            "a/b"    cell scale slope, > 0 (below tau0(eps) for limsup);
-                            null = tau0(eps)/2 (1/8 for audit-tset)
+    tau            "a/b"    cell scale slope, > 0; read by the limsup suite
+                            only, which needs it below tau0(eps);
+                            null = tau0(eps)/2
     tol_bz         "a/b"    transpose-bound diagnostic tolerance
     tol_dyson      "a/b"    exponent-one diagnostic tolerance
     method         str      best-error path, "kernel" | "brute", for both
@@ -152,6 +154,12 @@ class ExperimentConfig:
         if cfg.floor > -2 * cfg.T_max:
             raise ConfigError(
                 f"floor must be <= -2*T_max = {-2 * cfg.T_max}, got {cfg.floor}"
+            )
+        if cfg.suite == "transference" and cfg.floor > -2 * cfg.mult_T_max:
+            # the suite profiles every horizon up to max(T_max, mult_T_max)
+            raise ConfigError(
+                f"floor must be <= -2*mult_T_max = {-2 * cfg.mult_T_max} in the "
+                f"transference suite, got {cfg.floor}"
             )
         if cfg.eta < 1:
             raise ConfigError("eta must be >= 1")

@@ -13,13 +13,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .approx import Witness, witness_error_degs
-from .errors import ConfigError, PrecisionExhaustedError
+from .approx import Witness
+from .errors import ConfigError, PrecisionExhaustedError, PreconditionError
 from .field import Fq
-from .limsup import TsetParams, delta_membership, tau0, xi_and_t
-from .matrix import SeriesMatrix, prod_plus_deg, zero_theta
+from .limsup import TsetParams, delta_membership, tau0, witness_extract_uv, xi_and_t
+from .matrix import SeriesMatrix, zero_theta
 from .poly import NEG_INF, Poly, parse_poly_literal
-from .series import LaurentSeries, deg_lt, deg_max, deg_sum, parse_series_literal
+from .series import LaurentSeries, parse_series_literal
 
 
 def derive_rng(seed: int, *tags) -> random.Random:
@@ -251,13 +251,14 @@ def plant_witness(params: PlantParams, seed: int) -> PlantedInstance:
     """Construct (Y, theta, alpha, T) satisfying the product premises.
 
     One matrix entry per row is solved exactly so that Y q + p + theta
-    equals a noise series of prescribed degree; the premise inequalities
-    are re-verified before returning.
+    equals a noise series of prescribed degree; the premises are re-verified
+    by ``witness_extract_uv`` before returning.  Everything is drawn down to
+    the lower of ``params.floor`` and T below the deepest target row, so
+    each error row is known below its top whatever the configured floor.
     """
     F = params.field
     m, n, T = params.m, params.n, params.T
     rng = derive_rng(seed, "plant")
-    floor = params.floor
     cutoff = (params.eta + params.eps) * T  # errors must beat e^-cutoff
 
     # q: all coordinates nonzero, plus-product within the horizon
@@ -270,15 +271,17 @@ def plant_witness(params: PlantParams, seed: int) -> PlantedInstance:
         remaining -= d
     q = tuple(random_poly(F, d, rng) for d in degs)
     p = tuple(random_poly(F, rng.randrange(0, 3), rng) for _ in range(m))
-    theta = tuple(
-        random_series(F, floor, derive_rng(seed, "plant-theta", i)) for i in range(m)
-    )
 
     # target error rows: degrees summing strictly below -cutoff
     per_row = -(math.floor(cutoff / m) + 1 + _PLANT_ERR_MARGIN)
     targets = []
     for i in range(m):
         targets.append(NEG_INF if params.exact_hit else per_row - rng.randrange(0, 3))
+    # Y q is known down to floor + deg q_pivot <= floor + T - 1, above each target
+    floor = min([params.floor] + [d - T for d in targets if d != NEG_INF])
+    theta = tuple(
+        random_series(F, floor, derive_rng(seed, "plant-theta", i)) for i in range(m)
+    )
     deltas = [
         LaurentSeries.zero(F)
         if d == NEG_INF
@@ -290,13 +293,10 @@ def plant_witness(params: PlantParams, seed: int) -> PlantedInstance:
     alpha = Witness(p, q)
 
     # re-verify the premises exactly on the truncated data
-    err = witness_error_degs(Y, theta, alpha)
-    if not deg_lt(deg_sum(err), -cutoff):
-        raise AssertionError("planted witness misses the product premise")
-    if not prod_plus_deg(q) < T:
-        raise AssertionError("planted witness exceeds the size premise")
-    if not deg_lt(deg_max(err), 0):
-        raise AssertionError("planted witness rows exceed 1/e")
+    try:
+        witness_extract_uv(Y, theta, alpha, T, params.eta, params.eps)
+    except PreconditionError as exc:
+        raise AssertionError(f"planted witness misses its premise: {exc}") from exc
     return PlantedInstance(Y, theta, alpha, T, params.eta, params.eps, tuple(targets))
 
 
@@ -325,7 +325,9 @@ def plant_membership_pair(
 
     Both witness equations Y q = delta - p - theta are solved at once by
     Cramer's rule in the two unknown entries of Y, so both cell memberships
-    hold exactly by construction.
+    hold exactly by construction.  Y is solved down to the lower of
+    ``floor`` and one digit below the lowest noise top less max deg q, so
+    each row Y q + p + theta is known below its top whatever ``floor`` is.
     """
     eta = Fraction(eta)
     rng = derive_rng(seed, "pair")
@@ -350,14 +352,16 @@ def plant_membership_pair(
         raise AssertionError("the two planted witnesses are dependent")
     p1 = (random_poly(field, rng.randrange(0, 2), rng),)
     p2 = (random_poly(field, rng.randrange(0, 2), rng),)
-    # theta and the noise rows are drawn below the requested floor: the
+    depth = it.t[0] + math.ceil(tau * sigma) + 3
+    tops = [-depth - rng.randrange(0, 3) for _ in range(2)]
+    floor = min(floor, min(tops) - max(x.deg for x in q1 + q2) - 1)
+    # theta and the noise rows are drawn below the planting floor: the
     # Cramer numerators, their products with q, must be known down to
     # floor + deg det, which needs work <= floor + deg det - max deg q
     work = floor - 24
     theta = (random_series(field, work, derive_rng(seed, "pair-theta")),)
-    depth = it.t[0] + math.ceil(tau * sigma) + 3
-    d1 = _noise_series(field, -depth - rng.randrange(0, 3), work, derive_rng(seed, "pair-d1"))
-    d2 = _noise_series(field, -depth - rng.randrange(0, 3), work, derive_rng(seed, "pair-d2"))
+    d1 = _noise_series(field, tops[0], work, derive_rng(seed, "pair-d1"))
+    d2 = _noise_series(field, tops[1], work, derive_rng(seed, "pair-d2"))
     rhs1 = d1 - LaurentSeries.from_poly(p1[0]) - theta[0]
     rhs2 = d2 - LaurentSeries.from_poly(p2[0]) - theta[0]
     q2s = [LaurentSeries.from_poly(x) for x in q2]

@@ -11,7 +11,7 @@ as reals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .approx import Witness, compositions, witness_error_degs
@@ -46,7 +46,6 @@ class TsetParams:
 class IndexTuple:
     t: tuple[int, ...]
     sigma: int
-    provenance: tuple = field(default=None, compare=False, hash=False)
 
     @classmethod
     def of(cls, t) -> "IndexTuple":
@@ -73,8 +72,7 @@ def xi_and_t(u, v, params: TsetParams):
     xi = Fraction(su - eta * sv, 1) / (m + eta * n)
     fx = math.floor(xi)
     t = tuple(x - fx for x in u_t) + tuple(x + fx for x in v_t)
-    it = IndexTuple(t, sum(t), provenance=(u_t, v_t, xi, fx))
-    return xi, it
+    return xi, IndexTuple(t, sum(t))
 
 
 def tau0(eps: Fraction, params: TsetParams) -> Fraction:
@@ -88,43 +86,41 @@ def tau0(eps: Fraction, params: TsetParams) -> Fraction:
 
 @dataclass(frozen=True)
 class TsetEnumeration:
-    params: TsetParams
-    sigma_bound: int
-    tau: Fraction
     tuples: tuple[IndexTuple, ...]
-    level_counts: dict  # sigma value -> number of distinct tuples
     multiplicity: dict  # t -> number of (u, v) preimages seen
 
     def partial_sum_terms(self) -> list[tuple[int, int]]:
         """The formal sum of e^(-tau*sigma) over the family, reported as
         (sigma, count) pairs; tau stays symbolic."""
-        return sorted(self.level_counts.items())
+        levels: dict[int, int] = {}
+        for it in self.tuples:
+            levels[it.sigma] = levels.get(it.sigma, 0) + 1
+        return sorted(levels.items())
 
 
 def _uv_pairs(params: TsetParams, a, b, limit):
-    """Every (u, v) grid pair with a*sigma(u) + b*sigma(v) <= limit.
+    """Every (u, v, sigma(u), sigma(v)) with a*sigma(u) + b*sigma(v) <= limit.
 
     In dual mode u and v are scalars standing for the constant tuples
-    (u,)*m and (v,)*n.  The order is fixed: callers report in it.
+    (u,)*m and (v,)*n, so their sums are m*u and n*v.  The order is fixed:
+    callers report in it.
     """
     m, n = params.m, params.n
     if params.mode == "dual":
         for u in range(limit // (a * m) + 1):
             for v in range(limit // (b * n) + 1):
                 if a * m * u + b * n * v <= limit:
-                    yield u, v
+                    yield u, v, m * u, n * v
         return
     for su in range(limit // a + 1):
         for sv in range(limit // b + 1):
             if a * su + b * sv <= limit:
                 for u in compositions(su, m):
                     for v in compositions(sv, n):
-                        yield u, v
+                        yield u, v, su, sv
 
 
-def tset_enumerate(
-    params: TsetParams, sigma_bound: int, tau: Fraction
-) -> TsetEnumeration:
+def tset_enumerate(params: TsetParams, sigma_bound: int) -> TsetEnumeration:
     """All distinct index tuples with sigma <= sigma_bound.
 
     The (u, v) grid is cut off by n*sigma(u) + m*sigma(v) <= G.  Exactly
@@ -134,16 +130,13 @@ def tset_enumerate(
     (n - m) beyond it; widening by that slack keeps the scan exhaustive
     (verified against a plain box oracle in the tests).
     """
-    tau = Fraction(tau)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     eta, m, n = params.eta, params.m, params.n
     seen: dict[tuple[int, ...], IndexTuple] = {}
     multiplicity: dict[tuple[int, ...], int] = {}
     if sigma_bound >= 0:
         slack = max(0, n - m)
         G = Fraction(m + eta * n, 1) / (eta + 1) * (sigma_bound + slack)
-        for u, v in _uv_pairs(params, n, m, G):
+        for u, v, _, _ in _uv_pairs(params, n, m, G):
             got = xi_and_t(u, v, params)
             if got is None:
                 continue
@@ -152,11 +145,7 @@ def tset_enumerate(
                 continue
             multiplicity[it.t] = multiplicity.get(it.t, 0) + 1
             seen.setdefault(it.t, it)
-    tuples = tuple(seen[k] for k in sorted(seen))
-    levels: dict[int, int] = {}
-    for it in tuples:
-        levels[it.sigma] = levels.get(it.sigma, 0) + 1
-    return TsetEnumeration(params, sigma_bound, tau, tuples, levels, multiplicity)
+    return TsetEnumeration(tuple(seen[k] for k in sorted(seen)), multiplicity)
 
 
 def audit_grid(params: TsetParams, uv_budget: int) -> CheckReport:
@@ -175,14 +164,12 @@ def audit_grid(params: TsetParams, uv_budget: int) -> CheckReport:
     corrected_failures = []
     accepted = 0
     slack = max(0, n - m)
-    for u, v in _uv_pairs(params, 1, 1, uv_budget):
+    for u, v, su, sv in _uv_pairs(params, 1, 1, uv_budget):
         got = xi_and_t(u, v, params)
         if got is None:
             continue
         accepted += 1
         _, it = got
-        su = sum(it.provenance[0])
-        sv = sum(it.provenance[1])
         st = it.sigma
         if not ((eta + 1) * sv <= st and st * eta <= (eta + 1) * su and st >= 0):
             sandwich_failures.append((u, v, it.t))

@@ -88,8 +88,6 @@ def jsonable(obj):
         }
     if isinstance(obj, SeriesMatrix):
         return [[jsonable(s) for s in row] for row in obj.rows]
-    if isinstance(obj, IndexTuple):
-        return {"t": list(obj.t), "sigma": obj.sigma}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -312,11 +310,9 @@ def _plane_block(cfg: ExperimentConfig, F, pair: MembershipPair, idx: int) -> di
     The check cuts column j of Y to plane.floor - max(deg q_j, 0) and reads
     no deeper, so every sampled Y is drawn, or solved, only down to the
     deepest of these cuts.  Each entry is drawn top-down from its own
-    stream, so it is a prefix of the draw to cfg.floor; the solver reads
-    theta and the deltas down to that depth plus deg q_pivot, which is at
-    or above plane.floor, where plane.theta is cut.  The clamp at cfg.floor
-    keeps Y no deeper than the config allows when the plane reaches below
-    it: there the check reads Y down to cfg.floor and no further.
+    stream, so it is a prefix of any deeper draw; the solver reads theta
+    and the deltas down to that depth plus deg q_pivot, which is at or
+    above plane.floor, where plane.theta is cut.
     """
     t = pair.t
     alpha = pair.alpha
@@ -327,7 +323,7 @@ def _plane_block(cfg: ExperimentConfig, F, pair: MembershipPair, idx: int) -> di
         degs = [q.deg if q.deg != NEG_INF else 0 for q in alpha.q]
         t = IndexTuple.of(tuple(t.t[:pm]) + tuple(int(d) for d in degs))
     plane = cell_plane(pair.theta, t, alpha, tau)
-    draw = max(cfg.floor, plane.floor - max(max(q.deg, 0) for q in alpha.q))
+    draw = plane.floor - max(max(q.deg, 0) for q in alpha.q)
     agree = 0
     total = 0
     members_seen = 0
@@ -372,8 +368,7 @@ def _plane_block(cfg: ExperimentConfig, F, pair: MembershipPair, idx: int) -> di
 
 def _audit_tset_payload(cfg: ExperimentConfig) -> dict:
     params = TsetParams(cfg.m, cfg.n, cfg.eta, cfg.mode)
-    tau = cfg.tau if cfg.tau is not None else Fraction(1, 8)
-    en = tset_enumerate(params, cfg.sigma_bound, tau)
+    en = tset_enumerate(params, cfg.sigma_bound)
     grid = audit_grid(params, cfg.uv_budget)
     collisions = {
         str(k): v for k, v in sorted(en.multiplicity.items()) if v > 1

@@ -280,7 +280,7 @@ def test_a07_grid_inequalities(dims, eta):
                 f"; no integer in [{lo}, {hi}] at u={u0}, v={v0} "
                 f"({empty_intervals} pairs with an empty integer interval)"
             )
-    en = tset_enumerate(params, 12, Fraction(1, 8))
+    en = tset_enumerate(params, 12)
     levels_finite = all(c > 0 for _, c in en.partial_sum_terms())
     elapsed = time.monotonic() - t0
     ok = ok and levels_finite and elapsed < 30

@@ -146,3 +146,18 @@ def test_limsup_tau_at_or_above_tau0_exits_3(tmp_path, capsys, raw):
     err = capsys.readouterr().err
     assert "error: tau must be below tau0 = 1/8" in err
     assert "instance(s)" not in err
+
+
+def test_transference_floor_covers_mult_T_max(tmp_path, capsys):
+    # the suite profiles to max(T_max, mult_T_max): a floor that covers only
+    # T_max would leave most multiplicative horizons censored
+    from ffdioph import cli
+
+    raw = {"suite": "transference", "T_max": 8, "mult_T_max": 30, "floor": -16, "instances": 1}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["verify", "transference", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "mult_T_max" in err and "instance(s)" not in err
+    ExperimentConfig.from_dict(dict(raw, floor=-60))
+    ExperimentConfig.from_dict(dict(raw, suite="estimate"))

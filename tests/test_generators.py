@@ -12,6 +12,7 @@ from ffdioph import (
     parse_poly_literal,
     parse_series_literal,
 )
+from ffdioph.approx import witness_error_degs
 from ffdioph.generators import (
     PlantParams,
     _noise_series,
@@ -126,6 +127,14 @@ def test_plant_witness_reverifies_and_repeats():
     assert all(not q.is_zero() for q in a.alpha.q)
 
 
+def test_plant_witness_missing_its_premise_names_it(monkeypatch):
+    # error rows planted above the premise cutoff fail the product premise;
+    # the plant reports which premise through witness_extract_uv's check
+    monkeypatch.setattr("ffdioph.generators._PLANT_ERR_MARGIN", -8)
+    with pytest.raises(AssertionError, match="misses its premise: row product premise"):
+        plant_witness(PlantParams(F2, 1, 1, Fraction(1), Fraction(1), 3, -60), 9)
+
+
 def test_plant_witness_dim_requirement():
     with pytest.raises(ValueError):
         PlantParams(F2, 2, 2, Fraction(1), Fraction(1), 4, -60)
@@ -138,14 +147,19 @@ def test_noise_below_the_floor_is_precision_exhausted():
     with pytest.raises(PrecisionExhaustedError, match="below the floor"):
         _noise_series(F2, -135, -134, derive_rng(0, "noise"))
     assert _noise_series(F2, -134, -134, derive_rng(0, "noise")).top == -134
-    # limsup eta 16, floor -110, seed 5: instances 5 and 9 plant a noise row
-    # of degree -135 under work = floor - 24 = -134
+    # neither planter draws noise below the floor it plants at: each plants
+    # deep enough for its noise rows, whatever floor it is given.  Limsup
+    # eta 16, floor -110, seed 5: instances 5 and 9 plant a noise row of
+    # degree -135, below floor - 24 = -134
     for idx in (5, 9):
-        with pytest.raises(PrecisionExhaustedError, match="noise of degree -135"):
-            plant_membership_pair(F2, Fraction(16), 5 * 32452843 + idx, -110)
-    # plant_witness: the target error rows lie below a floor of -5
-    with pytest.raises(PrecisionExhaustedError, match="below the floor -5"):
-        plant_witness(PlantParams(F2, 1, 1, Fraction(1), Fraction(1), 3, -5), 9)
+        pair = plant_membership_pair(F2, Fraction(16), 5 * 32452843 + idx, -110)
+        assert min(e.floor for e in pair.Y.rows[0]) < -110
+    # plant_witness: the target error rows lie below a floor of -5, and each
+    # comes out with its exact planted degree
+    inst = plant_witness(PlantParams(F2, 1, 1, Fraction(1), Fraction(1), 3, -5), 9)
+    assert inst.target_err_degs[0] < -5
+    degs = witness_error_degs(inst.Y, inst.theta, inst.alpha)
+    assert [(d.value, d.censored) for d in degs] == [(inst.target_err_degs[0], False)]
 
 
 def test_plant_exact_hit():

@@ -47,6 +47,20 @@ GOLDEN = {
         {"suite": "audit-tset", "dims": [2, 1], "sigma_bound": 6, "uv_budget": 8, "T_max": 4, "floor": -8},
         "c90949fcef8bb144b3daefe00c3069454be533c718a02e56278823769e3b8813",
     ),
+    # dual mode with m != n: the grid sums are m*u and n*v
+    "audit-tset-dual-3x2": (
+        {
+            "suite": "audit-tset",
+            "dims": [3, 2],
+            "eta": "3/2",
+            "mode": "dual",
+            "sigma_bound": 12,
+            "uv_budget": 24,
+            "T_max": 4,
+            "floor": -8,
+        },
+        "cb93dc9317369e235dc894ac7eb3d4907cfa6be7b879f67816752877336c12d6",
+    ),
     "transference-1x2": (
         {
             "suite": "transference",

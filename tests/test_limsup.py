@@ -124,26 +124,26 @@ def brute_tuples(params, sigma_bound, box):
 )
 def test_enumeration_matches_box_oracle(m, n, eta):
     params = TsetParams(m, n, eta)
-    en = tset_enumerate(params, 6, Fraction(1, 8))
+    en = tset_enumerate(params, 6)
     assert {it.t for it in en.tuples} == brute_tuples(params, 6, 14)
     assert all(it.sigma >= 0 for it in en.tuples)
 
 
 def test_enumeration_dual_mode():
     params = TsetParams(2, 1, Fraction(1), "dual")
-    en = tset_enumerate(params, 8, Fraction(1, 8))
+    en = tset_enumerate(params, 8)
     assert {it.t for it in en.tuples} == brute_tuples(params, 8, 12)
 
 
 def test_enumeration_level_counts():
-    en = tset_enumerate(TsetParams(1, 1, Fraction(1)), 4, Fraction(1, 8))
+    en = tset_enumerate(TsetParams(1, 1, Fraction(1)), 4)
     # u + v is preserved by the tuple map, one distinct tuple per level
     assert en.partial_sum_terms() == [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)]
     assert all(count < math.inf for _, count in en.partial_sum_terms())
 
 
 def test_enumeration_empty_below_zero():
-    en = tset_enumerate(TsetParams(1, 1, Fraction(1)), -1, Fraction(1, 8))
+    en = tset_enumerate(TsetParams(1, 1, Fraction(1)), -1)
     assert en.tuples == ()
 
 
@@ -165,6 +165,29 @@ def test_grid_lower_bound_gap_when_wider_than_tall():
     assert not rep.details["corrected_lower_bound_failures"]
     got = xi_and_t((1,), (0, 0), TsetParams(1, 2, Fraction(1)))
     assert got[1].sigma == 1  # versus the nominal target of 4/3
+
+
+def test_grid_audit_dual_sums_are_m_u_and_n_v():
+    # in dual mode u and v stand for (u,)*m and (v,)*n: an oracle over the
+    # expanded tuples gives the audit's failure lists, in the audit's order
+    for m, n in ((1, 2), (3, 2)):
+        params = TsetParams(m, n, Fraction(3, 2), "dual")
+        eta = params.eta
+        nominal, sandwich = [], []
+        for u in range(17):
+            for v in range(17):
+                got = xi_and_t(u, v, params) if m * u + n * v <= 16 else None
+                if got is None:
+                    continue
+                st, su, sv = got[1].sigma, sum((u,) * m), sum((v,) * n)
+                if st < (eta + 1) * (n * su + m * sv) / (m + eta * n):
+                    nominal.append((u, v, got[1].t))
+                if not ((eta + 1) * sv <= st and st * eta <= (eta + 1) * su):
+                    sandwich.append((u, v, got[1].t))
+        rep = audit_grid(params, 16)
+        assert rep.details["nominal_lower_bound_failures"] == nominal
+        assert rep.details["sandwich_failures"] == sandwich
+        assert bool(nominal) == (m < n)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +365,8 @@ def _planted(field, m, n, eta, eps, T, seed):
 
 
 def test_each_check_multiplies_its_witness_out_once(monkeypatch):
+    # planted first: the plant re-verifies its premises through limsup too
+    inst, tau = _planted(F2, 1, 1, Fraction(1), Fraction(1), 3, 0)
     calls = []
     real = limsup_module.witness_error_degs
 
@@ -350,7 +375,6 @@ def test_each_check_multiplies_its_witness_out_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(limsup_module, "witness_error_degs", counting)
-    inst, tau = _planted(F2, 1, 1, Fraction(1), Fraction(1), 3, 0)
     fwd = prop_forward_check(
         inst.Y, inst.theta, inst.alpha, inst.T, inst.eta, inst.eps, tau
     )
@@ -606,37 +630,36 @@ def test_residual_solver_divides_past_any_margin():
     assert row.deg() == deltas[0].deg() == DegValue(-7)
 
 
-def _deep_plane_sample(cfg, F, pair, idx, s):
-    # a plane block's sample s as drawn to cfg.floor, solved with the pair's
+def _deep_plane_sample(cfg, F, pair, idx, s, floor):
+    # a plane block's sample s as drawn to `floor`, solved with the pair's
     # uncut theta: the draws that _plane_block cuts short
     pm, pn = pair.Y.m, pair.Y.n
     alpha = pair.alpha
     if s % 2 == 0 and idx % 2 == 0:
         depth = max(pair.t.t[:pm]) + 4
         deltas = [
-            random_series(F, cfg.floor, derive_rng(cfg.seed, "plane-d", idx, s, i)).shift(-depth)
+            random_series(F, floor, derive_rng(cfg.seed, "plane-d", idx, s, i)).shift(-depth)
             for i in range(pm)
         ]
         seed = cfg.seed * 49979687 + idx * 1009 + s
         return solve_matrix_for_residual(
-            F, alpha.q, alpha.p, pair.theta, deltas, cfg.floor, seed, "plane-Y"
+            F, alpha.q, alpha.p, pair.theta, deltas, floor, seed, "plane-Y"
         )
     return generate_matrix(
-        {"kind": "random"}, F, pm, pn, cfg.floor, cfg.seed, f"plane-rand/{idx}/{s}"
+        {"kind": "random"}, F, pm, pn, floor, cfg.seed, f"plane-rand/{idx}/{s}"
     )
 
 
 @pytest.mark.parametrize(
-    "config, pair_floor",
-    [({"field": "p=2"}, None), ({"field": "p=3"}, None), ({"eta": "16", "floor": -110}, -160)],
-    ids=["F2", "F3", "eta16-clamp"],
+    "config, below_floor",
+    [({"field": "p=2"}, False), ({"field": "p=3"}, False), ({"eta": "16", "floor": -110}, True)],
+    ids=["F2", "F3", "eta16-deep"],
 )
-def test_plane_block_samples_check_as_deep_draws(config, pair_floor, monkeypatch):
+def test_plane_block_samples_check_as_deep_draws(config, below_floor, monkeypatch):
     # every Y the runner's plane block checks, gate breakers (odd idx) and
-    # solved members alike, gives the check's answer on the deep draw.  A pair
-    # planted below cfg.floor has planes that reach past it, where the draw is
-    # clamped to cfg.floor; a pair planted at cfg.floor passes its own
-    # membership only when its plane stays above cfg.floor
+    # solved members alike, gives the check's answer on a deeper draw.  At
+    # eta 16 the pair is planted below cfg.floor and its planes reach past
+    # it: the draw follows the plane there, not cfg.floor
     cfg = ExperimentConfig.from_dict({"suite": "limsup", "seed": 5, "plane_samples": 6, **config})
     F = cfg.fq()
     check = runner.cell_plane_identity_check
@@ -647,20 +670,17 @@ def test_plane_block_samples_check_as_deep_draws(config, pair_floor, monkeypatch
         return check(Y, plane)
 
     monkeypatch.setattr(runner, "cell_plane_identity_check", recording_check)
-    clamped = members = 0
+    below = members = 0
     for idx in range(6):
-        seed = cfg.seed * 32452843 + idx
-        pair = _outcome(lambda: plant_membership_pair(F, cfg.eta, seed, pair_floor or cfg.floor))
-        if pair == "censored":  # at eta 16 some pairs need a deeper floor
-            continue
+        pair = plant_membership_pair(F, cfg.eta, cfg.seed * 32452843 + idx, cfg.floor)
         seen.clear()
-        _outcome(lambda: runner._plane_block(cfg, F, pair, idx))
+        runner._plane_block(cfg, F, pair, idx)
         assert seen
         for s, (Y, plane) in enumerate(seen):
-            draw = max(cfg.floor, plane.floor - max(max(q.deg, 0) for q in pair.alpha.q))
+            draw = plane.floor - max(max(q.deg, 0) for q in pair.alpha.q)
             assert min(e.floor for row in Y.rows for e in row) == draw
-            clamped += draw == cfg.floor
-            deep = _deep_plane_sample(cfg, F, pair, idx, s)
+            below += draw < cfg.floor
+            deep = _deep_plane_sample(cfg, F, pair, idx, s, min(draw, cfg.floor) - 8)
             got = _outcome(lambda: check(Y, plane))
             want = _outcome(lambda: check(deep, plane))
             if want == "censored":
@@ -669,7 +689,21 @@ def test_plane_block_samples_check_as_deep_draws(config, pair_floor, monkeypatch
             assert (got.holds, got.details) == (want.holds, want.details)
             members += want.details["cell_member"]
     assert members > 0
-    assert (clamped > 0) == (pair_floor is not None)
+    assert (below > 0) == below_floor
+
+
+@pytest.mark.parametrize("eta", ["16", "32"])
+@pytest.mark.parametrize("floor", [-80, -120])
+def test_high_eta_limsup_loses_no_instance(eta, floor):
+    # the planted rows lie below the config's floor at these levels: the
+    # generators plant deep enough themselves, so every instance is checked
+    cfg = ExperimentConfig.from_dict(
+        {"suite": "limsup", "eta": eta, "floor": floor, "instances": 20}
+    )
+    report, code = runner.run_config(cfg)
+    assert code == 0
+    assert report["summary"]["precision_exhausted"] == 0
+    assert report["summary"]["hard_failures"] == 0
 
 
 @pytest.mark.parametrize("field", [Fq(2), Fq(3)], ids=["F2", "F3"])
