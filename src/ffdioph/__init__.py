@@ -27,7 +27,6 @@ from .series import (
 from .matrix import (
     SeriesMatrix,
     matvec_affine,
-    prod_deg,
     prod_plus_deg,
     sup_deg,
     zero_theta,

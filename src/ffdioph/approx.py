@@ -114,16 +114,14 @@ class Witness:
 @dataclass(frozen=True)
 class DirichletResult:
     witness: Witness
-    mode: str
     strict_also: bool
     error_degs: tuple[DegValue, ...]
 
 
 @dataclass(frozen=True)
 class BestError:
-    """Minimized degree functional at horizon T, with its witness."""
+    """Minimized degree functional at one horizon, with its witness."""
 
-    T: int
     B: DegValue
     witness: Witness
     method: str
@@ -215,59 +213,35 @@ def _vector_to_q(field: Fq, vec, bounds) -> list[Poly]:
     return q
 
 
-def dirichlet_solve(
-    Y: SeriesMatrix, t: DirichletTarget, mode: str = "relaxed"
-) -> DirichletResult | None:
-    """Solve |Y_i q + p_i| < e^{-t_i} with |q_j| bounded by e^{t_{m+j}}.
+def dirichlet_solve(Y: SeriesMatrix, t: DirichletTarget) -> DirichletResult:
+    """Solve |Y_i q + p_i| < e^{-t_i} with deg q_j <= t_{m+j}.
 
-    In strict mode the q-bound is a strict inequality (degree <= t_{m+j}-1)
-    and the pigeonhole count is square, so there may be no solution (None).
-    In relaxed mode the q-bound allows equality, a nonzero kernel vector is
-    guaranteed, and the result notes whether the strict system was also
-    solvable.  The error-side inequality is strict in both modes.
+    The q-bound allows equality, so unknowns outnumber equations and a
+    nonzero kernel vector is guaranteed.  The result also says whether the
+    strict system, deg q_j <= t_{m+j} - 1, whose pigeonhole count is square,
+    has a nonzero solution; it is decided by one nullspace and no witness.
+    The error-side inequality is strict in both.
     """
-    if mode not in ("strict", "relaxed"):
-        raise ValueError(f"unknown mode {mode!r}")
     if t.m != Y.m or t.n != Y.n:
         raise ValueError("target dimensions do not match the matrix")
-
-    def attempt(bounds):
-        rows = _constraints(Y, bounds, t.row_part)
-        got = _solve_witness(Y, None, bounds, rows, None)
-        if got is None:
-            return None
-        w, resid = got
-        return w, tuple(r.deg() for r in resid)
-
-    strict_bounds = [b - 1 for b in t.col_part]
-    if mode == "strict":
-        got = attempt(strict_bounds)
-        if got is None:
-            return None
-        w, degs = got
-        _verify_dirichlet(Y, t, w, degs, strict=True)
-        return DirichletResult(w, "strict", True, degs)
-
-    relaxed_bounds = list(t.col_part)
-    got = attempt(relaxed_bounds)
+    bounds = list(t.col_part)
+    got = _solve_witness(Y, None, bounds, _constraints(Y, bounds, t.row_part), None)
     if got is None:  # cannot happen: unknowns always exceed equations
         raise AssertionError("relaxed Dirichlet system had empty kernel")
-    w, degs = got
-    _verify_dirichlet(Y, t, w, degs, strict=False)
-    strict_also = attempt(strict_bounds) is not None
-    return DirichletResult(w, "relaxed", strict_also, degs)
-
-
-def _verify_dirichlet(Y, t, w: Witness, degs, strict: bool):
+    w, resid = got
+    degs = tuple(r.deg() for r in resid)
     for i, d in enumerate(degs):
-        if not (d.value < -t.row_part[i]):
+        if d.value >= -t.row_part[i]:
+            if d.censored:
+                raise PrecisionExhaustedError("error bound undecidable at this floor")
             raise AssertionError(f"row {i} misses its error bound")
-        if d.censored and d.value >= -t.row_part[i]:
-            raise PrecisionExhaustedError("error bound undecidable at this floor")
     for j, qj in enumerate(w.q):
-        bound = t.col_part[j] - 1 if strict else t.col_part[j]
-        if qj.deg != NEG_INF and qj.deg > bound:
+        if qj.deg != NEG_INF and qj.deg > bounds[j]:
             raise AssertionError(f"coordinate {j} exceeds its size bound")
+    strict = [b - 1 for b in bounds]
+    ncols = sum(d + 1 for d in strict)
+    strict_also = bool(nullspace(Y.field, _constraints(Y, strict, t.row_part), ncols))
+    return DirichletResult(w, strict_also, degs)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +614,7 @@ class _BruteBest:
         return B, Witness(tuple(win[2]), tuple(win[1]))
 
 
-def _brute(Y: SeriesMatrix, theta, T: int, caps, budget: int, objective):
+def _brute(Y: SeriesMatrix, theta, caps, budget: int, objective):
     """Least objective of the residual row degrees over _iter_q(caps, budget),
     with the witness tie-break of _BruteBest.
 
@@ -664,7 +638,7 @@ def _brute(Y: SeriesMatrix, theta, T: int, caps, budget: int, objective):
     B, w = best.result()
     if skipped and B.value != NEG_INF:
         B = DegValue.censored_at(B.value)
-    return BestError(T, B, w, "brute")
+    return BestError(B, w, "brute")
 
 
 def best_error(
@@ -681,13 +655,11 @@ def best_error(
         raise ValueError("shift vector length must match row count")
     if method == "kernel":
         B, w = _kernel_best(Y, theta, [[(T - 1) // Y.n] * Y.n])
-        return BestError(T, B.scale(Y.m), w, "kernel")
+        return BestError(B.scale(Y.m), w, "kernel")
     if method == "brute":
         D = (T - 1) // Y.n
         # scaling by m >= 1 keeps the order, so it may precede the comparison
-        return _brute(
-            Y, theta, T, [D] * Y.n, Y.n * D, lambda degs: deg_max(degs).scale(Y.m)
-        )
+        return _brute(Y, theta, [D] * Y.n, Y.n * D, lambda degs: deg_max(degs).scale(Y.m))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -734,5 +706,5 @@ def best_error_mult(
         raise ValueError(f"unknown method {method!r}")
     if method == "kernel" and Y.m == 1:
         B, w = _kernel_best(Y, theta, compositions(T - 1, Y.n))
-        return BestError(T, B, w, "kernel")
-    return _brute(Y, theta, T, [T - 1] * Y.n, T - 1, deg_sum)
+        return BestError(B, w, "kernel")
+    return _brute(Y, theta, [T - 1] * Y.n, T - 1, deg_sum)

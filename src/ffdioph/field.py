@@ -7,16 +7,16 @@ modulus as c0 + c1*p + ... + c_{d-1}*p^(d-1).  All arithmetic goes through a
 shared ``Fq`` context object, which keeps element values hashable, cheap to
 copy and safe to share between workers.
 
-A field with q <= ``TABLE_LIMIT`` builds add, sub and mul tables and neg and
-inv vectors once, when constructed, and each operation is then one lookup;
-a larger field (a big user modulus) loops over base-p digits on every call,
-except on GF(2^d), whose coordinates are an element's bits: there add is
-XOR and mul a carry-less product.  The tables are part of the context, so
-they travel with it to workers.  Two row operations serve elimination:
-``sub_scaled`` (r -= f * p in place) and ``scaled`` (f * row).  Each reads
-one row of the mul table per call on a tabled field, and on a larger one
-works mod p inline on a prime field and through the digit loops on an
-extension.
+A field with q <= ``TABLE_LIMIT`` builds add and mul tables and neg and inv
+vectors once, when constructed, and each operation is then one lookup (sub
+two: a - b adds -b); a larger field (a big user modulus) loops over base-p
+digits on every call, except on GF(2^d), whose coordinates are an element's
+bits: there add is XOR and mul a carry-less product.  The tables are part
+of the context, so they travel with it to workers.  Two row operations
+serve elimination: ``sub_scaled`` (r -= f * p in place, as r + (-f) * p)
+and ``scaled`` (f * row).  Each reads one row of the mul table per call on
+a tabled field, and on a larger one works mod p inline on a prime field and
+through the digit loops on an extension.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ _BUILTIN_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 # Fields with at most this many elements do all arithmetic by table lookup
-# (three q x q tables and two vectors, built in ``Fq.__init__``); larger
-# fields work on base-p digits on every call.
+# (two q x q tables, add and mul, and two vectors, neg and inv, built in
+# ``Fq.__init__``); larger fields work on base-p digits on every call.
 TABLE_LIMIT = 64
 
 
@@ -76,7 +76,7 @@ class Fq:
     workers; every operation is a pure function of its arguments.
     """
 
-    __slots__ = ("p", "d", "q", "modulus", "_mod_bits", "_add", "_sub", "_mul", "_neg", "_inv")
+    __slots__ = ("p", "d", "q", "modulus", "_mod_bits", "_add", "_mul", "_neg", "_inv")
 
     def __init__(self, p: int, d: int = 1, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -109,7 +109,7 @@ class Fq:
         # on GF(2^d) an element's bits are its coordinates, and so are the
         # modulus's: the digit loops work on them as ints
         self._mod_bits = sum(c << i for i, c in enumerate(modulus)) if p == 2 and d > 1 else None
-        self._add = self._sub = self._mul = self._neg = self._inv = None
+        self._add = self._mul = self._neg = self._inv = None
         if self.q <= TABLE_LIMIT:
             self._build_tables()
 
@@ -123,7 +123,6 @@ class Fq:
         els = range(q)
         self._add = [[self._add_digits(a, b) for b in els] for a in els]
         self._neg = [self._neg_digits(a) for a in els]
-        self._sub = [[row[nb] for nb in self._neg] for row in self._add]
         power = self._primitive_powers()
         log = [0] * q
         for k, x in enumerate(power):
@@ -182,8 +181,10 @@ class Fq:
         return t[a] if t is not None else self._neg_digits(a)
 
     def sub(self, a: int, b: int) -> int:
-        t = self._sub
-        return t[a][b] if t is not None else self._add_digits(a, self._neg_digits(b))
+        t = self._add
+        if t is not None:
+            return t[a][self._neg[b]]
+        return self._add_digits(a, self._neg_digits(b))
 
     def mul(self, a: int, b: int) -> int:
         t = self._mul
@@ -212,11 +213,11 @@ class Fq:
         """r[j] -= f * p[j] in place for every j >= start."""
         t = self._mul
         if t is not None:
-            fm, sub = t[f], self._sub
+            fm, add = t[self._neg[f]], self._add
             for j in range(start, len(r)):
                 c = p[j]
                 if c:
-                    r[j] = sub[r[j]][fm[c]]
+                    r[j] = add[r[j]][fm[c]]
         elif self.d == 1:
             mod = self.p
             for j in range(start, len(r)):

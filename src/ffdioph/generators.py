@@ -18,7 +18,7 @@ from .errors import ConfigError, PrecisionExhaustedError, PreconditionError
 from .field import Fq
 from .limsup import TsetParams, delta_membership, tau0, witness_extract_uv, xi_and_t
 from .matrix import SeriesMatrix, zero_theta
-from .poly import NEG_INF, Poly, parse_poly_literal
+from .poly import Poly, parse_poly_literal
 from .series import LaurentSeries, parse_series_literal
 
 
@@ -183,7 +183,6 @@ class PlantParams:
     eps: Fraction
     T: int
     floor: int
-    exact_hit: bool = False
 
     def __post_init__(self):
         if self.m != 1 and self.n != 1:
@@ -200,7 +199,6 @@ class PlantedInstance:
     T: int
     eta: Fraction
     eps: Fraction
-    target_err_degs: tuple
 
 
 def _noise_series(field: Fq, top: int, floor: int, rng: random.Random):
@@ -274,18 +272,14 @@ def plant_witness(params: PlantParams, seed: int) -> PlantedInstance:
 
     # target error rows: degrees summing strictly below -cutoff
     per_row = -(math.floor(cutoff / m) + 1 + _PLANT_ERR_MARGIN)
-    targets = []
-    for i in range(m):
-        targets.append(NEG_INF if params.exact_hit else per_row - rng.randrange(0, 3))
+    targets = [per_row - rng.randrange(0, 3) for _ in range(m)]
     # Y q is known down to floor + deg q_pivot <= floor + T - 1, above each target
-    floor = min([params.floor] + [d - T for d in targets if d != NEG_INF])
+    floor = min(params.floor, min(targets) - T)
     theta = tuple(
         random_series(F, floor, derive_rng(seed, "plant-theta", i)) for i in range(m)
     )
     deltas = [
-        LaurentSeries.zero(F)
-        if d == NEG_INF
-        else _noise_series(F, d, floor, derive_rng(seed, "plant-noise", i))
+        _noise_series(F, d, floor, derive_rng(seed, "plant-noise", i))
         for i, d in enumerate(targets)
     ]
 
@@ -297,7 +291,7 @@ def plant_witness(params: PlantParams, seed: int) -> PlantedInstance:
         witness_extract_uv(Y, theta, alpha, T, params.eta, params.eps)
     except PreconditionError as exc:
         raise AssertionError(f"planted witness misses its premise: {exc}") from exc
-    return PlantedInstance(Y, theta, alpha, T, params.eta, params.eps, tuple(targets))
+    return PlantedInstance(Y, theta, alpha, T, params.eta, params.eps)
 
 
 # ---------------------------------------------------------------------------

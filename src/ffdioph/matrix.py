@@ -1,13 +1,13 @@
 """Vectors and matrices over the Laurent series field, plus the degree-domain
-norms used throughout: sup norm, coordinate product and the plus-product that
-ignores small polynomial coordinates.
+norms used throughout: the sup norm and the plus-product that ignores small
+polynomial coordinates.
 """
 
 from __future__ import annotations
 
 from .field import Fq
 from .poly import NEG_INF
-from .series import DegValue, LaurentSeries, deg_max, deg_sum
+from .series import DegValue, LaurentSeries, deg_max
 
 
 class SeriesMatrix:
@@ -52,11 +52,6 @@ def zero_theta(field: Fq, m: int) -> tuple[LaurentSeries, ...]:
 def sup_deg(vec) -> DegValue:
     """Degree of the sup norm of a series vector."""
     return deg_max(s.deg() for s in vec)
-
-
-def prod_deg(vec) -> DegValue:
-    """Degree of the coordinate product of a series vector."""
-    return deg_sum(s.deg() for s in vec)
 
 
 def prod_plus_deg(qvec) -> int:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import __version__
 from .approx import DirichletTarget, dirichlet_solve, witness_error_degs
 from .config import ExperimentConfig
-from .errors import PrecisionExhaustedError
+from .errors import PrecisionExhaustedError, PreconditionError
 from .exponents import (
     EstimateWindowError,
     ExponentProfile,
@@ -191,7 +191,7 @@ def _dirichlet_instance(cfg: ExperimentConfig, idx: int) -> dict:
     Y = generate_matrix(
         {"kind": "random"}, F, m, n, cfg.floor, cfg.seed, f"dirichlet/{idx}"
     )
-    res = dirichlet_solve(Y, t, "relaxed")
+    res = dirichlet_solve(Y, t)
     # independent re-verification of both inequality blocks
     degs = witness_error_degs(Y, None, res.witness)
     err_ok = all(
@@ -325,7 +325,6 @@ def _plane_block(cfg: ExperimentConfig, F, pair: MembershipPair, idx: int) -> di
     plane = cell_plane(pair.theta, t, alpha, tau)
     draw = plane.floor - max(max(q.deg, 0) for q in alpha.q)
     agree = 0
-    total = 0
     members_seen = 0
     for s in range(cfg.plane_samples):
         if s % 2 == 0 and not gate_breaker:
@@ -352,17 +351,16 @@ def _plane_block(cfg: ExperimentConfig, F, pair: MembershipPair, idx: int) -> di
                 {"kind": "random"}, F, pm, pn, draw, cfg.seed, f"plane-rand/{idx}/{s}"
             )
         rep = cell_plane_identity_check(Y, plane)
-        total += 1
         if rep.holds:
             agree += 1
         if rep.details["cell_member"]:
             members_seen += 1
     return {
         "gate_breaker": gate_breaker,
-        "samples": total,
+        "samples": cfg.plane_samples,
         "agreements": agree,
         "members_seen": members_seen,
-        "all_agree": agree == total,
+        "all_agree": agree == cfg.plane_samples,
     }
 
 
@@ -397,11 +395,12 @@ def _run_one(args: tuple[ExperimentConfig, int]) -> dict:
         return task(cfg, idx)
     except PrecisionExhaustedError as exc:
         return {"index": idx, "precision_exhausted": str(exc), "hard_failure": False}
-    except AssertionError as exc:
-        # a broken internal invariant fails this instance, not the worker pool
+    except (PreconditionError, AssertionError) as exc:
+        # a broken internal invariant or an operation's precondition fails
+        # this instance, not the run; config and parse errors still end it
         return {
             "index": idx,
-            "internal_error": f"AssertionError: {exc}",
+            "internal_error": f"{type(exc).__name__}: {exc}",
             "hard_failure": True,
         }
 

@@ -100,7 +100,7 @@ def test_a01_dirichlet_solvability():
 
         t = DirichletTarget(m, n, tuple(split(k, m) + split(k, n)))
         Y = rand_matrix(field, m, n, 10_000 + i, -40)
-        res = dirichlet_solve(Y, t, "relaxed")
+        res = dirichlet_solve(Y, t)
         degs = witness_error_degs(Y, None, res.witness)
         assert all(d.value < -t.values[r] for r, d in enumerate(degs)), (i, t)
         assert all(

@@ -20,6 +20,7 @@ from ffdioph import (
 from ffdioph.errors import PrecisionExhaustedError
 from ffdioph.generators import cf_series, derive_rng, random_series
 from ffdioph.matrix import matvec_affine, prod_plus_deg
+from ffdioph.poly import iter_polys
 from ffdioph.series import deg_max, deg_sum
 
 F2 = Fq(2)
@@ -48,14 +49,9 @@ def test_target_validation():
     DirichletTarget(2, 1, (1, 2, 3))
 
 
-def test_dirichlet_strict_no_solution():
-    Y = single(S("X^-1"))
-    assert dirichlet_solve(Y, DirichletTarget(1, 1, (1, 1)), "strict") is None
-
-
 def test_dirichlet_relaxed_example():
     Y = single(S("X^-1"))
-    res = dirichlet_solve(Y, DirichletTarget(1, 1, (1, 1)), "relaxed")
+    res = dirichlet_solve(Y, DirichletTarget(1, 1, (1, 1)))
     assert res.witness.q[0] == parse_poly_literal("X", F2)
     assert res.witness.p[0] == Poly.one(F2)
     assert res.error_degs[0] == DegValue.exact(NEG_INF)
@@ -64,10 +60,10 @@ def test_dirichlet_relaxed_example():
 
 def test_dirichlet_strict_easy_instance():
     Y = single(S("X^-2 + X^-5"))
-    res = dirichlet_solve(Y, DirichletTarget(1, 1, (1, 1)), "strict")
-    assert res.witness.q[0] == Poly.one(F2)
-    assert res.witness.p[0].is_zero()
-    assert res.error_degs[0] == DegValue.exact(-2)
+    res = dirichlet_solve(Y, DirichletTarget(1, 1, (1, 1)))
+    assert res.strict_also is True
+    assert res.witness.q[0].deg <= 1
+    assert res.error_degs[0].value < -1 and not res.error_degs[0].censored
 
 
 def test_dirichlet_random_reverify():
@@ -94,13 +90,49 @@ def test_dirichlet_random_reverify():
                 for r in range(m)
             ]
         )
-        res = dirichlet_solve(Y, t, "relaxed")
+        res = dirichlet_solve(Y, t)
         degs = witness_error_degs(Y, None, res.witness)
         assert all(d.value < -t.values[r] for r, d in enumerate(degs))
         assert all(
             q.deg == NEG_INF or q.deg <= t.values[m + j]
             for j, q in enumerate(res.witness.q)
         )
+
+
+def test_dirichlet_strict_also_matches_enumeration():
+    # strict_also says whether some q != 0 with deg q_j <= t_{m+j} - 1 leaves
+    # every row's fractional part of Y q below degree -t_i; the oracle tries
+    # every such q
+    solvable = 0
+    for i in range(60):
+        rng = derive_rng(91, "strict", i)
+        field = F2 if i % 2 else F3
+        m, n = rng.randrange(1, 3), rng.randrange(1, 3)
+        k = rng.randrange(0, 4)
+
+        def split(total, parts):
+            cuts = sorted(rng.randrange(0, total + 1) for _ in range(parts - 1))
+            return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+        t = DirichletTarget(m, n, tuple(split(k, m) + split(k, n)))
+        Y = SeriesMatrix(
+            [
+                [random_series(field, -40, derive_rng(91, "Y", i, r, c)) for c in range(n)]
+                for r in range(m)
+            ]
+        )
+        zero_p = [Poly.zero(field)] * m
+        oracle = any(
+            all(
+                row.split_parts()[1].deg().value < -t.values[r]
+                for r, row in enumerate(matvec_affine(Y, q, zero_p))
+            )
+            for q in itertools.product(*(iter_polys(field, b - 1) for b in t.col_part))
+            if not all(qj.is_zero() for qj in q)
+        )
+        assert dirichlet_solve(Y, t).strict_also is oracle, (i, t)
+        solvable += oracle
+    assert 0 < solvable < 60
 
 
 # ---------------------------------------------------------------------------

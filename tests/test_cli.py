@@ -8,6 +8,7 @@ import pytest
 
 from ffdioph.config import ExperimentConfig
 from ffdioph import runner
+from ffdioph.errors import PreconditionError
 from ffdioph.runner import report_json_bytes, run_config
 
 
@@ -197,7 +198,8 @@ def test_reports_identical_across_workers():
     assert len(blobs) == 1
 
 
-def test_internal_error_fails_one_instance(monkeypatch):
+@pytest.mark.parametrize("exc_type", [AssertionError, PreconditionError])
+def test_internal_error_fails_one_instance(monkeypatch, exc_type):
     base = {
         "suite": "estimate",
         "instances": 3,
@@ -213,7 +215,7 @@ def test_internal_error_fails_one_instance(monkeypatch):
 
     def broken(cfg, idx):
         if idx == 1:
-            raise AssertionError("invariant broken on purpose")
+            raise exc_type("invariant broken on purpose")
         return task(cfg, idx)
 
     monkeypatch.setitem(runner._SUITE_TASKS, "estimate", broken)
@@ -224,7 +226,7 @@ def test_internal_error_fails_one_instance(monkeypatch):
     assert results[1] == {
         "index": 1,
         "hard_failure": True,
-        "internal_error": "AssertionError: invariant broken on purpose",
+        "internal_error": f"{exc_type.__name__}: invariant broken on purpose",
     }
     assert [results[0], results[2]] == [clean["results"][0], clean["results"][2]]
 

@@ -185,7 +185,7 @@ def test_profile_rejects_a_rising_exact_entry(monkeypatch, kind):
 
     def fake(values):
         def best(Y, theta, T, method="kernel"):
-            return BestError(T, values[T - 1], None, "fake")
+            return BestError(values[T - 1], None, "fake")
 
         return best
 

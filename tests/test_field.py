@@ -188,7 +188,7 @@ def test_non_monic_modulus_is_made_monic():
 def test_field_above_table_limit_loops_and_matches_oracle():
     F = Fq(2, 7, (1, 1, 0, 0, 0, 0, 0, 1))  # X^7 + X + 1, q = 128
     assert F.q > TABLE_LIMIT
-    assert (F._add, F._sub, F._mul, F._neg, F._inv) == (None,) * 5
+    assert (F._add, F._mul, F._neg, F._inv) == (None,) * 4
     rng = random.Random(8)
     for _ in range(300):
         a, b = rng.randrange(F.q), rng.randrange(F.q)

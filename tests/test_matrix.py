@@ -12,7 +12,6 @@ from ffdioph import (
     matvec_affine,
     parse_poly_literal,
     parse_series_literal,
-    prod_deg,
     prod_plus_deg,
     sup_deg,
 )
@@ -27,29 +26,14 @@ def S(text, field=F2):
 def test_norm_examples():
     vec = (S("X^2 + 1"), S("X^-1"))
     assert sup_deg(vec) == DegValue.exact(2)
-    assert prod_deg(vec) == DegValue.exact(1)
     qv = (parse_poly_literal("X^2", F2), Poly.zero(F2))
     assert prod_plus_deg(qv) == 2
-
-
-def test_prod_with_zero_entry():
-    vec = (S("X^2"), LaurentSeries.zero(F2))
-    assert prod_deg(vec) == DegValue.exact(NEG_INF)
 
 
 def test_degree_product_bounds():
     rng = random.Random("norms")
     for _ in range(50):
         m = rng.randrange(1, 4)
-        vec = []
-        for _ in range(m):
-            terms = {
-                rng.randrange(-6, 5): rng.randrange(1, 2) for _ in range(rng.randrange(0, 4))
-            }
-            vec.append(LaurentSeries.from_terms(F2, terms))
-        sup = sup_deg(tuple(vec)).value
-        prod = prod_deg(tuple(vec)).value
-        assert prod <= m * sup or prod == NEG_INF
         qv = tuple(
             Poly(F2, [rng.randrange(2) for _ in range(rng.randrange(0, 5))])
             for _ in range(m)
