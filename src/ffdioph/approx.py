@@ -392,13 +392,16 @@ def _kernel_best(Y: SeriesMatrix, theta, boxes) -> tuple[DegValue, Witness]:
 # ---------------------------------------------------------------------------
 
 
-def order_basis_depths(Y: SeriesMatrix, theta, D_max: int, col_shifts=None) -> list[int]:
+def order_basis_depths(
+    Y: SeriesMatrix, theta, D_max: int, col_shifts=None
+) -> list[int | None]:
     """[K(0), K(1), ...]: the depth scan's K for the box deg q_j <= D - r_j
     of Y q + theta (theta None: homogeneous), for every D <= D_max below the
     cap L - D.  Every D >= len(result) is at that cap.  The column shifts
     r = col_shifts (min r = 0; None, all zeros, is the standard box D) serve
     the multiplicative shapes: shape (D_1..D_n) is the box of D = max D_j
-    and r_j = D - D_j, so one basis serves every shape of one r.
+    and r_j = D - D_j, so one basis serves every shape of one r.  No shape
+    of r has D < max r, so the basis decides no such D: its entry is None.
 
     The basis reads digits -1..-L.  L is minus the shallowest finite floor
     of Y and theta (``_search_caps`` at D = 0): L - D is at most the scan's
@@ -470,10 +473,12 @@ def order_basis_depths(Y: SeriesMatrix, theta, D_max: int, col_shifts=None) -> l
         res = [row([e.digits(-1, -W) for e in col], rj) for col, rj in zip(zip(*Y.rows), rs)]
         res += [row([[int(k == i)] + [0] * (W - 1) for k in range(m)]) for i in range(m)]
         deg = list(rs) + [1] * m
-        depths, shifts = {}, {}  # D -> K(D); D -> its shift row, unpivoted
-        low = 0  # every D < low is decided or has left the test on δ
+        first = max(rs)  # the least D a shape of r reads
+        # D -> K(D), None below first; D -> its shift row, unpivoted
+        depths, shifts = dict.fromkeys(range(min(first, top + 1))), {}
+        low = first  # every D < low is decided or has left the test on δ
         for s in range(W):
-            if s <= top and zth < L:
+            if first <= s <= top and zth < L:
                 shifts[s] = row(th, s)
             for at in range(s * m, s * m + m):
                 if gf2:

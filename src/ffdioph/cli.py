@@ -14,13 +14,12 @@ exhausted, 3 invalid input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .config import ExperimentConfig
 from .errors import ConfigError, FFDiophError, ParseError, PrecisionExhaustedError
 from .generators import generate_matrix, generate_theta
-from .runner import jsonable, report_json_bytes, run_config, write_outputs
+from .runner import jsonable, report_json, run_config, write_outputs
 
 _VERIFY_ALIASES = {"tset": "audit-tset"}
 _VERIFY_SUITES = ("dirichlet", "transference", "limsup", "audit-tset", "estimate")
@@ -66,7 +65,7 @@ def _emit(report: dict, exit_code: int, args) -> int:
         for p in paths:
             print(f"wrote {p}")
     else:
-        sys.stdout.write(report_json_bytes(report).decode("ascii"))
+        sys.stdout.write(report_json(report))
     summary = report.get("summary", {})
     if summary:
         print(
@@ -129,7 +128,7 @@ def _cmd_gen(args) -> int:
         "theta": jsonable(list(theta)),
         "seed": cfg.seed,
     }
-    out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    out = report_json(payload)
     if args.out:
         import os
 

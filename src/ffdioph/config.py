@@ -13,10 +13,10 @@ Schema (every key is optional; `ExperimentConfig` declares the defaults):
     floor          int      precision floor, at most -2*T_max; in the
                             transference suite also at most -2*mult_T_max
     T_max          int      profile horizon
-    Y              spec     matrix spec; see generators
-    theta          spec     shift spec; in the transference suite the default
-                            "0" draws a random shift per instance, while
-                            "zero" and 0 give the zero shift
+    Y              spec     matrix spec; see generators; no float anywhere in it
+    theta          spec     shift spec, no float; in the transference suite
+                            the default "0" draws a random shift per
+                            instance, while "zero" and 0 give the zero shift
     eta            "a/b"    level of the index-tuple family
     eps            "a/b"    premise margin
     tau            "a/b"    cell scale slope, > 0; read by the limsup suite
@@ -100,7 +100,18 @@ def _parse(key: str, kind: str, value):
             raise ConfigError(f"{key} must be a pair of positive integers")
         return tuple(value)
     if kind == "object":
-        return value  # Y and theta specs, interpreted by the generators
+        # Y and theta specs, interpreted by the generators and echoed in
+        # reports, which hold no float: every input is exact
+        stack = [value]
+        while stack:
+            v = stack.pop()
+            if isinstance(v, dict):
+                stack.extend(v.values())
+            elif isinstance(v, (list, tuple)):
+                stack.extend(v)
+            elif isinstance(v, float):
+                raise ConfigError(f"{key} spec holds the float {v!r}; exact inputs only")
+        return value
     raise TypeError(f"no parser for config field type {kind!r}")
 
 

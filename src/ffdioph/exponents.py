@@ -176,5 +176,12 @@ def estimate(prof: ExponentProfile) -> ExponentEstimate:
         )
     if any(e.B.value == NEG_INF for e in usable):
         return ExponentEstimate(None, None, (lo, hi), True, censored)
-    ratios = [Fraction(-e.B.value, e.T) for e in usable]
-    return ExponentEstimate(max(ratios), min(ratios), (lo, hi), False, censored)
+    # -B/T compared by cross-multiplying (T > 0); a Fraction for each extreme
+    top = bottom = (-int(usable[0].B.value), usable[0].T)
+    for e in usable[1:]:
+        b = -int(e.B.value)
+        if b * top[1] > top[0] * e.T:
+            top = (b, e.T)
+        elif b * bottom[1] < bottom[0] * e.T:
+            bottom = (b, e.T)
+    return ExponentEstimate(Fraction(*top), Fraction(*bottom), (lo, hi), False, censored)

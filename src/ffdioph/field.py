@@ -114,15 +114,28 @@ class Fq:
             self._build_tables()
 
     def _build_tables(self) -> None:
-        """Fill the lookup tables from the digit-loop arithmetic.
+        """Fill the lookup tables, with no digit loop per entry.
+
+        Sums are coordinatewise mod p, so the add table of p^(k+1) elements
+        is built from that of p^k and the mod-p one:
+        (a' + p^k c) + (b' + p^k c') = (a' + b') + p^k (c + c').
 
         Products come from the powers of a primitive element g: with
         a = g^i and b = g^j, a*b = g^((i+j) mod (q-1)) and 1/a = g^(-i).
         """
-        q = self.q
-        els = range(q)
-        self._add = [[self._add_digits(a, b) for b in els] for a in els]
-        self._neg = [self._neg_digits(a) for a in els]
+        q, p = self.q, self.p
+        cyc = list(range(p))
+        base = [cyc[c:] + cyc[:c] for c in cyc]  # (c + c') mod p
+        add, P = base, p
+        for _ in range(self.d - 1):
+            add = [
+                [hi + lo for hi in top for lo in low]
+                for top in ([P * c for c in row] for row in base)
+                for low in add
+            ]
+            P *= p
+        self._add = add
+        self._neg = [row.index(0) for row in add]
         power = self._primitive_powers()
         log = [0] * q
         for k, x in enumerate(power):
@@ -136,15 +149,40 @@ class Fq:
         self._inv = [0] + [power[-log[a] % n] for a in range(1, q)]
 
     def _primitive_powers(self) -> list[int]:
-        """[g^0, g^1, ..., g^(q-2)] for the least primitive element g."""
+        """[g^0, g^1, ..., g^(q-2)] for the least primitive element g,
+        stepping by a table of x -> x*g (``_linear_table``) built from the
+        images g*X^i of the power basis, each X times the one before."""
+        p, d = self.p, self.d
+        if d > 1:
+            # X*X^i is X^(i+1), and X*X^(d-1) = X^d is minus the monic
+            # modulus's lower terms
+            x_d = self.from_coords([-c for c in self.modulus[:-1]])
+            times_x = self._linear_table([p**i for i in range(1, d)] + [x_d])
         for g in range(1, self.q):
+            images = [g]
+            for _ in range(d - 1):
+                images.append(times_x[images[-1]])
+            times_g = self._linear_table(images)
             power, x = [1], g
             while x != 1:
                 power.append(x)
-                x = self._mul_digits(x, g)
+                x = times_g[x]
             if len(power) == self.q - 1:
                 return power
         raise AssertionError("the multiplicative group of F_q is cyclic")
+
+    def _linear_table(self, images: list[int]) -> list[int]:
+        """[f(x) for x in range(q)] for the F_p-linear f with f(X^i) =
+        images[i]: x = sum c_i X^i goes to sum c_i images[i], every sum read
+        off the add table, one base-p digit of x at a time."""
+        add = self._add
+        table = [0]
+        for image in images:
+            multiples = [0]  # c * image for c = 0 .. p-1
+            for _ in range(self.p - 1):
+                multiples.append(add[multiples[-1]][image])
+            table = [add[c][x] for c in multiples for x in table]
+        return table
 
     # -- element codec -------------------------------------------------
 
@@ -242,7 +280,7 @@ class Fq:
             return [f * c % mod for c in row]
         return [self._mul_digits(f, c) for c in row]
 
-    # -- digit loops: fill the tables, and serve fields above TABLE_LIMIT --
+    # -- digit loops: serve fields above TABLE_LIMIT --
 
     def _add_digits(self, a: int, b: int) -> int:
         if self.d == 1:

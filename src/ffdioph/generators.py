@@ -8,6 +8,7 @@ parallel generation is order-independent and runs reproduce byte-for-byte.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -27,12 +28,41 @@ def derive_rng(seed: int, *tags) -> random.Random:
     return random.Random(key)
 
 
+def uniform_digits(rng: random.Random, q: int, count: int) -> list[int]:
+    """``[rng.randrange(q) for _ in range(count)]``, drawn from bulk words.
+
+    randrange(q) takes one 32-bit word per try, keeps its top q.bit_length()
+    bits and tries again on a value >= q.  Each digit takes at least one
+    word, so one getrandbits(32 * need) call for the `need` digits still
+    missing reads no word the loop would not; its little-endian words, cut
+    to their top bits with values >= q dropped, are the loop's digits in
+    order.  The digits and the rng's state after the call are the loop's.
+    For q >= 256 the top bits span more than a byte and the loop runs as is.
+    """
+    if q >= 256:
+        return [rng.randrange(q) for _ in range(count)]
+    keep, drop = _top_byte_tables(q)
+    digits = []
+    while len(digits) < count:
+        need = count - len(digits)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        digits += words[3::4].translate(keep, drop)
+    return digits
+
+
+@functools.lru_cache(maxsize=None)
+def _top_byte_tables(q: int) -> tuple[bytes, bytes]:
+    """bytes.translate arguments that take a word's top byte to its top
+    q.bit_length() bits and delete the bytes that give a value >= q."""
+    shift = 8 - q.bit_length()
+    return bytes(x >> shift for x in range(256)), bytes(x for x in range(256) if x >> shift >= q)
+
+
 def random_series(field: Fq, floor: int, rng: random.Random) -> LaurentSeries:
     """Digits uniform over F_q on exponents -1 down to floor."""
     if floor >= 0:
         raise ConfigError("random series need a negative floor")
-    coeffs = [rng.randrange(field.q) for _ in range(-1, floor - 1, -1)]
-    return LaurentSeries(field, -1, coeffs, floor)
+    return LaurentSeries(field, -1, uniform_digits(rng, field.q, -floor), floor)
 
 
 def random_poly(field: Fq, deg: int, rng: random.Random) -> Poly:
@@ -207,8 +237,7 @@ def _noise_series(field: Fq, top: int, floor: int, rng: random.Random):
     PrecisionExhaustedError."""
     if top < floor:
         raise PrecisionExhaustedError(f"noise of degree {top} lies below the floor {floor}")
-    coeffs = [rng.randrange(1, field.q)]
-    coeffs.extend(rng.randrange(field.q) for _ in range(top - 1, floor - 1, -1))
+    coeffs = [rng.randrange(1, field.q)] + uniform_digits(rng, field.q, top - floor)
     return LaurentSeries(field, top, coeffs, floor)
 
 

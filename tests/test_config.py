@@ -161,3 +161,23 @@ def test_transference_floor_covers_mult_T_max(tmp_path, capsys):
     assert "mult_T_max" in err and "instance(s)" not in err
     ExperimentConfig.from_dict(dict(raw, floor=-60))
     ExperimentConfig.from_dict(dict(raw, suite="estimate"))
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"theta": 0.0},
+        {"Y": {"kind": "cf", "degrees": [1, 2.0]}},
+        {"dims": [1, 2], "Y": {"kind": "grid", "entries": [[{"kind": "lacunary", "base": 2.5}, "X^-1"]]}},
+    ],
+)
+def test_float_in_a_spec_exits_3_before_any_instance(tmp_path, capsys, raw):
+    # specs are echoed in reports, which hold no float, and the generators
+    # would read 2.0 as int(2.0) and 0.0 as the zero shift
+    from ffdioph import cli
+
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["estimate", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "holds the float" in err and "instance(s)" not in err

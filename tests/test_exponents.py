@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ffdioph import (
     DegValue,
@@ -144,6 +145,27 @@ def test_estimate_needs_four_entries():
     prof = ExponentProfile("standard", 1, 1, 4, entries)
     with pytest.raises(EstimateWindowError):
         estimate(prof)
+
+
+@given(st.lists(st.integers(-200, 0), min_size=4, max_size=30), st.integers(0, 2**30))
+def test_estimate_and_rows_reduce_ratios_as_fractions(Bs, censor):
+    # the window extremes and the report rows compare and reduce -B/T by
+    # integers; both must be the Fractions' max, min and lowest terms
+    from ffdioph.runner import profile_rows
+
+    entries = tuple(
+        ProfileEntry(T, DegValue.censored_at(B) if censor >> T & 1 else DegValue.exact(B))
+        for T, B in enumerate(Bs, 1)
+    )
+    prof = ExponentProfile("standard", 1, 1, len(Bs), entries)
+    lo, hi = prof.window()
+    ratios = [Fraction(-e.B.value, e.T) for e in entries[lo - 1 : hi] if not e.censored]
+    if len(ratios) >= 4:
+        est = estimate(prof)
+        assert (est.omega_proxy, est.omega_hat_proxy) == (max(ratios), min(ratios))
+    for row, e in zip(profile_rows(prof), entries):
+        r = Fraction(-e.B.value, e.T)
+        assert (row["minus_B_over_T_num"], row["minus_B_over_T_den"]) == (r.numerator, r.denominator)
 
 
 def test_estimates_invariant_under_deeper_floor():
@@ -573,6 +595,22 @@ def test_mult_basis_profile_calls_best_error_mult_at_capped_and_check_horizons(m
     assert seen == sorted(capped + [check])
     monkeypatch.undo()
     assert [e.B for e in prof.entries] == [per_horizon_mult(Y, theta, T) for T in range(1, T_max + 1)]
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["homogeneous", "shifted"])
+def test_column_shifted_basis_decides_no_bound_below_its_largest_shift(shifted):
+    # no shape of shifts r reads a D below max r: those entries are None,
+    # and every D from max r to D_max (none capped on this deep floor) has
+    # its K; profile tests check the values against best_error_mult
+    from ffdioph.approx import order_basis_depths
+
+    F3 = Fq(3)
+    Y = random_matrix(F3, 1, 3, -60, "below-shift")
+    theta = (random_series(F3, -60, derive_rng(21, "below-shift-theta")),) if shifted else None
+    for r in [(0, 2, 1), (3, 0, 0), (0, 0, 0)]:
+        depths = order_basis_depths(Y, theta, 12, r)
+        assert depths[: max(r)] == [None] * max(r)
+        assert len(depths) == 13 and None not in depths[max(r) :]
 
 
 def test_order_basis_refuses_a_lost_pivot(monkeypatch):

@@ -26,6 +26,7 @@ from ffdioph.generators import (
     plant_witness,
     random_series,
     rational_series,
+    uniform_digits,
 )
 from ffdioph.matrix import matvec_affine
 
@@ -79,6 +80,36 @@ def test_random_series_determinism():
     assert a == b
     assert a != c
     assert a.floor == -20
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 64, 67, 128, 255, 256, 257, 1000])
+def test_bulk_digits_are_the_randrange_loop(q):
+    # the same digits and the same stream use: the next draw agrees too
+    for count in (0, 1, 2, 7, 80, 500):
+        bulk, loop = derive_rng(q, "draw", count), derive_rng(q, "draw", count)
+        assert uniform_digits(bulk, q, count) == [loop.randrange(q) for _ in range(count)]
+        assert bulk.random() == loop.random()
+
+
+_DRAW_FIELDS = [
+    Fq(2), Fq(3), Fq(2, 2), Fq(5), Fq(2, 3), Fq(3, 2), Fq(67),
+    Fq(2, 7, (1, 1, 0, 0, 0, 0, 0, 1)), Fq(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)), Fq(257),
+]
+
+
+@pytest.mark.parametrize("field", _DRAW_FIELDS, ids=lambda F: f"F{F.q}")
+def test_series_draws_are_the_randrange_loop(field):
+    q = field.q
+    for floor in (-1, -2, -7, -80):
+        rng, loop = derive_rng(1, "series", floor), derive_rng(1, "series", floor)
+        want = [loop.randrange(q) for _ in range(-floor)]
+        assert random_series(field, floor, rng) == LaurentSeries(field, -1, want, floor)
+        assert rng.random() == loop.random()
+        # a noise series: a nonzero top digit by randrange(1, q), then its tail
+        rng, loop = derive_rng(2, "noise", floor), derive_rng(2, "noise", floor)
+        want = [loop.randrange(1, q)] + [loop.randrange(q) for _ in range(1 - floor)]
+        assert _noise_series(field, floor + 1, 2 * floor, rng) == LaurentSeries(field, floor + 1, want, 2 * floor)
+        assert rng.random() == loop.random()
 
 
 def test_generate_series_dispatch():
