@@ -36,15 +36,17 @@ it gives the scan's K for each degree bound D below its cap, from one pass
 over the orders of [A | -I], where A holds Y's digits as polynomials in z,
 read down to -L: L is minus the shallowest finite floor of Y and theta, or
 on all-exact inputs the exact cap plus the largest D.  A shift adds a row
-z^D Theta per D, reduced alongside the basis until it would pivot.  A
-residual is one int on GF(2), reduced by XOR, and one digit list reduced by
-``Fq.sub_scaled`` elsewhere, grown over a window of orders before all L
-digits.  Column shifts r serve the multiplicative shapes (m = 1): shape
+z^D Theta per D, reduced alongside the basis until it would pivot; as
+these rows never reduce a basis row, one run serves several shifts, and
+the homogeneous problem, each to its own L.  A residual is one int on
+GF(2), reduced by XOR, and one digit list reduced by ``Fq.sub_scaled``
+elsewhere, grown over a window of orders before all L digits.  Column shifts r serve the multiplicative shapes (m = 1): shape
 (D_1..D_n) is the box of D = max D_j with column j's unknowns shifted by
 r_j = D - D_j, so one basis serves every shape of one r.
-``exponents.profile`` reads every standard kernel profile and every m = 1
-multiplicative one off such bases, and keeps the kernel decision for capped
-horizons and one check.
+``exponents.profile`` reads every standard kernel profile, with the
+homogeneous one beside a shifted one, and every m = 1 multiplicative one
+off such bases, and keeps the kernel decision for capped horizons and one
+check per profile.
 
 The enumeration is one search (``_brute``) over one candidate enumerator
 (``_iter_q``: deg q_j <= caps[j] and plus-product degree <= budget, each
@@ -393,21 +395,27 @@ def _kernel_best(Y: SeriesMatrix, theta, boxes) -> tuple[DegValue, Witness]:
 
 
 def order_basis_depths(
-    Y: SeriesMatrix, theta, D_max: int, col_shifts=None
-) -> list[int | None]:
-    """[K(0), K(1), ...]: the depth scan's K for the box deg q_j <= D - r_j
-    of Y q + theta (theta None: homogeneous), for every D <= D_max below the
-    cap L - D.  Every D >= len(result) is at that cap.  The column shifts
+    Y: SeriesMatrix, thetas, D_max: int, col_shifts=None
+) -> list[list[int | None]]:
+    """[K(0), K(1), ...] for each right-hand side theta of thetas (None:
+    homogeneous): the depth scan's K for the box deg q_j <= D - r_j of
+    Y q + theta, for every D <= D_max below the cap L - D, L being that
+    theta's.  Every D >= len(its list) is at that cap.  The column shifts
     r = col_shifts (min r = 0; None, all zeros, is the standard box D) serve
     the multiplicative shapes: shape (D_1..D_n) is the box of D = max D_j
     and r_j = D - D_j, so one basis serves every shape of one r.  No shape
     of r has D < max r, so the basis decides no such D: its entry is None.
+    ``exponents.profile`` passes a shift with None beside it for a standard
+    profile and its homogeneous sibling, and its own theta alone per r.
 
-    The basis reads digits -1..-L.  L is minus the shallowest finite floor
-    of Y and theta (``_search_caps`` at D = 0): L - D is at most the scan's
-    cap, since r_j >= 0, so a K below it is the scan's.  On all-exact inputs
-    L is the exact cap plus D_max: a q feasible at that cap is an exact hit,
-    feasible at every depth, so the basis caps its D as the scan does.
+    A right-hand side reads digits -1..-L.  L is minus the shallowest finite
+    floor of Y and theta (``_search_caps`` at D = 0): L - D is at most the
+    scan's cap, since r_j >= 0, so a K below it is the scan's.  On all-exact
+    inputs L is the exact cap plus D_max: a q feasible at that cap is an
+    exact hit, feasible at every depth, so the basis caps its D as the scan
+    does.  The basis runs to the largest L, and each right-hand side stops
+    after order L - 1 of its own, so none reads a digit of its theta below
+    its floor.
 
     The basis has n + m rows (Q*, P) of shifted degree max_j(deg Q*_j + r_j,
     deg P + 1), unit rows to start with: Q* = e_j of degree r_j and P = -e_i
@@ -441,45 +449,57 @@ def order_basis_depths(
     is at its cap, and so is every larger D.  Until it pivots, the shift
     row reduces no other row, so the others stay the basis of [A | -I] and
     the degrees sum to sum(r) + m(s+2) + D after order s: one basis serves
-    every D, and each open D keeps only its shift row, cleared by the
-    basis's pivots.  The basis stops once every D <= D_max is decided.
+    every D of every right-hand side, and each open D keeps only its shift
+    row, cleared by the basis's pivots.  The basis stops once every
+    right-hand side has decided every D <= D_max or read its L digits.
 
-    Residuals are grown on a window of W orders near the (D_max+1)(n+m)/m
-    that the basis takes in general, and on all L only when it has not
-    stopped inside the window: orders below W read only coefficients below
-    W, so both give the same depths.
+    Residuals are grown on a window of W = (D_max+4)(n+m)/m orders, three
+    degree bounds past the (D_max+1)(n+m)/m that the basis takes in
+    general, as a run stops only when its last side does; and on all L only
+    when it has not stopped inside the window: orders below W read only
+    coefficients below W, so both give the same depths.
     """
     F, m, n = Y.field, Y.m, Y.n
     gf2 = F.is_gf2()
     rs = col_shifts or [0] * n
-    L, exact = _search_caps(Y, theta, [0] * n)
-    L += D_max if exact else 0  # L - D reaches the exact cap for every D
-    top = min(D_max, L - 1)  # every larger D is at its cap
-    th = [t.digits(-1, -L) for t in theta or ()]
-    zth = min((next((k for k, x in enumerate(t) if x), L) for t in th), default=L)
+    first = max(rs)  # the least D a shape of r reads
+    sides, L_max, top_max = [], 0, 0  # per side (L, top, zθ, theta's digits)
+    for theta in thetas:
+        L, exact = _search_caps(Y, theta, [0] * n)
+        L += D_max if exact else 0  # L - D reaches the exact cap for every D
+        top = min(D_max, L - 1)  # every larger D is at its cap
+        th = [t.digits(-1, -L) for t in theta or ()]
+        zth = min((next((k for k, x in enumerate(t) if x), L) for t in th), default=L)
+        sides.append((L, top, zth, th if zth < L else None))  # None: no shift rows
+        L_max, top_max = max(L_max, L), max(top_max, top)
+    stops = {L - 1 for L, _, _, _ in sides}
 
     def run(W):
         """The depths from residuals of W orders, or None when the basis
-        has not stopped by order W - 1 and W < L."""
+        has not stopped by order W - 1 and W < L_max."""
 
         def row(cols, D=0):
             # entry s*m + i is the coefficient of z^s in column i, s < W;
             # cols hold the coefficients of z^D, z^(D+1), ...
             flat = [0] * (W * m)
             for i, col in enumerate(cols):
-                flat[D * m + i :: m] = col[: max(0, W - D)]
+                col = col[: max(0, W - D)]
+                flat[D * m + i : (D + len(col)) * m : m] = col
             return pack_gf2(flat) if gf2 else flat
 
         res = [row([e.digits(-1, -W) for e in col], rj) for col, rj in zip(zip(*Y.rows), rs)]
         res += [row([[int(k == i)] + [0] * (W - 1) for k in range(m)]) for i in range(m)]
         deg = list(rs) + [1] * m
-        first = max(rs)  # the least D a shape of r reads
-        # D -> K(D), None below first; D -> its shift row, unpivoted
-        depths, shifts = dict.fromkeys(range(min(first, top + 1))), {}
+        # per side: D -> K(D), None below first, and D -> its shift row, unpivoted
+        state = [(*side, dict.fromkeys(range(min(first, side[1] + 1))), {}) for side in sides]
+        # the shift row of D is z^D Theta: its side's row(theta) moved up D orders
+        with_rows = [(top, row(th), d, sh) for _, top, _, th, d, sh in state if th]
+        left = sum(len(range(first, top + 1)) for _, top, _, _ in sides)  # D still open
         low = first  # every D < low is decided or has left the test on δ
         for s in range(W):
-            if first <= s <= top and zth < L:
-                shifts[s] = row(th, s)
+            for top, th, _, sh in with_rows:
+                if first <= s <= top:
+                    sh[s] = th << s * m if gf2 else [0] * (s * m) + th[: (W - s) * m]
             for at in range(s * m, s * m + m):
                 if gf2:
                     live = [r for r, x in enumerate(res) if x >> at & 1]
@@ -490,16 +510,18 @@ def order_basis_depths(
                 piv = min(live, key=deg.__getitem__)  # ties: the least index
                 prow = res[piv]
                 inv = None if gf2 else F.inv(prow[at])
-                for D, v in list(shifts.items()) if shifts else ():
-                    if not (v >> at & 1 if gf2 else v[at]):
-                        continue
-                    if deg[piv] > D:  # it pivots itself: depth s - D + 1 fails
-                        del shifts[D]
-                        depths[D] = s - D
-                    elif gf2:
-                        shifts[D] = v ^ prow
-                    else:
-                        F.sub_scaled(v, F.mul(v[at], inv), prow, at)
+                for _, _, d, sh in with_rows:
+                    for D, v in list(sh.items()) if sh else ():
+                        if not (v >> at & 1 if gf2 else v[at]):
+                            continue
+                        if deg[piv] > D:  # it pivots itself: depth s - D + 1 fails
+                            del sh[D]
+                            d[D] = s - D
+                            left -= 1
+                        elif gf2:
+                            sh[D] = v ^ prow
+                        else:
+                            F.sub_scaled(v, F.mul(v[at], inv), prow, at)
                 if gf2:
                     for r in live:
                         if r != piv:
@@ -515,21 +537,31 @@ def order_basis_depths(
             if sum(deg) != sum(rs) + m * (s + 2):
                 raise AssertionError(f"order basis found no pivot at order {s}")
             least = min(deg)
-            while low < least and low <= s and low <= top:
-                if s - low < zth:  # theta clears depth s - low + 1: δ(s+1) > low
-                    depths[low] = s - low
-                    shifts.pop(low, None)
+            while low < least and low <= s and low <= top_max:
+                for L, _, zth, _, d, sh in state:
+                    if s < L and s - low < zth:
+                        # theta clears depth s - low + 1: δ(s+1) > low
+                        d[low] = s - low
+                        sh.pop(low, None)
+                        left -= 1
                 low += 1
-            if len(depths) > top:
+            if s in stops:  # a side's digits are read: its open D are at their caps
+                for L, top, _, _, d, sh in state:
+                    if s == L - 1:
+                        left -= top + 1 - len(d)
+                        sh.clear()
+            if not left:
                 break
         else:
-            if W < L:
+            if W < L_max:
                 return None
-        stop = next((D for D in range(top + 1) if D not in depths), top + 1)
-        return [depths[D] for D in range(stop)]
+        return [
+            [d[D] for D in range(next((D for D in range(top + 1) if D not in d), top + 1))]
+            for _, top, _, _, d, _ in state
+        ]
 
-    depths = run(min((D_max + 1) * (n + m) // m + n + m, L))
-    return depths if depths is not None else run(L)
+    depths = run(min((D_max + 4) * (n + m) // m, L_max))
+    return depths if depths is not None else run(L_max)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ liminf one.  Censored entries never contribute to either proxy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .approx import BestError, best_error, best_error_mult, compositions, order_basis_depths
@@ -31,11 +31,17 @@ class ProfileEntry:
 
 @dataclass(frozen=True)
 class ExponentProfile:
+    """Entries B(T) for T = 1..T_max.  A standard profile of (Y, theta) with
+    theta not exactly zero also holds ``homogeneous``, the profile of
+    (Y, None) to the same T_max, which ``profile`` builds beside it; it is
+    None otherwise."""
+
     kind: str  # "standard" | "multiplicative"
     m: int
     n: int
     T_max: int
     entries: tuple[ProfileEntry, ...]
+    homogeneous: ExponentProfile | None = None
 
     def entry(self, T: int) -> ProfileEntry:
         return self.entries[T - 1]
@@ -85,6 +91,13 @@ def profile(
     Precision exhaustion in a single entry is recorded as a censored value
     rather than aborting the whole profile.  Raises AssertionError if the
     check disagrees or an exact entry exceeds an earlier exact one.
+
+    A standard profile whose theta is not exactly zero also carries the
+    homogeneous profile of Y as ``homogeneous``, equal to
+    profile(Y, None, T_max, "standard", method): the kernel reads both off
+    the same basis run, whose shift rows never reduce a basis row, and
+    brute decides it horizon by horizon.  Its calls to the route follow
+    the shifted profile's.
     """
     if T_max < 1:
         raise ValueError("T_max must be >= 1")
@@ -92,6 +105,19 @@ def profile(
         raise ValueError(f"unknown profile kind {kind!r}")
     if theta is not None and len(theta) != Y.m:
         raise ValueError("shift vector length must match row count")
+    thetas = [theta]
+    if kind == "standard" and theta is not None and not all(th.is_exact_zero() for th in theta):
+        thetas.append(None)
+    reads = [{}] * len(thetas)  # T -> B(T) of the horizons the order bases give
+    if method == "kernel" and (kind == "standard" or Y.m == 1):
+        reads = _basis_reads(Y, thetas, T_max, kind)
+    prof, *sibling = [_assemble(Y, th, T_max, kind, method, read) for th, read in zip(thetas, reads)]
+    return replace(prof, homogeneous=sibling[0]) if sibling else prof
+
+
+def _assemble(Y: SeriesMatrix, theta, T_max: int, kind: str, method: str, read) -> ExponentProfile:
+    """The profile of (Y, theta) from its basis reads {T: B(T)}: the route
+    decides every other horizon and, as the check, the deepest read one."""
 
     def route(T: int) -> BestError:
         if kind == "standard":
@@ -102,9 +128,6 @@ def profile(
             return best_error_mult(Y, theta, T)
         return best_error_mult(Y, theta, T, method=method)
 
-    read = {}  # T -> B(T) of the horizons the order bases give
-    if method == "kernel" and (kind == "standard" or Y.m == 1):
-        read = _basis_reads(Y, theta, T_max, kind)
     check = max(read, default=None)
     entries = []
     for T in range(1, T_max + 1):
@@ -134,20 +157,22 @@ def profile(
     return ExponentProfile(kind, Y.m, Y.n, T_max, tuple(entries))
 
 
-def _basis_reads(Y: SeriesMatrix, theta, T_max: int, kind: str) -> dict[int, int]:
-    """{T: B(T)} for every horizon up to T_max whose entry the order bases
-    give (``order_basis_depths``); the other horizons are capped.
+def _basis_reads(Y: SeriesMatrix, thetas, T_max: int, kind: str) -> list[dict[int, int]]:
+    """{T: B(T)} per theta of thetas for every horizon up to T_max whose
+    entry the order bases give (``order_basis_depths``); the other horizons
+    are capped.
 
     A standard horizon reads its degree bound D = (T-1)//n, at T = n*D + 1,
-    off one basis.  A multiplicative one (m = 1) is the least value over its
-    shapes D_j >= 0, sum D_j = T-1, each read off the basis of its column
-    shifts r_j = M - D_j, M = max D_j, at D = M: one basis per r serves every
-    T, run to the M of the deepest horizon, (T_max - 1 + sum r)//n.  Such a
-    T is read only when none of its shapes is capped.
+    off one basis, which serves every theta.  A multiplicative one (m = 1,
+    one theta) is the least value over its shapes D_j >= 0, sum D_j = T-1,
+    each read off the basis of its column shifts r_j = M - D_j, M = max D_j,
+    at D = M: one basis per r serves every T, run to the M of the deepest
+    horizon, (T_max - 1 + sum r)//n.  Such a T is read only when none of
+    its shapes is capped.
     """
     if kind == "standard":
-        depths = order_basis_depths(Y, theta, (T_max - 1) // Y.n)
-        return {Y.n * D + 1: -(K + 1) * Y.m for D, K in enumerate(depths)}
+        runs = order_basis_depths(Y, thetas, (T_max - 1) // Y.n)
+        return [{Y.n * D + 1: -(K + 1) * Y.m for D, K in enumerate(depths)} for depths in runs]
     read, bases = {}, {}
     for T in range(1, T_max + 1):
         Ks = []
@@ -155,11 +180,11 @@ def _basis_reads(Y: SeriesMatrix, theta, T_max: int, kind: str) -> dict[int, int
             M = max(shape)
             r = tuple(M - d for d in shape)
             if r not in bases:
-                bases[r] = order_basis_depths(Y, theta, (T_max - 1 + sum(r)) // Y.n, r)
+                (bases[r],) = order_basis_depths(Y, thetas, (T_max - 1 + sum(r)) // Y.n, r)
             Ks.append(bases[r][M] if M < len(bases[r]) else None)
         if None not in Ks:
             read[T] = -(max(Ks) + 1)
-    return read
+    return [read]
 
 
 def estimate(prof: ExponentProfile) -> ExponentEstimate:

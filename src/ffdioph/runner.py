@@ -150,12 +150,7 @@ def _estimate_instance(cfg: ExperimentConfig, idx: int) -> dict:
     }
     hard = False
     if cfg.profile_kind == "standard":
-        hom = (
-            prof
-            if all(th.is_exact_zero() for th in theta)
-            else profile(Y, None, cfg.T_max, "standard", cfg.method)
-        )
-        bound = check_dirichlet_bound(hom)
+        bound = check_dirichlet_bound(prof.homogeneous or prof)
         out["dirichlet_bound"] = jsonable(bound)
         hard = hard or bound.holds is False
     try:
@@ -219,9 +214,10 @@ def _dirichlet_instance(cfg: ExperimentConfig, idx: int) -> dict:
 
 
 def _profile_prefix(prof: ExponentProfile, T_max: int) -> ExponentProfile:
-    """The profile's entries up to T_max; an entry does not depend on the
-    horizon it was computed under."""
-    return dataclasses.replace(prof, T_max=T_max, entries=prof.entries[:T_max])
+    """The profile's entries up to T_max, and its homogeneous sibling's; an
+    entry does not depend on the horizon it was computed under."""
+    hom = prof.homogeneous and _profile_prefix(prof.homogeneous, T_max)
+    return dataclasses.replace(prof, T_max=T_max, entries=prof.entries[:T_max], homogeneous=hom)
 
 
 def _transference_instance(cfg: ExperimentConfig, idx: int) -> dict:
@@ -236,12 +232,12 @@ def _transference_instance(cfg: ExperimentConfig, idx: int) -> dict:
         cfg.floor,
         cfg.seed * 7919 + idx,
     )
-    hom = profile(Y, None, cfg.T_max, "standard", cfg.method)
-    Y_t = Y.transpose()
-    hom_t = hom if Y_t == Y else profile(Y_t, None, cfg.T_max, "standard", cfg.method)
     inhom_all = profile(
         Y, theta, max(cfg.T_max, cfg.mult_T_max), "standard", cfg.method
     )
+    hom = _profile_prefix(inhom_all.homogeneous or inhom_all, cfg.T_max)
+    Y_t = Y.transpose()
+    hom_t = hom if Y_t == Y else profile(Y_t, None, cfg.T_max, "standard", cfg.method)
     inhom = _profile_prefix(inhom_all, cfg.T_max)
     bound = check_dirichlet_bound(hom)
     std_small = _profile_prefix(inhom_all, cfg.mult_T_max)

@@ -236,9 +236,9 @@ def test_profile_solves_each_degree_bound_once(monkeypatch, n, T_max, calls, flo
         seen.append(T)
         return real(Y, theta, T, method=method)
 
-    def fresh(T):
+    def fresh(T, shift=True):
         try:
-            return real(Y, theta, T, method).B
+            return real(Y, theta if shift else None, T, method).B
         except PrecisionExhaustedError:
             return DegValue.censored_at(-Y.m)
 
@@ -249,11 +249,15 @@ def test_profile_solves_each_degree_bound_once(monkeypatch, n, T_max, calls, flo
     theta = (random_series(F2, floor - 1, derive_rng(31, "once-theta", n)),)
     prof = profile(Y, theta, T_max, "standard", method)
     bounds = [n * D + 1 for D in range(calls)]
+    # the homogeneous sibling's calls follow the shifted profile's
     if method == "brute":
-        assert seen == bounds
+        assert seen == bounds + bounds
     else:  # the order basis decides the other bounds
-        assert seen == basis_calls(n, [fresh(T) for T in bounds])
+        assert seen == basis_calls(n, [fresh(T) for T in bounds]) + basis_calls(
+            n, [fresh(T, False) for T in bounds]
+        )
     assert [e.B for e in prof.entries] == [fresh(T) for T in range(1, T_max + 1)]
+    assert [e.B for e in prof.homogeneous.entries] == [fresh(T, False) for T in range(1, T_max + 1)]
 
 
 @pytest.mark.parametrize("kind", ["standard", "multiplicative"])
@@ -450,10 +454,17 @@ def test_basis_profile_calls_best_error_at_capped_and_check_bounds(monkeypatch, 
     calls = basis_calls(n, bounds)
     # some D to read off the basis, and a capped one
     assert calls[0] > 1 and len(calls) > 1
+    # a shift not exactly zero: the homogeneous sibling's calls follow
+    sibling = shift is not None and not all(t.is_exact_zero() for t in shift)
+    hom = [per_bound(Y, None, n * D + 1) for D in range(len(bounds))] if sibling else []
     monkeypatch.setattr(exponents, "best_error", spy)
     prof = profile(Y, shift, T_max, "standard", "kernel")
-    assert seen == calls
+    assert seen == calls + (basis_calls(n, hom) if sibling else [])
     assert [prof.entry(n * D + 1).B for D in range(len(bounds))] == bounds
+    if sibling:
+        assert [prof.homogeneous.entry(n * D + 1).B for D in range(len(bounds))] == hom
+    else:
+        assert prof.homogeneous is None
 
 
 def test_basis_profile_check_refuses_a_wrong_value(monkeypatch):
@@ -552,7 +563,7 @@ def test_mult_basis_profile_equals_best_error_mult_per_horizon(name):
         prof = profile(Y, theta, T_max, "multiplicative", "kernel")
         want = [per_horizon_mult(Y, theta, T) for T in range(1, T_max + 1)]
         assert [e.B for e in prof.entries] == want, case
-        read += len(exponents._basis_reads(Y, theta, T_max, "multiplicative"))
+        read += len(exponents._basis_reads(Y, [theta], T_max, "multiplicative")[0])
         total += T_max
     # both routes are reached: horizons off the bases and capped ones
     assert 60 <= read <= total - 30
@@ -608,7 +619,7 @@ def test_column_shifted_basis_decides_no_bound_below_its_largest_shift(shifted):
     Y = random_matrix(F3, 1, 3, -60, "below-shift")
     theta = (random_series(F3, -60, derive_rng(21, "below-shift-theta")),) if shifted else None
     for r in [(0, 2, 1), (3, 0, 0), (0, 0, 0)]:
-        depths = order_basis_depths(Y, theta, 12, r)
+        (depths,) = order_basis_depths(Y, [theta], 12, r)
         assert depths[: max(r)] == [None] * max(r)
         assert len(depths) == 13 and None not in depths[max(r) :]
 
@@ -619,10 +630,10 @@ def test_order_basis_refuses_a_lost_pivot(monkeypatch):
     import ffdioph.approx as approx
 
     Y = random_matrix(F2, 1, 3, -30, "pivot")
-    assert approx.order_basis_depths(Y, None, 6, (0, 2, 1))
+    assert approx.order_basis_depths(Y, [None], 6, (0, 2, 1))[0]
     monkeypatch.setattr(approx, "pack_gf2", lambda digits: 0)
     with pytest.raises(AssertionError, match="order basis found no pivot at order 0"):
-        approx.order_basis_depths(Y, None, 6, (0, 2, 1))
+        approx.order_basis_depths(Y, [None], 6, (0, 2, 1))
 
 
 def _window_inputs():
@@ -658,7 +669,7 @@ def test_order_basis_reads_all_digits_only_past_its_window(monkeypatch, case):
         return real(self, hi, lo)
 
     monkeypatch.setattr(LaurentSeries, "digits", spy)
-    depths = order_basis_depths(Y, theta, D_max)
+    (depths,) = order_basis_depths(Y, [theta], D_max)
     monkeypatch.undo()
     if case == "window":
         assert -L < min(lows) and len(depths) == D_max + 1
@@ -669,3 +680,104 @@ def test_order_basis_reads_all_digits_only_past_its_window(monkeypatch, case):
     assert got == [per_bound(Y, theta, n * D + 1) for D in range(len(depths))]
     if len(depths) <= D_max:
         assert per_bound(Y, theta, n * len(depths) + 1).censored
+
+
+def _brute_horizon(F, n, T_max):
+    """The largest T <= T_max whose degree bound D keeps the enumeration
+    small, q**(n*(D+1)) <= 64, or else T = 1."""
+    D = 0
+    while F.q ** (n * (D + 2)) <= 64:
+        D += 1
+    return min(T_max, n * D + 1)
+
+
+@pytest.mark.parametrize("method", ["kernel", "brute"])
+@pytest.mark.parametrize("name", ["F2", "F3", "F4", "F128"])
+def test_homogeneous_sibling_equals_a_separate_homogeneous_profile(name, method):
+    # a shifted standard profile carries the profile of (Y, None), read off
+    # the same basis run (kernel) or decided horizon by horizon (brute); it
+    # must equal a profile of its own on every floor layout, including the
+    # shifts on floors of their own, whose caps differ from Y's, and shifts
+    # zero down to Y's floor and to a shallower one (zθ = L); an exactly
+    # zero shift and no shift give no sibling
+    F = BASIS_FIELDS[name]
+    cases = floor_layouts(F, name)
+    Y = cases["shift-deeper"][0]  # 1x1 on floor -14
+    cases["zero-to-floor"] = (Y, (LaurentSeries.zero(F, -14),), 12)
+    cases["zero-to-shallower"] = (Y, (LaurentSeries.zero(F, -11),), 12)
+    cases["exact-zero"] = (Y, (LaurentSeries.zero(F),), 12)
+    compared = 0
+    for layout, (Y, theta, T_max) in cases.items():
+        unshifted = theta is None or all(t.is_exact_zero() for t in theta)
+        if method == "brute":
+            if theta is None:
+                continue  # nothing to compare, and the kernel pass asserts None
+            T_max = _brute_horizon(F, Y.n, T_max)
+        prof = profile(Y, theta, T_max, "standard", method)
+        if unshifted:
+            assert prof.homogeneous is None, layout
+            continue
+        assert prof.homogeneous == profile(Y, None, T_max, "standard", method), layout
+        assert prof.homogeneous.homogeneous is None
+        if method == "kernel":  # and the shifted entries, read off the same run
+            want = [per_bound(Y, theta, T) for T in range(1, T_max + 1, Y.n)]
+            assert [prof.entry(T).B for T in range(1, T_max + 1, Y.n)] == want, layout
+        compared += 1
+    assert compared == 7
+
+
+def _shared_basis_inputs(F, *tags):
+    """(Y, thetas, D_max, col_shifts) for one shared order basis run: shifts
+    on Y's floor, on a shallower and a deeper one, an exact one, ones zero
+    to Y's floor and to a shallower one, and None; 1x2 also with column
+    shifts."""
+    cases = {}
+    for m, n in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        for floor, D_max in [(-40, 8), (-9, 6)]:
+            Y = random_matrix(F, m, n, floor, "shared", *tags, m, n, floor)
+
+            def shift(f, tag):
+                return tuple(
+                    random_series(F, f, derive_rng(21, "shared", *tags, m, n, tag, i)) for i in range(m)
+                )
+
+            thetas = [
+                shift(floor, "same"),
+                None,
+                shift(floor + 3, "shallower"),
+                shift(floor - 3, "deeper"),
+                (LaurentSeries.from_terms(F, {-2: 1, -5: 1}),) * m,
+                (LaurentSeries.zero(F, floor),) * m,
+                (LaurentSeries.zero(F, floor + 3),) * m,
+            ]
+            for r in [None] + ([(0, 1), (2, 0)] if (m, n) == (1, 2) else []):
+                cases[f"{m}x{n}{floor}-{r}"] = (Y, thetas, D_max, r)
+    return cases
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F4"])
+def test_shared_order_basis_equals_one_run_per_shift(name):
+    # one run over several right-hand sides gives each the depths a run of
+    # its own gives, whatever its cap and wherever it sits in the sequence
+    from ffdioph.approx import order_basis_depths
+
+    F = BASIS_FIELDS[name]
+    for case, (Y, thetas, D_max, r) in _shared_basis_inputs(F, name).items():
+        alone = [order_basis_depths(Y, [theta], D_max, r)[0] for theta in thetas]
+        assert order_basis_depths(Y, thetas, D_max, r) == alone, case
+        assert order_basis_depths(Y, thetas[::-1], D_max, r) == alone[::-1], case
+        for theta, depths in zip(thetas, alone):  # as a standard profile asks
+            assert order_basis_depths(Y, [theta, None], D_max, r) == [depths, alone[1]], case
+
+
+def test_shared_order_basis_refuses_a_lost_pivot(monkeypatch):
+    # the degree-sum check guards a run with a shift and its homogeneous
+    # sibling as it guards a run of one
+    import ffdioph.approx as approx
+
+    Y = random_matrix(F2, 1, 1, -30, "pivot-shared")
+    thetas = [shifts_on_floor(F2, 1, -30, "pivot-shared")["random"], None]
+    assert all(approx.order_basis_depths(Y, thetas, 6))
+    monkeypatch.setattr(approx, "pack_gf2", lambda digits: 0)
+    with pytest.raises(AssertionError, match="order basis found no pivot at order 0"):
+        approx.order_basis_depths(Y, thetas, 6)
