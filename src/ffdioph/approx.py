@@ -35,14 +35,16 @@ One order basis serves every standard box at once (``order_basis_depths``):
 it gives the scan's K for each degree bound D below its cap, from one pass
 over the orders of [A | -I], where A holds Y's digits as polynomials in z,
 read down to -L: L is minus the shallowest finite floor of Y and theta, or
-on all-exact inputs the exact cap plus the largest D.  A shift adds a row
-z^D Theta per D, reduced alongside the basis until it would pivot; as
-these rows never reduce a basis row, one run serves several shifts, and
-the homogeneous problem, each to its own L.  A residual is one int on
-GF(2), reduced by XOR, and one digit list reduced by ``Fq.sub_scaled``
-elsewhere, grown over a window of orders before all L digits.  Column shifts r serve the multiplicative shapes (m = 1): shape
-(D_1..D_n) is the box of D = max D_j with column j's unknowns shifted by
-r_j = D - D_j, so one basis serves every shape of one r.
+on all-exact inputs the exact cap plus the largest D.  A shift carries one
+row z^D Theta, reduced alongside the basis, for its least open D: when it
+would pivot, D is decided and the row times z serves D + 1.  As that row
+never reduces a basis row, one run serves several shifts, and the
+homogeneous problem, each to its own L.  A residual is one int on GF(2),
+reduced by XOR, and one digit list reduced by ``Fq.sub_scaled``
+elsewhere, grown over a window of orders before all L digits.  Column
+shifts r serve the multiplicative shapes (m = 1): shape (D_1..D_n) is the
+box of D = max D_j with column j's unknowns shifted by r_j = D - D_j, so
+one basis serves every shape of one r.
 ``exponents.profile`` reads every standard kernel profile, with the
 homogeneous one beside a shifted one, and every m = 1 multiplicative one
 off such bases, and keeps the kernel decision for capped horizons and one
@@ -388,9 +390,10 @@ def _kernel_best(Y: SeriesMatrix, theta, boxes) -> tuple[DegValue, Witness]:
 # when sum_j A_ij Q*_j = P_i + O(z^(D+K)) with deg P_i < D, a simultaneous
 # Hermite-Pade problem, and one order basis of [A | -I] answers it for every
 # D at once (Beckermann-Labahn 1994).  A shift adds Theta_i(z), theta_i's
-# digits -1, -2, ... at z^0, z^1, ..., as one more row z^D Theta per D.  A
-# box deg q_j <= D - r_j is Q*_j = z^r_j R_j with deg R_j + r_j <= D: column
-# j of A times z^r_j, and R_j's unit row starting at shifted degree r_j.
+# digits -1, -2, ... at z^0, z^1, ..., as one carried row z^D Theta, D its
+# least open degree bound.  A box deg q_j <= D - r_j is Q*_j = z^r_j R_j
+# with deg R_j + r_j <= D: column j of A times z^r_j, and R_j's unit row
+# starting at shifted degree r_j.
 # ---------------------------------------------------------------------------
 
 
@@ -433,25 +436,33 @@ def order_basis_depths(
     Let δ(s) be the least degree after s orders.  The basis is reduced, so
     some q != 0 of deg q_j <= D - r_j clears digits -1..-(s-D) of Y q
     exactly when δ(s) <= D (for s >= D, where a row with Q* = 0, some z^s P,
-    has degree > s).  So K(D) = max{s - D : δ(s) <= D, s <= L}, the box is at its cap
-    exactly when δ(L) <= D or D >= L.
+    has degree > s).  So K(D) = max{s - D : δ(s) <= D, s <= L}, and the box
+    is at its cap exactly when δ(L) <= D or D >= L.
 
-    A shift adds, just before order D, a last row (0, z^D, 0) of degree D
-    whose residual is z^D Theta: the order basis of [A; z^D Theta; -I].  A
-    row of degree <= D holds the shift as c z^D, and the shift row is the
-    only one with c != 0 there until it pivots, which it does only over
-    rows of larger degree.  So depth k = s - D + 1 is feasible exactly when
-    the shift row has not pivoted by order s (q != 0, as theta does not
-    clear the k digits), unless theta itself clears them (k <= zθ, digits
-    -1..-zθ being zero in every theta_i): then q must be a nonzero
-    homogeneous solution, so δ(s+1) <= D; theta None or zero to -L is
-    zθ = L.  K(D) is the last feasible depth; a D feasible at depth L - D
-    is at its cap, and so is every larger D.  Until it pivots, the shift
-    row reduces no other row, so the others stay the basis of [A | -I] and
-    the degrees sum to sum(r) + m(s+2) + D after order s: one basis serves
-    every D of every right-hand side, and each open D keeps only its shift
-    row, cleared by the basis's pivots.  The basis stops once every
-    right-hand side has decided every D <= D_max or read its L digits.
+    A shift adds a row (0, z^D, 0) of degree D whose residual is z^D Theta:
+    the order basis of [A; z^D Theta; -I].  A row of degree <= D holds the
+    shift as c z^D, and the shift row is the only one with c != 0 there
+    until it pivots, which it does only over rows of larger degree.  So
+    depth k = s - D + 1 is feasible exactly when the shift row has not
+    pivoted by order s (q != 0, as theta does not clear the k digits),
+    unless theta itself clears them (k <= zθ, digits -1..-zθ being zero in
+    every theta_i): then q must be a nonzero homogeneous solution, so
+    δ(s+1) <= D; theta None or zero to -L is zθ = L.  K(D) is the last
+    feasible depth; a D feasible at depth L - D is at its cap, and so is
+    every larger D.  The shift row reduces no other row, so one basis of
+    [A | -I] serves every D of every right-hand side.
+
+    Each side carries one shift row, for its least open D (the length of
+    its list so far): z^D Theta plus basis rows of degree <= D, starting as
+    z^first Theta.  Which one does not change the pivot test: two differ by
+    basis rows of degree <= D (predictable degree, Beckermann-Labahn 1994),
+    nonzero at the tested column only if the pivot has degree <= D.  When
+    the row would pivot at order s, K(D) = s - D, and z times the row as it
+    stood serves D + 1 (Q* degree <= D + 1, residual zero through order s;
+    K(D+1) >= K(D), so D + 1 cannot fail at order s).  The zθ rule moves
+    the row on by z likewise, and decides only a prefix of a side's open D,
+    as δ rises by at most 1 per order.  A side stops once it has decided
+    every D <= D_max or read its L digits, and the basis once all have.
 
     Residuals are grown on a window of W = (D_max+4)(n+m)/m orders, three
     degree bounds past the (D_max+1)(n+m)/m that the basis takes in
@@ -463,16 +474,15 @@ def order_basis_depths(
     gf2 = F.is_gf2()
     rs = col_shifts or [0] * n
     first = max(rs)  # the least D a shape of r reads
-    sides, L_max, top_max = [], 0, 0  # per side (L, top, zθ, theta's digits)
+    sides = []  # per side (L, top, zθ, theta's digits)
     for theta in thetas:
         L, exact = _search_caps(Y, theta, [0] * n)
         L += D_max if exact else 0  # L - D reaches the exact cap for every D
         top = min(D_max, L - 1)  # every larger D is at its cap
         th = [t.digits(-1, -L) for t in theta or ()]
         zth = min((next((k for k, x in enumerate(t) if x), L) for t in th), default=L)
-        sides.append((L, top, zth, th if zth < L else None))  # None: no shift rows
-        L_max, top_max = max(L_max, L), max(top_max, top)
-    stops = {L - 1 for L, _, _, _ in sides}
+        sides.append((L, top, zth, th if zth < L else None))  # None: no shift row
+    L_max = max(L for L, _, _, _ in sides)
 
     def run(W):
         """The depths from residuals of W orders, or None when the basis
@@ -487,19 +497,25 @@ def order_basis_depths(
                 flat[D * m + i : (D + len(col)) * m : m] = col
             return pack_gf2(flat) if gf2 else flat
 
+        def up(v):  # z times a residual; a list keeps its W orders
+            if gf2:
+                return v << m
+            v[:0] = [0] * m
+            del v[-m:]
+            return v
+
         res = [row([e.digits(-1, -W) for e in col], rj) for col, rj in zip(zip(*Y.rows), rs)]
         res += [row([[int(k == i)] + [0] * (W - 1) for k in range(m)]) for i in range(m)]
         deg = list(rs) + [1] * m
-        # per side: D -> K(D), None below first, and D -> its shift row, unpivoted
-        state = [(*side, dict.fromkeys(range(min(first, side[1] + 1))), {}) for side in sides]
-        # the shift row of D is z^D Theta: its side's row(theta) moved up D orders
-        with_rows = [(top, row(th), d, sh) for _, top, _, th, d, sh in state if th]
-        left = sum(len(range(first, top + 1)) for _, top, _, _ in sides)  # D still open
-        low = first  # every D < low is decided or has left the test on δ
+        # per side [L, top, zθ, ks, row]: ks[D] = K(D), None below first, and
+        # row, None without a shift, is the carried row of D = len(ks)
+        state = [
+            [L, top, zth, [None] * min(first, top + 1), row(th, first) if th else None]
+            for L, top, zth, th in sides
+        ]
+        still = [side for side in state if len(side[3]) <= side[1]]  # the sides not stopped
+        carried = [side for side in still if side[4] is not None]
         for s in range(W):
-            for top, th, _, sh in with_rows:
-                if first <= s <= top:
-                    sh[s] = th << s * m if gf2 else [0] * (s * m) + th[: (W - s) * m]
             for at in range(s * m, s * m + m):
                 if gf2:
                     live = [r for r, x in enumerate(res) if x >> at & 1]
@@ -510,55 +526,46 @@ def order_basis_depths(
                 piv = min(live, key=deg.__getitem__)  # ties: the least index
                 prow = res[piv]
                 inv = None if gf2 else F.inv(prow[at])
-                for _, _, d, sh in with_rows:
-                    for D, v in list(sh.items()) if sh else ():
-                        if not (v >> at & 1 if gf2 else v[at]):
-                            continue
-                        if deg[piv] > D:  # it pivots itself: depth s - D + 1 fails
-                            del sh[D]
-                            d[D] = s - D
-                            left -= 1
-                        elif gf2:
-                            sh[D] = v ^ prow
-                        else:
-                            F.sub_scaled(v, F.mul(v[at], inv), prow, at)
+                for side in carried:
+                    v, ks = side[4], side[3]
+                    if not (v >> at & 1 if gf2 else v[at]):
+                        continue
+                    if deg[piv] > len(ks):  # it pivots itself: depth s - D + 1 fails
+                        ks.append(s - len(ks))
+                        side[4] = up(v)  # zero at order s, so not tested again there
+                    elif gf2:
+                        side[4] = v ^ prow
+                    else:
+                        F.sub_scaled(v, F.mul(v[at], inv), prow, at)
                 if gf2:
                     for r in live:
                         if r != piv:
                             res[r] ^= prow
-                    res[piv] = prow << m
                 else:
                     for r in live:
                         if r != piv:
                             F.sub_scaled(res[r], F.mul(res[r][at], inv), prow, at)
-                    prow[:0] = [0] * m  # z times the pivot
-                    del prow[-m:]
+                res[piv] = prow << m if gf2 else up(prow)  # z times the pivot
                 deg[piv] += 1
             if sum(deg) != sum(rs) + m * (s + 2):
                 raise AssertionError(f"order basis found no pivot at order {s}")
-            least = min(deg)
-            while low < least and low <= s and low <= top_max:
-                for L, _, zth, _, d, sh in state:
-                    if s < L and s - low < zth:
-                        # theta clears depth s - low + 1: δ(s+1) > low
-                        d[low] = s - low
-                        sh.pop(low, None)
-                        left -= 1
-                low += 1
-            if s in stops:  # a side's digits are read: its open D are at their caps
-                for L, top, _, _, d, sh in state:
-                    if s == L - 1:
-                        left -= top + 1 - len(d)
-                        sh.clear()
-            if not left:
-                break
+            least, stop = min(deg), False
+            for side in still:
+                L, top, zth, ks, v = side
+                while len(ks) < least and len(ks) <= min(top, s) and s - len(ks) < zth:
+                    ks.append(s - len(ks))  # theta clears depth s - D + 1: δ(s+1) > D
+                    if v is not None:
+                        side[4] = v = up(v)
+                stop = stop or len(ks) > top or s == L - 1
+            if stop:  # a side that has read its L digits leaves its open D at their caps
+                still = [side for side in still if len(side[3]) <= side[1] and s < side[0] - 1]
+                carried = [side for side in still if side[4] is not None]
+                if not still:
+                    break
         else:
             if W < L_max:
                 return None
-        return [
-            [d[D] for D in range(next((D for D in range(top + 1) if D not in d), top + 1))]
-            for _, top, _, _, d, _ in state
-        ]
+        return [side[3] for side in state]
 
     depths = run(min((D_max + 4) * (n + m) // m, L_max))
     return depths if depths is not None else run(L_max)

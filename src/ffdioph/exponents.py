@@ -95,8 +95,8 @@ def profile(
     A standard profile whose theta is not exactly zero also carries the
     homogeneous profile of Y as ``homogeneous``, equal to
     profile(Y, None, T_max, "standard", method): the kernel reads both off
-    the same basis run, whose shift rows never reduce a basis row, and
-    brute decides it horizon by horizon.  Its calls to the route follow
+    the same basis run, whose carried shift row never reduces a basis row,
+    and brute decides it horizon by horizon.  Its calls to the route follow
     the shifted profile's.
     """
     if T_max < 1:

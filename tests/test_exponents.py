@@ -380,7 +380,8 @@ def test_basis_profile_equals_best_error_per_degree_bound(name):
 def floor_layouts(F, *tags):
     """(Y, theta, T_max) on floors other than one common one: exact entries,
     the zero matrix, exact entries beside truncated ones, two floors, shifts
-    on a shallower and on a deeper floor than Y's, and an exact shift."""
+    on a shallower and on a deeper floor than Y's, an exact shift, and
+    shifts on Y's floor whose digits -1..-z are zero and -(z+1) is not."""
 
     def exact(*tags):  # a Laurent polynomial with its last digit at -5
         terms = {-e: derive_rng(21, "exact", *tags, e).randrange(F.q) for e in range(1, 5)}
@@ -388,6 +389,10 @@ def floor_layouts(F, *tags):
 
     def series(floor, *tags):
         return random_series(F, floor, derive_rng(21, "layout", *tags, floor))
+
+    def zeros_to(z):  # on Y's floor, zθ = z: digits -1..-z zero, -(z+1) not
+        terms = {e: c for e, c in series(-14, *tags, "zeros", z).terms().items() if e < -z - 1}
+        return (LaurentSeries.from_terms(F, {**terms, -z - 1: 1}, -14),)
 
     literal = SeriesMatrix([[exact(*tags, j) for j in range(2)]])
     zero = SeriesMatrix([[LaurentSeries.zero(F)], [LaurentSeries.zero(F)]])
@@ -405,6 +410,8 @@ def floor_layouts(F, *tags):
         "shift-shallower": (Y, (series(-11, *tags, "shift"),), 12),
         "shift-deeper": (Y, (series(-17, *tags, "shift"),), 12),
         "exact-shift": (Y, (exact(*tags, "shift"),), 12),
+        "zeros-to-1": (Y, zeros_to(1), 12),
+        "zeros-to-3": (Y, zeros_to(3), 12),
     }
 
 
@@ -624,6 +631,44 @@ def test_column_shifted_basis_decides_no_bound_below_its_largest_shift(shifted):
         assert len(depths) == 13 and None not in depths[max(r) :]
 
 
+@pytest.mark.parametrize("name, m, n, T_max", [("F3", 1, 1, 160), ("F2", 2, 2, 80)])
+def test_long_horizon_basis_equals_best_error_at_sampled_bounds(name, m, n, T_max):
+    # a shift's one carried row moves on through every degree bound of a
+    # long horizon; the entries it gives must still be best_error's, from
+    # the first degree bound to the last, all uncapped on floor -3T-20
+    F = BASIS_FIELDS[name]
+    floor = -3 * T_max - 20
+    Y = random_matrix(F, m, n, floor, "long", name)
+    theta = shifts_on_floor(F, m, floor, "long", name)["random"]
+    prof = profile(Y, theta, T_max, "standard", "kernel")
+    top = (T_max - 1) // n
+    for D in sorted({round(top * k / 5) for k in range(6)}):
+        B = prof.entry(n * D + 1).B
+        assert not B.censored and B == per_bound(Y, theta, n * D + 1), D
+
+
+def test_shifted_order_basis_carries_one_row_per_side(monkeypatch):
+    # a shift costs the basis at most a few row operations per degree bound
+    # beside the homogeneous run (104 here): it carries one row, where a row
+    # per open degree bound, each reduced at every column, costs about 8700
+    from ffdioph import approx
+
+    F3 = Fq(3)
+    Y = random_matrix(F3, 1, 1, -500, "carried")
+    theta = (random_series(F3, -500, derive_rng(21, "carried-theta")),)
+    real, calls = Fq.sub_scaled, [0]
+
+    def counted(self, *args):
+        calls[0] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(Fq, "sub_scaled", counted)
+    approx.order_basis_depths(Y, [None], 160)
+    homogeneous, calls[0] = calls[0], 0
+    approx.order_basis_depths(Y, [theta], 160)
+    assert calls[0] - homogeneous < 2 * (160 + 1)
+
+
 def test_order_basis_refuses_a_lost_pivot(monkeypatch):
     # the degree sum sum(r) + m(s+2) after order s holds only when every
     # step finds a pivot; residuals that lose every row must raise
@@ -697,9 +742,10 @@ def test_homogeneous_sibling_equals_a_separate_homogeneous_profile(name, method)
     # a shifted standard profile carries the profile of (Y, None), read off
     # the same basis run (kernel) or decided horizon by horizon (brute); it
     # must equal a profile of its own on every floor layout, including the
-    # shifts on floors of their own, whose caps differ from Y's, and shifts
-    # zero down to Y's floor and to a shallower one (zθ = L); an exactly
-    # zero shift and no shift give no sibling
+    # shifts on floors of their own, whose caps differ from Y's, shifts zero
+    # to -1 and -3 only, and shifts zero down to Y's floor and to a
+    # shallower one (zθ = L); an exactly zero shift and no shift give no
+    # sibling
     F = BASIS_FIELDS[name]
     cases = floor_layouts(F, name)
     Y = cases["shift-deeper"][0]  # 1x1 on floor -14
@@ -723,7 +769,7 @@ def test_homogeneous_sibling_equals_a_separate_homogeneous_profile(name, method)
             want = [per_bound(Y, theta, T) for T in range(1, T_max + 1, Y.n)]
             assert [prof.entry(T).B for T in range(1, T_max + 1, Y.n)] == want, layout
         compared += 1
-    assert compared == 7
+    assert compared == 9
 
 
 def _shared_basis_inputs(F, *tags):
