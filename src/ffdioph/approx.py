@@ -67,7 +67,6 @@ PrecisionExhaustedError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .errors import PrecisionExhaustedError
@@ -75,11 +74,11 @@ from .field import Fq
 from .linalg import Echelon, nullspace, pack_gf2, solve_affine
 from .matrix import SeriesMatrix, cut_matrix, cut_series, matvec_affine, prod_plus_deg
 from .poly import NEG_INF, Poly, iter_polys
+from .record import Record
 from .series import DegValue, LaurentSeries, deg_max, deg_sum
 
 
-@dataclass(frozen=True)
-class DirichletTarget:
+class DirichletTarget(Record):
     """Exponent tuple (t_1..t_{m+n}) with balanced row/column halves."""
 
     m: int
@@ -103,8 +102,7 @@ class DirichletTarget:
         return self.values[self.m :]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """An approximation pair (p, q) with q a nonzero polynomial vector."""
 
     p: tuple[Poly, ...]
@@ -115,15 +113,13 @@ class Witness:
             raise ValueError("witness q vector must be nonzero")
 
 
-@dataclass(frozen=True)
-class DirichletResult:
+class DirichletResult(Record):
     witness: Witness
     strict_also: bool
     error_degs: tuple[DegValue, ...]
 
 
-@dataclass(frozen=True)
-class BestError:
+class BestError(Record):
     """Minimized degree functional at one horizon, with its witness."""
 
     B: DegValue

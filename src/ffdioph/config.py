@@ -44,12 +44,12 @@ any worker count.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from fractions import Fraction
 
 from .errors import ConfigError, ParseError
 from .field import Fq, parse_field_spec
+from .record import Record, fresh
 
 _CHOICES = {
     "suite": ("estimate", "dirichlet", "audit-tset", "transference", "limsup"),
@@ -115,8 +115,7 @@ def _parse(key: str, kind: str, value):
     raise TypeError(f"no parser for config field type {kind!r}")
 
 
-@dataclasses.dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """Field names are the JSON keys; field defaults are the config defaults."""
 
     suite: str = "estimate"
@@ -126,7 +125,7 @@ class ExperimentConfig:
     dims: tuple[int, int] = (1, 1)
     floor: int = -80
     T_max: int = 24
-    Y: object = dataclasses.field(default_factory=lambda: {"kind": "random"})
+    Y: object = fresh(lambda: {"kind": "random"})
     theta: object = "0"
     eta: Fraction = Fraction(1)
     eps: Fraction = Fraction(1)
@@ -154,7 +153,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+        kinds = cls.__annotations__
         unknown = set(raw) - set(kinds)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -209,7 +208,7 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def fq(self) -> Fq:
-        """The field, built once; not a dataclass field, so not echoed."""
+        """The field, built once; not a record field, so not echoed."""
         F = self.__dict__.get("_fq")
         if F is None:
             F = parse_field_spec(self.field)
@@ -224,13 +223,13 @@ class ExperimentConfig:
     def echo_dict(self) -> dict:
         """Config echo for reports: every key but the worker count, in JSON form."""
         out = {}
-        for f in dataclasses.fields(self):
-            if f.name == "workers":
+        for name in self._fields:
+            if name == "workers":
                 continue
-            value = getattr(self, f.name)
+            value = getattr(self, name)
             if isinstance(value, Fraction):
                 value = str(value)
             elif isinstance(value, tuple):
                 value = list(value)
-            out[f.name] = value
+            out[name] = value
         return out

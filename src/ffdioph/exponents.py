@@ -9,18 +9,17 @@ liminf one.  Censored entries never contribute to either proxy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .approx import BestError, best_error, best_error_mult, compositions, order_basis_depths
 from .errors import FFDiophError, PrecisionExhaustedError
 from .matrix import SeriesMatrix
 from .poly import NEG_INF
+from .record import Record
 from .series import DegValue
 
 
-@dataclass(frozen=True)
-class ProfileEntry:
+class ProfileEntry(Record):
     T: int
     B: DegValue
 
@@ -29,8 +28,7 @@ class ProfileEntry:
         return self.B.censored
 
 
-@dataclass(frozen=True)
-class ExponentProfile:
+class ExponentProfile(Record):
     """Entries B(T) for T = 1..T_max.  A standard profile of (Y, theta) with
     theta not exactly zero also holds ``homogeneous``, the profile of
     (Y, None) to the same T_max, which ``profile`` builds beside it; it is
@@ -54,8 +52,7 @@ class EstimateWindowError(FFDiophError):
     """Too few usable entries in the tail window to form an estimate."""
 
 
-@dataclass(frozen=True)
-class ExponentEstimate:
+class ExponentEstimate(Record):
     omega_proxy: Fraction | None
     omega_hat_proxy: Fraction | None
     window: tuple[int, int]
@@ -112,7 +109,7 @@ def profile(
     if method == "kernel" and (kind == "standard" or Y.m == 1):
         reads = _basis_reads(Y, thetas, T_max, kind)
     prof, *sibling = [_assemble(Y, th, T_max, kind, method, read) for th, read in zip(thetas, reads)]
-    return replace(prof, homogeneous=sibling[0]) if sibling else prof
+    return prof.replace(homogeneous=sibling[0]) if sibling else prof
 
 
 def _assemble(Y: SeriesMatrix, theta, T_max: int, kind: str, method: str, read) -> ExponentProfile:

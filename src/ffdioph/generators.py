@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .approx import Witness
@@ -20,6 +19,7 @@ from .field import Fq
 from .limsup import TsetParams, delta_membership, tau0, witness_extract_uv, xi_and_t
 from .matrix import SeriesMatrix, zero_theta
 from .poly import Poly, parse_poly_literal
+from .record import Record
 from .series import LaurentSeries, parse_series_literal
 
 
@@ -204,8 +204,7 @@ def generate_theta(spec, field: Fq, m: int, floor: int, seed: int):
 _PLANT_ERR_MARGIN = 2
 
 
-@dataclass(frozen=True)
-class PlantParams:
+class PlantParams(Record):
     field: Fq
     m: int
     n: int
@@ -221,8 +220,7 @@ class PlantParams:
         object.__setattr__(self, "eps", Fraction(self.eps))
 
 
-@dataclass(frozen=True)
-class PlantedInstance:
+class PlantedInstance(Record):
     Y: SeriesMatrix
     theta: tuple
     alpha: Witness
@@ -328,8 +326,7 @@ def plant_witness(params: PlantParams, seed: int) -> PlantedInstance:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MembershipPair:
+class MembershipPair(Record):
     Y: SeriesMatrix
     theta: tuple
     t: object  # IndexTuple

@@ -11,19 +11,18 @@ as reals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .approx import Witness, compositions, witness_error_degs
 from .errors import PreconditionError
 from .matrix import SeriesMatrix, cut_matrix, cut_series, prod_plus_deg, sup_deg
 from .poly import NEG_INF
+from .record import Record
 from .series import DegValue, LaurentSeries, deg_lt, deg_max, deg_sum
 from .transference import CheckReport
 
 
-@dataclass(frozen=True)
-class TsetParams:
+class TsetParams(Record):
     """Shape of the index-tuple family: dimensions, level eta, and whether
     the (u, v) grid is free (multiplicative) or constant-tuple (dual)."""
 
@@ -42,8 +41,7 @@ class TsetParams:
         object.__setattr__(self, "eta", Fraction(self.eta))
 
 
-@dataclass(frozen=True)
-class IndexTuple:
+class IndexTuple(Record):
     t: tuple[int, ...]
     sigma: int
 
@@ -84,8 +82,7 @@ def tau0(eps: Fraction, params: TsetParams) -> Fraction:
     return min(eps, eta) / (2 * (eta + 1) * (m + eta * n))
 
 
-@dataclass(frozen=True)
-class TsetEnumeration:
+class TsetEnumeration(Record):
     tuples: tuple[IndexTuple, ...]
     multiplicity: dict  # t -> number of (u, v) preimages seen
 
@@ -198,8 +195,7 @@ def audit_grid(params: TsetParams, uv_budget: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(Record):
     deg: DegValue
     member: bool
     threshold: Fraction
@@ -464,8 +460,7 @@ def intersection_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlaneSpec:
+class PlaneSpec(Record):
     """The set {Y : Y b + c = 0} with per-row neighbourhood thresholds.
 
     Thresholds are formal exponents (ints or Fractions): row i of a member
@@ -497,8 +492,7 @@ def plane_member(Y: SeriesMatrix, spec: PlaneSpec, log_delta=0) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CellPlane:
+class CellPlane(Record):
     """One cell and its scaled plane neighbourhood, for checking many Y.
 
     The plane {Y : Y b + c = 0} runs through the normalized witness: b is q

@@ -9,7 +9,6 @@ bytes reproducible.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import math
@@ -52,6 +51,7 @@ from .limsup import (
 )
 from .matrix import SeriesMatrix
 from .poly import NEG_INF, Poly
+from .record import Record
 from .series import DegValue, LaurentSeries
 from .transference import (
     check_bz,
@@ -93,10 +93,8 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if hasattr(obj, "__dataclass_fields__"):
-        return {
-            k: jsonable(getattr(obj, k)) for k in obj.__dataclass_fields__
-        }
+    if isinstance(obj, Record):
+        return {k: jsonable(getattr(obj, k)) for k in obj._fields}
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
@@ -217,7 +215,7 @@ def _profile_prefix(prof: ExponentProfile, T_max: int) -> ExponentProfile:
     """The profile's entries up to T_max, and its homogeneous sibling's; an
     entry does not depend on the horizon it was computed under."""
     hom = prof.homogeneous and _profile_prefix(prof.homogeneous, T_max)
-    return dataclasses.replace(prof, T_max=T_max, entries=prof.entries[:T_max], homogeneous=hom)
+    return prof.replace(T_max=T_max, entries=prof.entries[:T_max], homogeneous=hom)
 
 
 def _transference_instance(cfg: ExperimentConfig, idx: int) -> dict:

@@ -12,15 +12,13 @@ e^k is represented by the integer k (see ``DegValue``), never by a float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ParseError, PrecisionExhaustedError
 from .field import Fq
 from .poly import NEG_INF, Poly, format_terms, mul_coeffs, parse_terms, poly_divmod
+from .record import Record
 
 
-@dataclass(frozen=True)
-class DegValue:
+class DegValue(Record):
     """A degree (log-absolute-value) that may be censored by a precision floor.
 
     ``value`` is an integer, or NEG_INF for an exactly-zero quantity.

@@ -11,7 +11,6 @@ profiles computed by the caller, so one profile can serve several checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exponents import (
@@ -21,17 +20,17 @@ from .exponents import (
     estimate,
 )
 from .poly import NEG_INF
+from .record import Record, fresh
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     name: str
     holds: bool | None  # None = inconclusive (censored data)
     exact: bool  # True for zero-tolerance integer checks
     tolerance: Fraction | None = None
     lhs: object = None
     rhs: object = None
-    details: dict = field(default_factory=dict)
+    details: dict = fresh(dict)
     note: str = ""
 
     def __bool__(self) -> bool:

@@ -245,3 +245,16 @@ def test_runner_import_loads_neither_the_pool_nor_csv():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_package_import_loads_no_dataclasses():
+    # records share one base class: no module builds a dataclass at import,
+    # and none of the package's other stdlib imports loads the module
+    code = (
+        "import sys; sys.path.insert(0, 'src'); import ffdioph.cli, ffdioph.runner; "
+        "assert 'dataclasses' not in sys.modules"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, cwd=SRC.parent, timeout=60
+    )
+    assert out.returncode == 0, out.stderr

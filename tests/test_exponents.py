@@ -49,6 +49,36 @@ def test_profile_golden_cf(field, degs):
         assert not est.infinite and not est.censored
 
 
+def cf_quotient_series(F, rng, floor):
+    """Y = [0; a_1, a_2, ...] with random partial quotients (degree 1-4,
+    random coefficients, monic or not), built by the convergent recurrence
+    p_k = a_k p_(k-1) + p_(k-2), likewise q_k, and its quotient degrees.
+    Quotients are added until 2 deg q_K >= -floor, so p_K / q_K, cut at
+    floor, agrees with every continued fraction that starts a_1..a_K."""
+    p_prev, p, q_prev, q = Poly.one(F), Poly.zero(F), Poly.zero(F), Poly.one(F)
+    degs = []
+    while 2 * q.deg < -floor:
+        d = rng.randrange(1, 5)
+        a = Poly(F, [rng.randrange(F.q) for _ in range(d)] + [rng.randrange(1, F.q)])
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        degs.append(d)
+    return LaurentSeries.from_poly(p).div_poly(q, floor), degs
+
+
+@pytest.mark.parametrize(
+    "field", [F2, Fq(3), Fq(2, 2), Fq(3, 2), Fq(67)], ids=["F2", "F3", "F4", "F9", "F67"]
+)
+def test_profile_matches_continued_fraction_oracle_at_long_horizons(field):
+    # for m = n = 1 the convergents are the best approximations, so
+    # B(T) = -deg q_(k+1) with k = max{k : deg q_k <= T - 1}: a closed form
+    # that needs no elimination and no enumeration
+    T_max = 160
+    Y, degs = cf_quotient_series(field, derive_rng(21, "cf-oracle", field.q), -(3 * T_max + 40))
+    prof = profile(single(Y), None, T_max)
+    assert [e.B for e in prof.entries] == [DegValue.exact(b) for b in cf_profile(degs, T_max)]
+
+
 def gf2_euclid_profile(digits, T_max):
     """B(T), T = 1..T_max, of a 1x1 GF(2) series known at -1..-N, from the
     continued fraction of A / X^N, where A reads those digits as a polynomial
@@ -476,13 +506,12 @@ def test_basis_profile_calls_best_error_at_capped_and_check_bounds(monkeypatch, 
 
 def test_basis_profile_check_refuses_a_wrong_value(monkeypatch):
     import ffdioph.exponents as exponents
-    from dataclasses import replace
 
     real = exponents.best_error
 
     def off_by_one(Y, theta, T, method="kernel"):
         be = real(Y, theta, T, method=method)
-        return be if be.censored else replace(be, B=be.B.shift(-1))
+        return be if be.censored else be.replace(B=be.B.shift(-1))
 
     monkeypatch.setattr(exponents, "best_error", off_by_one)
     Y = random_matrix(F2, 1, 1, -40, "wrong")
@@ -574,6 +603,22 @@ def test_mult_basis_profile_equals_best_error_mult_per_horizon(name):
         total += T_max
     # both routes are reached: horizons off the bases and capped ones
     assert 60 <= read <= total - 30
+
+
+@pytest.mark.parametrize("name, n", [("F2", 2), ("F2", 3), ("F3", 2)], ids=["F2-1x2", "F2-1x3", "F3-1x2"])
+@pytest.mark.parametrize("shifted", [False, True], ids=["homogeneous", "shifted"])
+def test_mult_basis_profile_equals_best_error_mult_at_long_horizons(name, n, shifted):
+    # T_max 20 on a deep floor: every horizon is read off the order bases,
+    # and each must equal best_error_mult's own scans over its shapes
+    import ffdioph.exponents as exponents
+
+    F, T_max = BASIS_FIELDS[name], 20
+    floor = -3 * T_max - 20
+    Y = random_matrix(F, 1, n, floor, "mult-long", n)
+    theta = (random_series(F, floor, derive_rng(21, "mult-long", name, n)),) if shifted else None
+    prof = profile(Y, theta, T_max, "multiplicative", "kernel")
+    assert [e.B for e in prof.entries] == [per_horizon_mult(Y, theta, T) for T in range(1, T_max + 1)]
+    assert len(exponents._basis_reads(Y, [theta], T_max, "multiplicative")[0]) == T_max
 
 
 def _mult_capped(Y, theta, T):

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -128,7 +127,7 @@ def test_transpose_checks_kind_and_shape(check):
     prof, prof_t = transpose_pair(Y, None, 8)
     check(prof, prof_t, Fraction(1, 4))  # a matrix and its transpose
     with pytest.raises(ValueError):
-        check(dataclasses.replace(prof, kind="multiplicative"), prof_t, Fraction(1, 4))
+        check(prof.replace(kind="multiplicative"), prof_t, Fraction(1, 4))
     with pytest.raises(ValueError):
         check(prof, prof, Fraction(1, 4))  # 1x2 against 1x2, not its transpose
     with pytest.raises(ValueError):
