@@ -7,16 +7,15 @@ modulus as c0 + c1*p + ... + c_{d-1}*p^(d-1).  All arithmetic goes through a
 shared ``Fq`` context object, which keeps element values hashable, cheap to
 copy and safe to share between workers.
 
-A field with q <= ``TABLE_LIMIT`` builds add and mul tables and neg and inv
-vectors once, when constructed, and each operation is then one lookup (sub
-two: a - b adds -b); a larger field (a big user modulus) loops over base-p
-digits on every call, except on GF(2^d), whose coordinates are an element's
-bits: there add is XOR and mul a carry-less product.  The tables are part
-of the context, so they travel with it to workers.  Two row operations
-serve elimination: ``sub_scaled`` (r -= f * p in place, as r + (-f) * p)
-and ``scaled`` (f * row).  Each reads one row of the mul table per call on
-a tabled field, and on a larger one works mod p inline on a prime field and
-through the digit loops on an extension.
+Every operation has two branches.  A field with q <= ``TABLE_LIMIT``
+builds add and mul tables and neg and inv vectors once, when constructed,
+and each operation is then one lookup (sub two: a - b adds -b).  A larger
+field (a big user modulus) computes on base-p coordinates on every call,
+mod p in one step on a prime field.  The tables are part of the context,
+so they travel with it to workers.  Two row operations serve elimination:
+``sub_scaled`` (r -= f * p in place, as r + (-f) * p) and ``scaled``
+(f * row).  Each reads one row of the mul table per call on a tabled
+field, and on a larger one calls the coordinate computation per entry.
 """
 
 from __future__ import annotations
@@ -34,8 +33,10 @@ _BUILTIN_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 
 # Fields with at most this many elements do all arithmetic by table lookup
 # (two q x q tables, add and mul, and two vectors, neg and inv, built in
-# ``Fq.__init__``); larger fields work on base-p digits on every call.
-TABLE_LIMIT = 64
+# ``Fq.__init__``); larger fields work on base-p digits on every call.  128
+# tables every field the benchmark and the examples use; only fields chosen to
+# exercise the computed path (q > 128) run it.
+TABLE_LIMIT = 128
 
 
 def is_prime(n: int) -> bool:
@@ -76,7 +77,7 @@ class Fq:
     workers; every operation is a pure function of its arguments.
     """
 
-    __slots__ = ("p", "d", "q", "modulus", "_mod_bits", "_add", "_mul", "_neg", "_inv")
+    __slots__ = ("p", "d", "q", "modulus", "_add", "_mul", "_neg", "_inv")
 
     def __init__(self, p: int, d: int = 1, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -106,9 +107,6 @@ class Fq:
         self.d = d
         self.q = p**d
         self.modulus = modulus
-        # on GF(2^d) an element's bits are its coordinates, and so are the
-        # modulus's: the digit loops work on them as ints
-        self._mod_bits = sum(c << i for i, c in enumerate(modulus)) if p == 2 and d > 1 else None
         self._add = self._mul = self._neg = self._inv = None
         if self.q <= TABLE_LIMIT:
             self._build_tables()
@@ -234,8 +232,6 @@ class Fq:
         t = self._inv
         if t is not None:
             return t[a]
-        if self.d == 1:
-            return pow(a, self.p - 2, self.p)
         # a^(q-2) by square-and-multiply
         result, base, e = 1, a, self.q - 2
         while e:
@@ -256,12 +252,6 @@ class Fq:
                 c = p[j]
                 if c:
                     r[j] = add[r[j]][fm[c]]
-        elif self.d == 1:
-            mod = self.p
-            for j in range(start, len(r)):
-                c = p[j]
-                if c:
-                    r[j] = (r[j] - f * c) % mod
         else:
             add, neg, mul = self._add_digits, self._neg_digits, self._mul_digits
             for j in range(start, len(r)):
@@ -275,9 +265,6 @@ class Fq:
         if t is not None:
             fm = t[f]
             return [fm[c] for c in row]
-        if self.d == 1:
-            mod = self.p
-            return [f * c % mod for c in row]
         return [self._mul_digits(f, c) for c in row]
 
     # -- digit loops: serve fields above TABLE_LIMIT --
@@ -285,8 +272,6 @@ class Fq:
     def _add_digits(self, a: int, b: int) -> int:
         if self.d == 1:
             return (a + b) % self.p
-        if self._mod_bits is not None:
-            return a ^ b
         p, val, mult = self.p, 0, 1
         for _ in range(self.d):
             val += ((a + b) % p) * mult
@@ -298,8 +283,6 @@ class Fq:
     def _neg_digits(self, a: int) -> int:
         if self.d == 1:
             return (-a) % self.p
-        if self._mod_bits is not None:
-            return a
         p, val, mult = self.p, 0, 1
         for _ in range(self.d):
             val += ((-a) % p) * mult
@@ -312,18 +295,6 @@ class Fq:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        if self._mod_bits is not None:  # a carry-less product
-            prod = 0
-            while b:
-                if b & 1:
-                    prod ^= a
-                a <<= 1
-                b >>= 1
-            mod = self._mod_bits
-            for k in range(prod.bit_length() - 1, self.d - 1, -1):
-                if prod >> k & 1:
-                    prod ^= mod << (k - self.d)
-            return prod
         p = self.p
         ca, cb = list(self.coords(a)), list(self.coords(b))
         prod = [0] * (2 * self.d - 1)

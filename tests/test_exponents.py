@@ -67,16 +67,47 @@ def cf_quotient_series(F, rng, floor):
 
 
 @pytest.mark.parametrize(
-    "field", [F2, Fq(3), Fq(2, 2), Fq(3, 2), Fq(67)], ids=["F2", "F3", "F4", "F9", "F67"]
+    "field, T_max",
+    [
+        (F2, 160),
+        (Fq(3), 160),
+        (Fq(2, 2), 160),
+        (Fq(3, 2), 160),
+        (Fq(67), 160),
+        (Fq(2, 7, (1, 1, 0, 0, 0, 0, 0, 1)), 160),  # X^7 + X + 1
+        (F2, 500),
+    ],
+    ids=["F2", "F3", "F4", "F9", "F67", "F128", "F2-T500"],
 )
-def test_profile_matches_continued_fraction_oracle_at_long_horizons(field):
+def test_profile_matches_continued_fraction_oracle_at_long_horizons(field, T_max):
     # for m = n = 1 the convergents are the best approximations, so
     # B(T) = -deg q_(k+1) with k = max{k : deg q_k <= T - 1}: a closed form
     # that needs no elimination and no enumeration
-    T_max = 160
     Y, degs = cf_quotient_series(field, derive_rng(21, "cf-oracle", field.q), -(3 * T_max + 40))
     prof = profile(single(Y), None, T_max)
     assert [e.B for e in prof.entries] == [DegValue.exact(b) for b in cf_profile(degs, T_max)]
+
+
+def test_estimate_is_exact_on_geometric_quotient_degrees():
+    # quotient degrees 3^k give convergent degrees (3^k - 1)/2, so -B(T)/T
+    # peaks at (3^(k+1) - 1)/2 / ((3^k - 1)/2 + 1) just past each of them,
+    # and the peaks climb to 3; omega_proxy is the top one in the window
+    # [(T_max + 1)/2, T_max], exactly, with no tolerance.  Certifying a peak
+    # B = -d_(k+1) at T = d_k + 1 reads d_(k+1) + d_k, about 4T, digits deep
+    # (at floor -(3T + 40) the peaks of T_max 130 and 400 come out censored)
+    degs = [3**k for k in range(8)]
+    gaps = []
+    for T_max in (40, 130, 400):
+        Y = cf_series(F2, degs, -(4 * T_max + 40))
+        est = estimate(profile(single(Y), None, T_max))
+        lo, hi = est.window
+        assert (lo, hi) == ((T_max + 1) // 2, T_max)
+        B = cf_profile(degs, T_max)
+        assert est.omega_proxy == max(Fraction(-B[T - 1], T) for T in range(lo, hi + 1))
+        assert est.omega_hat_proxy == min(Fraction(-B[T - 1], T) for T in range(lo, hi + 1))
+        assert not est.infinite and not est.censored
+        gaps.append(abs(est.omega_proxy - 3))
+    assert gaps[0] > gaps[1] > gaps[2] > 0
 
 
 def gf2_euclid_profile(digits, T_max):

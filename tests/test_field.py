@@ -144,7 +144,9 @@ TABLE_FIELDS = {
     "F9": Fq(3, 2),
     "F16": Fq(2, 4, (1, 1, 0, 0, 1)),  # X^4 + X + 1
     "F25": Fq(5, 2, (2, 0, 1)),  # X^2 + 2
-    "F64": Fq(2, 6, (1, 1, 0, 0, 0, 0, 1)),  # X^6 + X + 1, q = TABLE_LIMIT
+    "F64": Fq(2, 6, (1, 1, 0, 0, 0, 0, 1)),  # X^6 + X + 1
+    "F67": Fq(67),
+    "F128": Fq(2, 7, (1, 1, 0, 0, 0, 0, 0, 1)),  # X^7 + X + 1, q = TABLE_LIMIT
 }
 
 
@@ -186,7 +188,7 @@ def test_non_monic_modulus_is_made_monic():
 
 
 def test_field_above_table_limit_loops_and_matches_oracle():
-    F = Fq(2, 7, (1, 1, 0, 0, 0, 0, 0, 1))  # X^7 + X + 1, q = 128
+    F = Fq(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1))  # X^8 + X^4 + X^3 + X + 1, q = 256
     assert F.q > TABLE_LIMIT
     assert (F._add, F._mul, F._neg, F._inv) == (None,) * 4
     rng = random.Random(8)
@@ -203,17 +205,17 @@ def test_field_above_table_limit_loops_and_matches_oracle():
 
 
 def test_large_prime_field_loops():
-    F = Fq(67)
-    assert F._mul is None
-    assert F.mul(66, 66) == 1 and F.sub(3, 5) == 65 and F.mul(5, F.inv(5)) == 1
+    F = Fq(131)
+    assert F.q > TABLE_LIMIT and F._mul is None
+    assert F.mul(130, 130) == 1 and F.sub(3, 5) == 129 and F.mul(5, F.inv(5)) == 1
 
 
 ROW_OP_FIELDS = {
     "F4": Fq(2, 2),
     "F9": Fq(3, 2),
     "F64": TABLE_FIELDS["F64"],
-    "F67": Fq(67),
-    "F128": Fq(2, 7, (1, 1, 0, 0, 0, 0, 0, 1)),  # X^7 + X + 1
+    "F131": Fq(131),
+    "F243": Fq(3, 5, (1, 2, 0, 0, 0, 1)),  # X^5 + 2X + 1
 }
 
 

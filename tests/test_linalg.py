@@ -309,10 +309,10 @@ def _rank(rows, ops):
 @pytest.mark.parametrize(
     "field, ops",
     [
-        (Fq(67), _mod_p_ops(67)),
-        (Fq(2, 7, (1, 1, 0, 0, 0, 0, 0, 1)), _gf2_poly_ops(0b10000011, 7)),
+        (Fq(131), _mod_p_ops(131)),
+        (Fq(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)), _gf2_poly_ops(0b100011011, 8)),
     ],
-    ids=["F67", "F128"],
+    ids=["F131", "F256"],
 )
 def test_elimination_above_table_limit(field, ops):
     # fields above TABLE_LIMIT run the row operations' digit loops; rows are
@@ -346,7 +346,7 @@ def test_elimination_above_table_limit(field, ops):
         for vec in basis:
             assert any(vec) and matvec_mod(field, rows, vec) == [0] * len(rows)
         # the rank comes from an elimination written here, on the test's own
-        # field arithmetic: mod 67, or bit polynomials mod X^7 + X + 1
+        # field arithmetic: mod 131, or bit polynomials mod X^8 + X^4 + X^3 + X + 1
         rank = _rank(rows, ops)
         assert len(basis) == ncols - rank
         augmented = _rank([row + [b] for row, b in zip(rows, rhs)], ops)
