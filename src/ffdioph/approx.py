@@ -20,9 +20,15 @@ digit table that each call fills once (``_digit_table``, from
 int by ``linalg.pack_gf2``, the packer of ``linalg``'s int row format, and
 each row is built as an int by one shift and mask per column, the form
 ``linalg.Echelon`` eliminates by XOR; other fields use element lists.
-The scan's pivot rows go to the solvers as they are.  One kernel decision
-(``_kernel_best``) takes a list of boxes and an all-exact-zero theta as
-None, so it builds no zero column.  It reads a box's value off its scan
+The scan's pivot rows go to the solvers as they are.  A shift's
+homogeneous sibling, the same box of Y alone, shares its scan: the pivot
+rows of [Y | theta] below column ncols, the right-hand side dropped, are the
+reduced rows of Y's own system, so one elimination gives both sides' K,
+each side stopping at its own first infeasible depth or its own cap and
+keeping its own pivot rows, witness and decision.  One kernel decision
+(``_kernel_best``) takes a list of boxes and [theta] or [theta, None], an
+all-exact-zero theta as None, so it builds no zero column.  It reads a
+box's value off its scan
 (``_decide_box``): -(K+1) below the precision cap (the witness is
 multiplied out only to depth K+1); at the cap an exact -inf when the
 witness leaves every row exactly zero, and otherwise a censored bound on
@@ -48,7 +54,8 @@ one basis serves every shape of one r.
 ``exponents.profile`` reads every standard kernel profile, with the
 homogeneous one beside a shifted one, and every m = 1 multiplicative one
 off such bases, and keeps the kernel decision for capped horizons and one
-check per profile.
+check per profile; ``best_error`` decides a shifted profile's horizon and
+its sibling's in one call.
 
 The enumeration is one search (``_brute``) over one candidate enumerator
 (``_iter_q``: deg q_j <= caps[j] and plus-product degree <= budget, each
@@ -120,11 +127,15 @@ class DirichletResult(Record):
 
 
 class BestError(Record):
-    """Minimized degree functional at one horizon, with its witness."""
+    """Minimized degree functional at one horizon, with its witness.  A
+    ``best_error`` result for (Y, theta) with theta not exactly zero also
+    holds ``homogeneous``, the result for (Y, None) at the same horizon,
+    which it decides beside it; it is None otherwise."""
 
     B: DegValue
     witness: Witness
     method: str
+    homogeneous: BestError | None = None
 
     @property
     def censored(self) -> bool:
@@ -158,8 +169,9 @@ def _digit_table(Y: SeriesMatrix, theta, bounds, depths) -> list[list[tuple]]:
     Column j holds Y_ij's digits at -1, -2, ..., -(depths[i] + bounds[j]),
     every digit the rows of depth 1..depths[i] read and none at depth 0, and
     has width bounds[j] + 1.  A shift adds column n: -theta_i's digits at
-    -1..-depths[i], a column of degree bound 0 (width 1), whose one entry per
-    row is the right-hand side.  Other fields store (digits, width).  GF(2),
+    -1..-depths[i], but none below theta_i's floor, a column of degree bound
+    0 (width 1) whose one entry per row is the right-hand side; a row deeper
+    than that floor has none.  Other fields store (digits, width).  GF(2),
     where -x = x, packs each window once into an int w (bit t = the digit at
     -(t+1)) and stores (w, mask, off): mask has the width's low bits set and
     off is the column's first unknown, so the shift lands at off = ncols.
@@ -169,7 +181,7 @@ def _digit_table(Y: SeriesMatrix, theta, bounds, depths) -> list[list[tuple]]:
     for i, (row, k) in enumerate(zip(Y.rows, depths)):
         cols = [(s.digits(-1, -(k + d)) if k else [], d + 1) for s, d in zip(row, bounds)]
         if theta is not None:
-            th = theta[i].digits(-1, -k)
+            th = theta[i].digits(-1, -min(k, -theta[i].floor))
             cols.append((th if gf2 else [F.neg(x) for x in th], 1))
         if gf2:
             packed, off = [], 0
@@ -272,24 +284,49 @@ def _search_caps(Y: SeriesMatrix, theta, bounds):
     return max(1, -lo + 1), True
 
 
-def _deepest_feasible_depth(Y: SeriesMatrix, theta, bounds, cap: int):
-    """(K, rows): the largest K <= cap at which some q != 0 with
-    deg q_j <= bounds[j] zeroes digits -1..-K of every row of Y q + theta,
-    and the ``Echelon`` pivot rows of the constraints of depth 1..K.
+def _deepest_feasible_depth(Y: SeriesMatrix, theta, bounds, caps):
+    """[(K, rows)] per cap of caps.  For caps[0]: the largest K <= caps[0]
+    at which some q != 0 with deg q_j <= bounds[j] zeroes digits -1..-K of
+    every row of Y q + theta, and the ``Echelon`` pivot rows of the
+    constraints of depth 1..K.  For a second cap, given with theta not None:
+    the same for the homogeneous sibling Y q.
 
     Feasibility only shrinks as depth grows, so one elimination takes in the
-    m rows of depth c = 1, 2, ... and stops at the first infeasible depth;
-    the pivots copied before each depth are the rows of depth K there.
+    m rows of depth c = 1, 2, ... and each side stops at its first
+    infeasible depth or at its cap; the pivots copied before each depth are
+    the rows of depth K there.  The sibling shares the elimination of
+    [A | b], b being theta's column: the pivot rows below column ncols, b
+    dropped, are the reduced form of A whatever b is, so it is feasible
+    while fewer than ncols pivots lie below ncols.  theta's column is read
+    only to theta's floor, which a larger sibling cap may pass; theta's own
+    cap never does.
     """
-    ech = Echelon(Y.field, sum(d + 1 for d in bounds))
-    tab = _digit_table(Y, theta, bounds, [cap] * Y.m)
-    for c in range(1, cap + 1):
-        before = ech.pivots.copy()
-        for i in range(Y.m):
-            ech.insert(_table_row(tab, i, c))
-        if not ech.has_nonzero_solution():
-            return c - 1, list(before.values())
-    return cap, list(ech.pivots.values())
+    ncols = sum(d + 1 for d in bounds)
+    ech = Echelon(Y.field, ncols)
+    pivots, low = ech.pivots, (1 << ncols) - 1
+
+    def rows(snapshot, side):
+        if side == 0:
+            return list(snapshot.values())
+        return [r & low if ech.gf2 else r[:ncols] for col, r in snapshot.items() if col < ncols]
+
+    tab = _digit_table(Y, theta, bounds, [max(caps)] * Y.m)
+    found, before = [None] * len(caps), {}
+    for c in range(max(caps) + 1):
+        if c:
+            before = pivots.copy()
+            for i in range(Y.m):
+                ech.insert(_table_row(tab, i, c))
+        for side, cap in enumerate(caps):
+            if found[side] is not None:
+                continue
+            if not (ech.has_nonzero_solution() if side == 0 else len(pivots) - (ncols in pivots) < ncols):
+                found[side] = (c - 1, rows(before, side))
+            elif c == cap:
+                found[side] = (c, rows(pivots, side))
+        if None not in found:
+            break
+    return found
 
 
 def _solve_witness(Y: SeriesMatrix, theta, bounds, rows, depth):
@@ -352,30 +389,36 @@ def _decide_box(
     return DegValue.censored_at(min(obj.value, -K - 1)), w
 
 
-def _kernel_best(Y: SeriesMatrix, theta, boxes) -> tuple[DegValue, Witness]:
-    """(B, witness) of the least row maximum of Y q + p + theta over a union
-    of boxes, each a bounds list.  Boxes below their cap are exact, so of
-    them only the first deepest is decided; every box at its cap is decided
-    too, and the decided boxes combine by _BruteBest's rule.
+def _kernel_best(Y: SeriesMatrix, thetas, boxes) -> list[tuple[DegValue, Witness]]:
+    """(B, witness) per right-hand side of thetas, [theta] or [theta, None]:
+    the least row maximum of Y q + p + theta over a union of boxes, each a
+    bounds list, one depth scan per box serving both sides.  Boxes below
+    their cap are exact, so of them only the first deepest is decided; every
+    box at its cap is decided too, and the decided boxes combine by
+    _BruteBest's rule.  Each side has its own caps, witnesses and decisions.
     """
-    if theta is not None and all(th.is_exact_zero() for th in theta):
-        theta = None  # the kernel builds no zero shift column
-    kept, deepest = [], None
+    if thetas[0] is not None and all(th.is_exact_zero() for th in thetas[0]):
+        thetas = [None]  # the kernel builds no zero shift column
+    kept, deepest = [[] for _ in thetas], [None] * len(thetas)
     for bounds in boxes:
-        cap, exact_inputs = _search_caps(Y, theta, bounds)
-        K, rows = _deepest_feasible_depth(Y, theta, bounds, cap)
-        scan = (bounds, cap, exact_inputs, K, rows)
-        if K == cap:
-            kept.append(scan)
-        elif deepest is None or K > deepest[3]:
-            deepest = scan
-    if deepest is not None:
-        kept.append(deepest)
-    best = _BruteBest(max(max(scan[0]) for scan in kept))
-    for scan in kept:
-        B, w = _decide_box(Y, theta, *scan)
-        best.offer(B, w.q, w.p)
-    return best.result()
+        caps = [_search_caps(Y, theta, bounds) for theta in thetas]
+        scans = _deepest_feasible_depth(Y, thetas[0], bounds, [cap for cap, _ in caps])
+        for side, ((cap, exact_inputs), (K, rows)) in enumerate(zip(caps, scans)):
+            scan = (bounds, cap, exact_inputs, K, rows)
+            if K == cap:
+                kept[side].append(scan)
+            elif deepest[side] is None or K > deepest[side][3]:
+                deepest[side] = scan
+    results = []
+    for theta, decided, first in zip(thetas, kept, deepest):
+        if first is not None:
+            decided.append(first)
+        best = _BruteBest(max(max(scan[0]) for scan in decided))
+        for scan in decided:
+            B, w = _decide_box(Y, theta, *scan)
+            best.offer(B, w.q, w.p)
+        results.append(best.result())
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -687,20 +730,28 @@ def best_error(
     """Minimum of max-row degree over q != 0 with n*deg(q) <= T-1, times m.
 
     theta=None means the homogeneous problem.  Censored results signal that
-    the true value sits below what the precision floor can certify.
+    the true value sits below what the precision floor can certify.  With
+    theta not exactly zero the result also holds ``homogeneous``, exactly
+    what best_error(Y, None, T, method) returns.  The kernel decides both
+    from one depth scan of the box (``_deepest_feasible_depth``), each side
+    to its own cap with its own witness; brute enumerates for each.
     """
     if T < 1:
         raise ValueError("horizon T must be >= 1")
     if theta is not None and len(theta) != Y.m:
         raise ValueError("shift vector length must match row count")
+    if method not in ("kernel", "brute"):
+        raise ValueError(f"unknown method {method!r}")
+    D = (T - 1) // Y.n
+    sides = [theta]
+    if theta is not None and not all(th.is_exact_zero() for th in theta):
+        sides.append(None)  # the homogeneous sibling
     if method == "kernel":
-        B, w = _kernel_best(Y, theta, [[(T - 1) // Y.n] * Y.n])
-        return BestError(B.scale(Y.m), w, "kernel")
-    if method == "brute":
-        D = (T - 1) // Y.n
+        got = [BestError(B.scale(Y.m), w, "kernel") for B, w in _kernel_best(Y, sides, [[D] * Y.n])]
+    else:
         # scaling by m >= 1 keeps the order, so it may precede the comparison
-        return _brute(Y, theta, [D] * Y.n, Y.n * D, lambda degs: deg_max(degs).scale(Y.m))
-    raise ValueError(f"unknown method {method!r}")
+        got = [_brute(Y, th, [D] * Y.n, Y.n * D, lambda degs: deg_max(degs).scale(Y.m)) for th in sides]
+    return got[0].replace(homogeneous=got[1]) if len(got) > 1 else got[0]
 
 
 # ---------------------------------------------------------------------------
@@ -745,6 +796,6 @@ def best_error_mult(
     if method not in ("kernel", "brute"):
         raise ValueError(f"unknown method {method!r}")
     if method == "kernel" and Y.m == 1:
-        B, w = _kernel_best(Y, theta, compositions(T - 1, Y.n))
+        ((B, w),) = _kernel_best(Y, [theta], compositions(T - 1, Y.n))
         return BestError(B, w, "kernel")
     return _brute(Y, theta, [T - 1] * Y.n, T - 1, deg_sum)

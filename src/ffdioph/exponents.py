@@ -92,9 +92,14 @@ def profile(
     A standard profile whose theta is not exactly zero also carries the
     homogeneous profile of Y as ``homogeneous``, equal to
     profile(Y, None, T_max, "standard", method): the kernel reads both off
-    the same basis run, whose carried shift row never reduces a basis row,
-    and brute decides it horizon by horizon.  Its calls to the route follow
-    the shifted profile's.
+    the same basis run, whose carried shift row never reduces a basis row.
+    At each horizon the shifted profile sends to the route (its capped
+    horizons and its check) one best_error(Y, theta, T) call decides both,
+    the sibling's value being its ``homogeneous``: the kernel decides both
+    off one depth scan.  A horizon only the sibling sends, or one where
+    theta's side runs out of precision, goes to best_error(Y, None, T).  A
+    route value at a horizon the bases also give must equal it, so each
+    side is still checked at least at its own deepest read horizon.
     """
     if T_max < 1:
         raise ValueError("T_max must be >= 1")
@@ -108,42 +113,65 @@ def profile(
     reads = [{}] * len(thetas)  # T -> B(T) of the horizons the order bases give
     if method == "kernel" and (kind == "standard" or Y.m == 1):
         reads = _basis_reads(Y, thetas, T_max, kind)
-    prof, *sibling = [_assemble(Y, th, T_max, kind, method, read) for th, read in zip(thetas, reads)]
-    return prof.replace(homogeneous=sibling[0]) if sibling else prof
-
-
-def _assemble(Y: SeriesMatrix, theta, T_max: int, kind: str, method: str, read) -> ExponentProfile:
-    """The profile of (Y, theta) from its basis reads {T: B(T)}: the route
-    decides every other horizon and, as the check, the deepest read one."""
-
-    def route(T: int) -> BestError:
-        if kind == "standard":
-            return best_error(Y, theta, T, method=method)
-        if method == "kernel":
-            # the default stays implicit: the benchmark's call-counting
-            # hook (bench/tracing.py) takes best_error_mult(Y, theta, T)
-            return best_error_mult(Y, theta, T)
-        return best_error_mult(Y, theta, T, method=method)
-
-    check = max(read, default=None)
-    entries = []
+    # the horizons each side sends to the route: those its bases do not
+    # give, and the deepest one they give, as its check
+    checks = [max(read, default=None) for read in reads]
+    sent = [{T for T in range(1, T_max + 1) if T not in read or T == check} for read, check in zip(reads, checks)]
+    columns = [[] for _ in thetas]  # each side's entries
     for T in range(1, T_max + 1):
         if kind == "standard" and (T - 1) % Y.n:
             # same degree bound D = (T-1)//n as T-1: reuse its entry
-            entries.append(ProfileEntry(T, entries[-1].B))
+            for entries in columns:
+                entries.append(ProfileEntry(T, entries[-1].B))
             continue
-        if T in read:
-            B = DegValue.exact(read[T])
-            if T == check and (scan := route(T).B) != B:
-                raise AssertionError(f"order basis gives B({T}) = {B}, the scan {scan}")
-            entries.append(ProfileEntry(T, B))
-            continue
+        if T in sent[0]:  # theta's call, which decides the sibling too
+            routed = _route(Y, thetas, T, kind, method)
+        elif len(thetas) > 1 and T in sent[1]:  # the sibling's alone
+            routed = [None, *_route(Y, [None], T, kind, method)]
+        else:
+            routed = [None] * len(thetas)
+        for side, (read, value) in enumerate(zip(reads, routed)):
+            if T in read:
+                B = DegValue.exact(read[T])
+                if value is not None and value != B:
+                    raise AssertionError(f"order basis gives B({T}) = {B}, the scan {value}")
+            else:
+                B = value
+            columns[side].append(ProfileEntry(T, B))
+    prof, *sibling = [_checked(Y, T_max, kind, entries) for entries in columns]
+    return prof.replace(homogeneous=sibling[0]) if sibling else prof
+
+
+def _route(Y: SeriesMatrix, thetas, T: int, kind: str, method: str) -> list[DegValue]:
+    """B(T) by the route per theta of thetas, [theta], [None] or
+    [theta, None]: one call serves both of a pair, as best_error decides
+    the homogeneous sibling beside theta.  An entry whose precision runs out
+    gets the trivial bound deg <= -1 per row, censored, which survives any
+    truncation.  Only theta's side runs out alone (a row of Y q with a floor
+    above 0 keeps it in Y q + theta), and the sibling then takes a call of
+    its own."""
+
+    def call(theta) -> BestError | None:
         try:
-            entries.append(ProfileEntry(T, route(T).B))
+            if kind == "standard":
+                return best_error(Y, theta, T, method=method)
+            if method == "kernel":
+                # the default stays implicit: the benchmark's call-counting
+                # hook (bench/tracing.py) takes best_error_mult(Y, theta, T)
+                return best_error_mult(Y, theta, T)
+            return best_error_mult(Y, theta, T, method=method)
         except PrecisionExhaustedError:
-            # the trivial bound deg <= -1 per row survives any truncation
-            entries.append(ProfileEntry(T, DegValue.censored_at(-Y.m)))
-    # exact values never rise with T: a larger horizon admits more q
+            return None
+
+    got = [call(thetas[0])]
+    if len(thetas) > 1:
+        got.append(call(None) if got[0] is None else got[0].homogeneous)
+    return [DegValue.censored_at(-Y.m) if be is None else be.B for be in got]
+
+
+def _checked(Y: SeriesMatrix, T_max: int, kind: str, entries) -> ExponentProfile:
+    """The profile of entries, once no exact value rises with T: a larger
+    horizon admits more q."""
     exact = [e for e in entries if not e.censored]
     for prev, e in zip(exact, exact[1:]):
         if e.B.value > prev.B.value:

@@ -304,6 +304,13 @@ def test_kernel_witness_matches_fresh_solve(field):
             be = best_error(Y, theta, T, "kernel")
             assert be.witness.q == fresh_kernel_q(Y, theta, bounds, K)
             branches.add(("standard", shift, K == cap, exact))
+            # the homogeneous sibling's witness, off the same scan
+            if theta is None or all(t.is_exact_zero() for t in theta):
+                assert be.homogeneous is None
+            else:
+                K_h, cap_h = deepest(Y, None, bounds)
+                assert be.homogeneous.witness.q == fresh_kernel_q(Y, None, bounds, K_h)
+                branches.add(("sibling", K_h == cap_h, exact))
             if m > 1:
                 continue
             shapes = list(compositions(T - 1, n))
@@ -326,8 +333,119 @@ def test_kernel_witness_matches_fresh_solve(field):
             branches.add(("mult", shift, n > 1, exact))
     cases = set(itertools.product(("none", "zero", "random"), (False, True), (False, True)))
     assert {("standard",) + c for c in cases} <= branches
+    assert {("sibling",) + c for c in itertools.product((False, True), repeat=2)} <= branches
     assert {("mult", shift, n2, False) for shift, n2, _ in cases} <= branches
     assert {("mult-capped", False), ("mult-capped", True)} <= branches
+
+
+SIBLING_FIELDS = {"F2": F2, "F3": F3, "F4": F4, "F9": Fq(3, 2), "F131": Fq(131)}
+
+
+def exact_series(F, rng, depth):
+    """A random Laurent polynomial with digits -1..-depth, exact."""
+    return LaurentSeries(F, -1, list(random_series(F, -depth, rng).coeffs), NEG_INF)
+
+
+def sibling_inputs(F, *tags):
+    """(Y, theta) for best_error's homogeneous sibling, m and n in {1, 2}:
+    Y on floors -6 and -14 with theta on a floor above, at and below Y's,
+    and exactly zero; an exact Y with a theta truncated at -12, whose sides'
+    caps differ (the homogeneous one is Y's exact cap, where it meets an
+    exact hit, -inf, while theta's runs on to its floor)."""
+    rng = derive_rng(3434, "sibling", *tags)
+    cases = {}
+    for m, n in itertools.product((1, 2), repeat=2):
+        for floor in (-6, -14):
+            Y = SeriesMatrix([[random_series(F, floor, rng) for _ in range(n)] for _ in range(m)])
+            for where, th_floor in (("above", floor + 3), ("at", floor), ("below", floor - 3)):
+                cases[f"{m}x{n}{floor}-{where}"] = (Y, tuple(random_series(F, th_floor, rng) for _ in range(m)))
+            cases[f"{m}x{n}{floor}-exact-zero"] = (Y, (LaurentSeries.zero(F),) * m)
+        Y = SeriesMatrix([[exact_series(F, rng, 3) for _ in range(n)] for _ in range(m)])
+        cases[f"{m}x{n}-exact-Y"] = (Y, tuple(random_series(F, -12, rng) for _ in range(m)))
+    return cases
+
+
+def _brute_small(F, n, T):
+    """Whether brute enumerates at most 256 vectors at horizon T."""
+    return F.q ** (n * ((T - 1) // n + 1)) <= 256
+
+
+@pytest.mark.parametrize("name", list(SIBLING_FIELDS))
+def test_best_error_carries_its_homogeneous_sibling(name):
+    # best_error(Y, theta, T).homogeneous is exactly best_error(Y, None, T),
+    # record for record, by kernel (one scan serving both sides) and by
+    # brute; theta's own side is what a scan of theta alone decides; an
+    # exactly zero theta carries no sibling
+    from ffdioph.approx import _kernel_best
+
+    F = SIBLING_FIELDS[name]
+    branches = set()
+    for case, (Y, theta) in sibling_inputs(F, name).items():
+        shifted = not all(t.is_exact_zero() for t in theta)
+        for T in range(1, 8 * Y.n + 2, Y.n):
+            for method in ("kernel", "brute"):
+                if method == "brute" and not _brute_small(F, Y.n, T):
+                    continue
+                got = best_error(Y, theta, T, method)
+                if not shifted:
+                    assert got.homogeneous is None, case
+                    continue
+                hom = best_error(Y, None, T, method)
+                assert got.homogeneous == hom, (case, T, method)
+                assert got.homogeneous.homogeneous is None
+                if method == "kernel":
+                    ((B, w),) = _kernel_best(Y, [theta], [[(T - 1) // Y.n] * Y.n])
+                    assert (got.B, got.witness) == (B.scale(Y.m), w), (case, T)
+                capped = [be.censored or be.B.value == NEG_INF for be in (got, hom)]
+                branches.add((method, *capped))
+                if hom.B.value == NEG_INF and got.B.value != NEG_INF:
+                    branches.add((method, "sibling hit, theta runs on"))
+    assert {("kernel", a, b) for a in (False, True) for b in (False, True)} <= branches
+    assert ("kernel", "sibling hit, theta runs on") in branches
+    assert ("brute", False, False) in branches
+    if F.q <= 4:  # a capped brute entry needs a degree bound too wide to enumerate on F9, F131
+        assert ("brute", True, True) in branches
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F4", "F5", "F9"])
+def test_joint_scan_equals_one_scan_per_side(name):
+    # one elimination serves theta's side and its homogeneous sibling: each
+    # side's K, and the canonical solutions of its rows, equal those of a
+    # scan of its own, whichever side's cap is the larger
+    from ffdioph.approx import _deepest_feasible_depth, _search_caps
+    from ffdioph.linalg import nullspace, solve_affine
+
+    F = {"F2": F2, "F3": F3, "F4": F4, "F5": Fq(5), "F9": Fq(3, 2)}[name]
+    orders, stops = set(), set()
+    for i in range(120):
+        rng = derive_rng(3535, "joint", F.q, i)
+        m, n = 1 + i % 2, 1 + i // 2 % 2
+        layout = ("theta-shallower", "theta-deeper", "exact-Y", "all-exact", "exact-theta")[i // 4 % 5]
+        floor = -rng.randrange(4, 13)
+        if layout in ("exact-Y", "all-exact"):
+            Y = SeriesMatrix([[exact_series(F, rng, rng.randrange(2, 6)) for _ in range(n)] for _ in range(m)])
+        else:
+            Y = SeriesMatrix([[random_series(F, floor, rng) for _ in range(n)] for _ in range(m)])
+        if layout in ("all-exact", "exact-theta"):
+            theta = tuple(exact_series(F, rng, rng.randrange(2, 9)) for _ in range(m))
+        else:
+            th_floor = {"theta-shallower": floor + 3, "theta-deeper": floor - 3}.get(layout, -rng.randrange(2, 13))
+            theta = tuple(random_series(F, min(th_floor, -1), rng) for _ in range(m))
+        bounds = [rng.randrange(4) for _ in range(n)]
+        ncols = sum(d + 1 for d in bounds)
+        caps = [_search_caps(Y, theta, bounds)[0], _search_caps(Y, None, bounds)[0]]
+        joint = _deepest_feasible_depth(Y, theta, bounds, caps)
+        alone = _deepest_feasible_depth(Y, theta, bounds, caps[:1]) + _deepest_feasible_depth(Y, None, bounds, caps[1:])
+        assert [K for K, _ in joint] == [K for K, _ in alone], (i, layout)
+        (_, rows), (_, want) = joint[0], alone[0]
+        assert solve_affine(F, rows, [0] * len(rows), ncols) == solve_affine(F, want, [0] * len(want), ncols)
+        (_, rows), (_, want) = joint[1], alone[1]
+        assert nullspace(F, rows, ncols) == nullspace(F, want, ncols)
+        assert len(rows) == len(want)  # the rank of A: no row for theta's column
+        orders.add((caps[0] > caps[1]) - (caps[0] < caps[1]))
+        stops.add(tuple(K == cap for (K, _), cap in zip(joint, caps)))
+    assert orders == {-1, 0, 1}
+    assert stops == set(itertools.product((False, True), repeat=2))
 
 
 def test_gf2_packed_rows_match_digit_definition():
@@ -862,7 +980,8 @@ def test_mult_kernel_equals_standard_kernel_1x1():
     for Y, theta, T_max in cases:
         for T in range(1, T_max + 1):
             mult = best_error_mult(Y, theta, T, "kernel")
-            assert mult == best_error(Y, theta, T, "kernel")
+            # best_error also carries the homogeneous sibling, which mult does not
+            assert mult == best_error(Y, theta, T, "kernel").replace(homogeneous=None)
             branches.add((mult.censored, mult.B.value == NEG_INF))
     assert branches == {(False, False), (True, False), (False, True)}
 

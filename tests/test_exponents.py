@@ -294,7 +294,7 @@ def test_profile_solves_each_degree_bound_once(monkeypatch, n, T_max, calls, flo
     seen = []
 
     def spy(Y, theta, T, method="kernel"):
-        seen.append(T)
+        seen.append((T, theta is None))
         return real(Y, theta, T, method=method)
 
     def fresh(T, shift=True):
@@ -310,13 +310,14 @@ def test_profile_solves_each_degree_bound_once(monkeypatch, n, T_max, calls, flo
     theta = (random_series(F2, floor - 1, derive_rng(31, "once-theta", n)),)
     prof = profile(Y, theta, T_max, "standard", method)
     bounds = [n * D + 1 for D in range(calls)]
-    # the homogeneous sibling's calls follow the shifted profile's
+    # one call per bound: the shifted profile's decides its homogeneous
+    # sibling too, and a bound only the sibling sends goes without theta
     if method == "brute":
-        assert seen == bounds + bounds
+        assert seen == [(T, False) for T in bounds]
     else:  # the order basis decides the other bounds
-        assert seen == basis_calls(n, [fresh(T) for T in bounds]) + basis_calls(
-            n, [fresh(T, False) for T in bounds]
-        )
+        shifted = basis_calls(n, [fresh(T) for T in bounds])
+        alone = [T for T in basis_calls(n, [fresh(T, False) for T in bounds]) if T not in shifted]
+        assert seen == sorted([(T, False) for T in shifted] + [(T, True) for T in alone])
     assert [e.B for e in prof.entries] == [fresh(T) for T in range(1, T_max + 1)]
     assert [e.B for e in prof.homogeneous.entries] == [fresh(T, False) for T in range(1, T_max + 1)]
 
@@ -513,7 +514,7 @@ def test_basis_profile_calls_best_error_at_capped_and_check_bounds(monkeypatch, 
     seen = []
 
     def spy(Y, theta, T, method="kernel"):
-        seen.append(T)
+        seen.append((T, theta is None))
         return real(Y, theta, T, method=method)
 
     Y, shift, T_max = _call_list_inputs()[case]
@@ -522,17 +523,47 @@ def test_basis_profile_calls_best_error_at_capped_and_check_bounds(monkeypatch, 
     calls = basis_calls(n, bounds)
     # some D to read off the basis, and a capped one
     assert calls[0] > 1 and len(calls) > 1
-    # a shift not exactly zero: the homogeneous sibling's calls follow
+    # a shift not exactly zero: the shifted profile's call decides its
+    # homogeneous sibling too, and a bound only the sibling sends goes
+    # without theta
     sibling = shift is not None and not all(t.is_exact_zero() for t in shift)
     hom = [per_bound(Y, None, n * D + 1) for D in range(len(bounds))] if sibling else []
     monkeypatch.setattr(exponents, "best_error", spy)
     prof = profile(Y, shift, T_max, "standard", "kernel")
-    assert seen == calls + (basis_calls(n, hom) if sibling else [])
+    alone = [T for T in basis_calls(n, hom) if T not in calls]
+    assert seen == sorted([(T, shift is None) for T in calls] + [(T, True) for T in alone])
     assert [prof.entry(n * D + 1).B for D in range(len(bounds))] == bounds
     if sibling:
         assert [prof.homogeneous.entry(n * D + 1).B for D in range(len(bounds))] == hom
     else:
         assert prof.homogeneous is None
+
+
+def test_sibling_alone_decides_the_bounds_only_it_sends(monkeypatch):
+    # an exact Y beside a random shift: the sibling meets exact hits (-inf,
+    # capped) at bounds the shifted profile reads off its basis; those go to
+    # best_error without theta, and only the shifted profile's own bounds
+    # carry theta, so no bound pays theta's scan and witness for nothing
+    import ffdioph.exponents as exponents
+
+    F3 = Fq(3)
+    Y = SeriesMatrix([[parse_series_literal("X^-1 + 2*X^-3", F3)]])
+    theta = (random_series(F3, -24, derive_rng(21, "alone")),)
+    shifted = basis_calls(1, [per_bound(Y, theta, T) for T in range(1, 13)])
+    alone = [T for T in basis_calls(1, [per_bound(Y, None, T) for T in range(1, 13)]) if T not in shifted]
+    assert alone  # bounds that only the sibling sends
+    real, seen = exponents.best_error, []
+
+    def spy(Y, theta, T, method="kernel"):
+        seen.append((T, theta is None))
+        return real(Y, theta, T, method=method)
+
+    monkeypatch.setattr(exponents, "best_error", spy)
+    prof = profile(Y, theta, 12)
+    monkeypatch.undo()
+    assert seen == sorted([(T, False) for T in shifted] + [(T, True) for T in alone])
+    assert [e.B for e in prof.entries] == [per_bound(Y, theta, T) for T in range(1, 13)]
+    assert prof.homogeneous == profile(Y, None, 12)
 
 
 def test_basis_profile_check_refuses_a_wrong_value(monkeypatch):
@@ -658,7 +689,8 @@ def _mult_capped(Y, theta, T):
 
     for shape in compositions(T - 1, Y.n):
         cap, _ = _search_caps(Y, theta, list(shape))
-        if _deepest_feasible_depth(Y, theta, list(shape), cap)[0] == cap:
+        ((K, _),) = _deepest_feasible_depth(Y, theta, list(shape), [cap])
+        if K == cap:
             return True
     return False
 
@@ -820,14 +852,17 @@ def test_homogeneous_sibling_equals_a_separate_homogeneous_profile(name, method)
     # must equal a profile of its own on every floor layout, including the
     # shifts on floors of their own, whose caps differ from Y's, shifts zero
     # to -1 and -3 only, and shifts zero down to Y's floor and to a
-    # shallower one (zθ = L); an exactly zero shift and no shift give no
-    # sibling
+    # shallower one (zθ = L), and one known only above X^1, whose entries run
+    # out of precision; an exactly zero shift and no shift give no sibling
     F = BASIS_FIELDS[name]
     cases = floor_layouts(F, name)
     Y = cases["shift-deeper"][0]  # 1x1 on floor -14
     cases["zero-to-floor"] = (Y, (LaurentSeries.zero(F, -14),), 12)
     cases["zero-to-shallower"] = (Y, (LaurentSeries.zero(F, -11),), 12)
     cases["exact-zero"] = (Y, (LaurentSeries.zero(F),), 12)
+    # a shift known only above X^1: its side runs out of precision at every
+    # horizon, and the sibling is decided by calls of its own
+    cases["shift-above-0"] = (Y, (LaurentSeries(F, 2, [1, 0], 1),), 12)
     compared = 0
     for layout, (Y, theta, T_max) in cases.items():
         unshifted = theta is None or all(t.is_exact_zero() for t in theta)
@@ -845,7 +880,7 @@ def test_homogeneous_sibling_equals_a_separate_homogeneous_profile(name, method)
             want = [per_bound(Y, theta, T) for T in range(1, T_max + 1, Y.n)]
             assert [prof.entry(T).B for T in range(1, T_max + 1, Y.n)] == want, layout
         compared += 1
-    assert compared == 9
+    assert compared == 10
 
 
 def _shared_basis_inputs(F, *tags):

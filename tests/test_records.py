@@ -47,7 +47,7 @@ SAMPLES = {
     DirichletTarget: (DirichletTarget(1, 1, (2, 2)), {"m": REQ, "n": REQ, "values": REQ}),
     Witness: (W, {"p": REQ, "q": REQ}),
     DirichletResult: (DirichletResult(W, True, (D,)), {"witness": REQ, "strict_also": REQ, "error_degs": REQ}),
-    BestError: (BestError(D, W, "kernel"), {"B": REQ, "witness": REQ, "method": REQ}),
+    BestError: (BestError(D, W, "kernel"), {"B": REQ, "witness": REQ, "method": REQ, "homogeneous": None}),
     ProfileEntry: (ENTRY, {"T": REQ, "B": REQ}),
     ExponentProfile: (
         ExponentProfile("standard", 1, 1, 1, (ENTRY,)),
