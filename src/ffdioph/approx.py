@@ -26,9 +26,8 @@ rows of [Y | theta] below column ncols, the right-hand side dropped, are the
 reduced rows of Y's own system, so one elimination gives both sides' K,
 each side stopping at its own first infeasible depth or its own cap and
 keeping its own pivot rows, witness and decision.  One kernel decision
-(``_kernel_best``) takes a list of boxes and [theta] or [theta, None], an
-all-exact-zero theta as None, so it builds no zero column.  It reads a
-box's value off its scan
+(``_kernel_best``) takes a list of boxes and [theta] or [theta, None],
+theta a shift or None.  It reads a box's value off its scan
 (``_decide_box``): -(K+1) below the precision cap (the witness is
 multiplied out only to depth K+1); at the cap an exact -inf when the
 witness leaves every row exactly zero, and otherwise a censored bound on
@@ -56,6 +55,13 @@ homogeneous one beside a shifted one, and every m = 1 multiplicative one
 off such bases, and keeps the kernel decision for capped horizons and one
 check per profile; ``best_error`` decides a shifted profile's horizon and
 its sibling's in one call.
+
+``best_error``, ``best_error_mult`` and ``exponents.profile`` share one
+input gate (``_shift_or_none``): it refuses T < 1, a theta of length other
+than m and an unknown method, in that order, and reads a theta that is
+None or exactly zero as None, the homogeneous problem.  Below it theta is
+a shift or None: no route builds a zero shift column, and a shift has a
+sibling.
 
 The enumeration is one search (``_brute``) over one candidate enumerator
 (``_iter_q``: deg q_j <= caps[j] and plus-product degree <= budget, each
@@ -390,15 +396,15 @@ def _decide_box(
 
 
 def _kernel_best(Y: SeriesMatrix, thetas, boxes) -> list[tuple[DegValue, Witness]]:
-    """(B, witness) per right-hand side of thetas, [theta] or [theta, None]:
-    the least row maximum of Y q + p + theta over a union of boxes, each a
-    bounds list, one depth scan per box serving both sides.  Boxes below
-    their cap are exact, so of them only the first deepest is decided; every
-    box at its cap is decided too, and the decided boxes combine by
-    _BruteBest's rule.  Each side has its own caps, witnesses and decisions.
+    """(B, witness) per right-hand side of thetas, [theta] (a shift or None)
+    or [theta, None] (a shift and its homogeneous sibling), as the input
+    gate leaves theta: the least row maximum of Y q + p + theta over a union
+    of boxes, each a bounds list, one depth scan per box serving both sides.
+    Boxes below their cap are exact, so of them only the first deepest is
+    decided; every box at its cap is decided too, and the decided boxes
+    combine by _BruteBest's rule.  Each side has its own caps, witnesses and
+    decisions.
     """
-    if thetas[0] is not None and all(th.is_exact_zero() for th in thetas[0]):
-        thetas = [None]  # the kernel builds no zero shift column
     kept, deepest = [[] for _ in thetas], [None] * len(thetas)
     for bounds in boxes:
         caps = [_search_caps(Y, theta, bounds) for theta in thetas]
@@ -724,28 +730,36 @@ def _brute(Y: SeriesMatrix, theta, caps, budget: int, objective):
     return BestError(B, w, "brute")
 
 
-def best_error(
-    Y: SeriesMatrix, theta, T: int, method: str = "kernel"
-) -> BestError:
-    """Minimum of max-row degree over q != 0 with n*deg(q) <= T-1, times m.
-
-    theta=None means the homogeneous problem.  Censored results signal that
-    the true value sits below what the precision floor can certify.  With
-    theta not exactly zero the result also holds ``homogeneous``, exactly
-    what best_error(Y, None, T, method) returns.  The kernel decides both
-    from one depth scan of the box (``_deepest_feasible_depth``), each side
-    to its own cap with its own witness; brute enumerates for each.
-    """
+def _shift_or_none(Y: SeriesMatrix, theta, T: int, method: str):
+    """The one input gate of ``best_error``, ``best_error_mult`` and
+    ``exponents.profile``: theta, or None when theta is None or exactly zero,
+    the homogeneous problem, once T >= 1, theta's length and method pass."""
     if T < 1:
         raise ValueError("horizon T must be >= 1")
     if theta is not None and len(theta) != Y.m:
         raise ValueError("shift vector length must match row count")
     if method not in ("kernel", "brute"):
         raise ValueError(f"unknown method {method!r}")
+    return None if theta is None or all(th.is_exact_zero() for th in theta) else theta
+
+
+def best_error(
+    Y: SeriesMatrix, theta, T: int, method: str = "kernel"
+) -> BestError:
+    """Minimum of max-row degree over q != 0 with n*deg(q) <= T-1, times m.
+
+    theta=None, or a theta exactly zero, which the input gate
+    (``_shift_or_none``) reads as None, means the homogeneous problem.
+    Censored results signal that the true value sits below what the
+    precision floor can certify.  With any other theta the result also
+    holds ``homogeneous``, exactly what best_error(Y, None, T, method)
+    returns: the kernel decides both from one depth scan of the box
+    (``_deepest_feasible_depth``), each side to its own cap with its own
+    witness, and brute enumerates for each.
+    """
+    theta = _shift_or_none(Y, theta, T, method)
     D = (T - 1) // Y.n
-    sides = [theta]
-    if theta is not None and not all(th.is_exact_zero() for th in theta):
-        sides.append(None)  # the homogeneous sibling
+    sides = [theta] if theta is None else [theta, None]  # None: the homogeneous sibling
     if method == "kernel":
         got = [BestError(B.scale(Y.m), w, "kernel") for B, w in _kernel_best(Y, sides, [[D] * Y.n])]
     else:
@@ -787,14 +801,10 @@ def best_error_mult(
     decision when m = 1 and never enumerates.  For m >= 2 both methods
     enumerate.
     method="brute" always enumerates; it is the oracle for the kernel route,
-    and its value is at most the kernel's.
+    and its value is at most the kernel's.  theta passes best_error's input
+    gate, so an exactly zero theta is None; no sibling is carried.
     """
-    if T < 1:
-        raise ValueError("horizon T must be >= 1")
-    if theta is not None and len(theta) != Y.m:
-        raise ValueError("shift vector length must match row count")
-    if method not in ("kernel", "brute"):
-        raise ValueError(f"unknown method {method!r}")
+    theta = _shift_or_none(Y, theta, T, method)
     if method == "kernel" and Y.m == 1:
         ((B, w),) = _kernel_best(Y, [theta], compositions(T - 1, Y.n))
         return BestError(B, w, "kernel")

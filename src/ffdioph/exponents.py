@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .approx import BestError, best_error, best_error_mult, compositions, order_basis_depths
+from .approx import BestError, _shift_or_none, best_error, best_error_mult, compositions, order_basis_depths
 from .errors import FFDiophError, PrecisionExhaustedError
 from .matrix import SeriesMatrix
 from .poly import NEG_INF
@@ -70,86 +70,83 @@ def profile(
     """Best-error degrees for all horizons up to T_max.
 
     method picks the best-error route for both kinds, "kernel" or "brute"
-    (see ``best_error`` and ``best_error_mult``).  For the standard kind
-    both routes depend on T only through the degree bound D = (T-1)//n, so
-    an entry is decided once per D, at T = n*D + 1, and the other horizons
-    with that D share it.  A kernel profile, standard or multiplicative with
-    m = 1, reads every horizon below its cap off order bases
-    (``order_basis_depths``, which works out its own floor from Y and
-    theta), with no scan and no witness: a standard one reads D off one
-    basis, B = -(K(D)+1)*m; a multiplicative one reads each degree shape
-    (D_1..D_n), sum D_j = T-1, off the basis of its column shifts
-    r_j = max D - D_j, one basis per r, and B is -(K+1) for the largest K
-    over the shapes.  The route still decides every capped horizon, so
-    censored entries and -inf are the scan's, and it decides the deepest
-    horizon read off the bases again as a check.  Brute profiles and
-    multiplicative ones with m >= 2 run the route per horizon.  A theta of
-    length other than Y.m is refused before either route runs.
-    Precision exhaustion in a single entry is recorded as a censored value
-    rather than aborting the whole profile.  Raises AssertionError if the
-    check disagrees or an exact entry exceeds an earlier exact one.
+    (see ``best_error`` and ``best_error_mult``).  A theta of length other
+    than Y.m, or an unknown method, is refused by the route's input gate
+    before either route or basis runs; the gate also reads an exactly zero
+    theta as None, so its profile is the homogeneous one.
 
-    A standard profile whose theta is not exactly zero also carries the
-    homogeneous profile of Y as ``homogeneous``, equal to
+    Each side, theta's and for a standard shifted profile its homogeneous
+    sibling's, has one table {T: B(T)}.  A kernel profile, standard or
+    multiplicative with m = 1, seeds it with every horizon below its cap
+    read off order bases (``order_basis_depths``, which works out its own
+    floor from Y and theta), with no scan and no witness: a standard one
+    reads D off one basis, B = -(K(D)+1)*m; a multiplicative one reads each
+    degree shape (D_1..D_n), sum D_j = T-1, off the basis of its column
+    shifts r_j = max D - D_j, one basis per r, and B is -(K+1) for the
+    largest K over the shapes.  A side sends to the route every horizon
+    its bases do not give, so censored entries and -inf are the scan's, and
+    the deepest one they give, as a check; brute profiles and
+    multiplicative ones with m >= 2 send every horizon.  One ascending pass
+    over the horizons sent fills the tables, and a route value at a
+    horizon the bases read must equal that read.  For the standard kind
+    both routes depend on T only through the degree bound D = (T-1)//n, so
+    only T = n*D + 1 is sent or read and the other horizons with that D
+    share its entry.  Precision exhaustion in a single entry is recorded as
+    a censored value rather than aborting the whole profile.  Raises
+    AssertionError if the check disagrees or an exact entry exceeds an
+    earlier exact one.
+
+    A standard profile whose theta is not None also carries the homogeneous
+    profile of Y as ``homogeneous``, equal to
     profile(Y, None, T_max, "standard", method): the kernel reads both off
     the same basis run, whose carried shift row never reduces a basis row.
-    At each horizon the shifted profile sends to the route (its capped
-    horizons and its check) one best_error(Y, theta, T) call decides both,
-    the sibling's value being its ``homogeneous``: the kernel decides both
-    off one depth scan.  A horizon only the sibling sends, or one where
-    theta's side runs out of precision, goes to best_error(Y, None, T).  A
-    route value at a horizon the bases also give must equal it, so each
-    side is still checked at least at its own deepest read horizon.
+    At a horizon theta's side sends, one best_error(Y, theta, T) call
+    decides both, the sibling's value being its ``homogeneous`` (the kernel
+    decides both off one depth scan); a horizon only the sibling sends goes
+    to best_error(Y, None, T).
     """
     if T_max < 1:
         raise ValueError("T_max must be >= 1")
     if kind not in ("standard", "multiplicative"):
         raise ValueError(f"unknown profile kind {kind!r}")
-    if theta is not None and len(theta) != Y.m:
-        raise ValueError("shift vector length must match row count")
-    thetas = [theta]
-    if kind == "standard" and theta is not None and not all(th.is_exact_zero() for th in theta):
-        thetas.append(None)
+    theta = _shift_or_none(Y, theta, T_max, method)
+    thetas = [theta] if kind == "multiplicative" or theta is None else [theta, None]
     reads = [{}] * len(thetas)  # T -> B(T) of the horizons the order bases give
     if method == "kernel" and (kind == "standard" or Y.m == 1):
         reads = _basis_reads(Y, thetas, T_max, kind)
-    # the horizons each side sends to the route: those its bases do not
-    # give, and the deepest one they give, as its check
+    # standard horizons with one degree bound D = (T-1)//n share the entry
+    # of the first, T = n*D + 1
+    step = Y.n if kind == "standard" else 1
+    # each side sends the route the horizons its bases do not give, and the
+    # deepest one they give, as its check
     checks = [max(read, default=None) for read in reads]
-    sent = [{T for T in range(1, T_max + 1) if T not in read or T == check} for read, check in zip(reads, checks)]
-    columns = [[] for _ in thetas]  # each side's entries
-    for T in range(1, T_max + 1):
-        if kind == "standard" and (T - 1) % Y.n:
-            # same degree bound D = (T-1)//n as T-1: reuse its entry
-            for entries in columns:
-                entries.append(ProfileEntry(T, entries[-1].B))
-            continue
-        if T in sent[0]:  # theta's call, which decides the sibling too
-            routed = _route(Y, thetas, T, kind, method)
-        elif len(thetas) > 1 and T in sent[1]:  # the sibling's alone
-            routed = [None, *_route(Y, [None], T, kind, method)]
-        else:
-            routed = [None] * len(thetas)
-        for side, (read, value) in enumerate(zip(reads, routed)):
-            if T in read:
-                B = DegValue.exact(read[T])
-                if value is not None and value != B:
-                    raise AssertionError(f"order basis gives B({T}) = {B}, the scan {value}")
-            else:
-                B = value
-            columns[side].append(ProfileEntry(T, B))
-    prof, *sibling = [_checked(Y, T_max, kind, entries) for entries in columns]
+    sent = [
+        {T for T in range(1, T_max + 1, step) if T not in read or T == check}
+        for read, check in zip(reads, checks)
+    ]
+    tables = [{T: DegValue.exact(B) for T, B in read.items()} for read in reads]
+    for T in sorted(set().union(*sent)):
+        # theta's call decides the sibling too; a horizon only the sibling
+        # sends goes without theta
+        first = 0 if T in sent[0] else 1
+        for table, B in zip(tables[first:], _route(Y, thetas[first:], T, kind, method)):
+            if table.setdefault(T, B) != B:
+                raise AssertionError(f"order basis gives B({T}) = {table[T]}, the scan {B}")
+    prof, *sibling = [
+        _checked(Y, T_max, kind, [ProfileEntry(T, table[T - (T - 1) % step]) for T in range(1, T_max + 1)])
+        for table in tables
+    ]
     return prof.replace(homogeneous=sibling[0]) if sibling else prof
 
 
 def _route(Y: SeriesMatrix, thetas, T: int, kind: str, method: str) -> list[DegValue]:
-    """B(T) by the route per theta of thetas, [theta], [None] or
-    [theta, None]: one call serves both of a pair, as best_error decides
-    the homogeneous sibling beside theta.  An entry whose precision runs out
-    gets the trivial bound deg <= -1 per row, censored, which survives any
-    truncation.  Only theta's side runs out alone (a row of Y q with a floor
-    above 0 keeps it in Y q + theta), and the sibling then takes a call of
-    its own."""
+    """B(T) by the route per side of thetas: [theta], theta a shift or
+    None as the input gate leaves it, or [theta, None] with theta a shift,
+    where one best_error call serves both, its ``homogeneous`` being the
+    sibling's.  An entry whose precision runs out gets the trivial bound
+    deg <= -1 per row, censored, which survives any truncation.  Only
+    theta's side runs out alone (a row of Y q with a floor above 0 keeps it
+    in Y q + theta), and the sibling then takes a call of its own."""
 
     def call(theta) -> BestError | None:
         try:

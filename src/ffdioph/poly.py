@@ -40,10 +40,10 @@ class Poly:
         return cls(field, (1,))
 
     @classmethod
-    def x_power(cls, field: Fq, k: int, coeff: int = 1) -> "Poly":
+    def x_power(cls, field: Fq, k: int) -> "Poly":
         if k < 0:
             raise ValueError("x_power needs a nonnegative exponent")
-        return cls(field, (0,) * k + (coeff,))
+        return cls(field, (0,) * k + (1,))
 
     # -- queries ---------------------------------------------------------
 

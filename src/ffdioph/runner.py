@@ -98,13 +98,13 @@ def jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def decimal_str(fr: Fraction, places: int = 6) -> str:
-    """Fixed-point rendering for humans, by integer math (no float round)."""
+def decimal_str(fr: Fraction) -> str:
+    """Six-place fixed-point rendering for humans, by integer math (no float
+    round)."""
     sign = "-" if fr < 0 else ""
     fr = abs(fr)
-    scaled = fr.numerator * 10**places // fr.denominator
-    whole, part = divmod(scaled, 10**places)
-    return f"{sign}{whole}.{str(part).zfill(places)}"
+    whole, part = divmod(fr.numerator * 10**6 // fr.denominator, 10**6)
+    return f"{sign}{whole}.{part:06d}"
 
 
 def profile_rows(prof: ExponentProfile) -> list[dict]:

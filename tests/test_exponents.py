@@ -340,6 +340,37 @@ def test_profile_rejects_a_shift_of_the_wrong_length(monkeypatch, rows, kind):
         profile(Y, theta, 6, kind)
 
 
+@pytest.mark.parametrize("method", ["kernel", "brute"])
+@pytest.mark.parametrize("kind", ["standard", "multiplicative"])
+def test_exact_zero_shift_profile_is_the_homogeneous_one(kind, method):
+    # the input gate reads an all-exact-zero shift as None: the same
+    # profile, with no homogeneous sibling, on truncated and exact Y
+    literal = SeriesMatrix([[parse_series_literal(t, F2) for t in ("X^-1 + X^-4", "X^-3")]])
+    zero = (LaurentSeries.zero(F2),)
+    for Y in (random_matrix(F2, 1, 2, -14, "zero-shift"), literal):
+        prof = profile(Y, zero, 6, kind, method)
+        assert prof == profile(Y, None, 6, kind, method)
+        assert prof.homogeneous is None
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["homogeneous", "shifted"])
+@pytest.mark.parametrize("kind", ["standard", "multiplicative"])
+def test_profile_rejects_an_unknown_method(monkeypatch, kind, shifted):
+    # the input gate refuses the method before either route or the order
+    # basis runs, as it refuses a shift of the wrong length
+    import ffdioph.exponents as exponents
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("a route ran with an unknown method")
+
+    for name in ("best_error", "best_error_mult", "order_basis_depths"):
+        monkeypatch.setattr(exponents, name, unreached)
+    Y = random_matrix(F2, 1, 2, -20, "method")
+    shift = shifts_on_floor(F2, 1, -20, "method")["random"] if shifted else None
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        profile(Y, shift, 6, kind, method="bogus")
+
+
 def test_profile_reuses_a_censored_degree_bound(monkeypatch):
     import ffdioph.exponents as exponents
 
@@ -525,13 +556,13 @@ def test_basis_profile_calls_best_error_at_capped_and_check_bounds(monkeypatch, 
     assert calls[0] > 1 and len(calls) > 1
     # a shift not exactly zero: the shifted profile's call decides its
     # homogeneous sibling too, and a bound only the sibling sends goes
-    # without theta
+    # without theta; an exactly zero shift reaches best_error as None
     sibling = shift is not None and not all(t.is_exact_zero() for t in shift)
     hom = [per_bound(Y, None, n * D + 1) for D in range(len(bounds))] if sibling else []
     monkeypatch.setattr(exponents, "best_error", spy)
     prof = profile(Y, shift, T_max, "standard", "kernel")
     alone = [T for T in basis_calls(n, hom) if T not in calls]
-    assert seen == sorted([(T, shift is None) for T in calls] + [(T, True) for T in alone])
+    assert seen == sorted([(T, not sibling) for T in calls] + [(T, True) for T in alone])
     assert [prof.entry(n * D + 1).B for D in range(len(bounds))] == bounds
     if sibling:
         assert [prof.homogeneous.entry(n * D + 1).B for D in range(len(bounds))] == hom
