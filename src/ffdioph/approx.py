@@ -188,7 +188,7 @@ def _digit_table(Y: SeriesMatrix, theta, bounds, depths) -> list[list[tuple]]:
         cols = [(s.digits(-1, -(k + d)) if k else [], d + 1) for s, d in zip(row, bounds)]
         if theta is not None:
             th = theta[i].digits(-1, -min(k, -theta[i].floor))
-            cols.append((th if gf2 else [F.neg(x) for x in th], 1))
+            cols.append((th if gf2 else F.neg_row(th), 1))
         if gf2:
             packed, off = [], 0
             for w, width in cols:

@@ -16,6 +16,10 @@ so they travel with it to workers.  Two row operations serve elimination:
 ``sub_scaled`` (r -= f * p in place, as r + (-f) * p) and ``scaled``
 (f * row).  Each reads one row of the mul table per call on a tabled
 field, and on a larger one calls the coordinate computation per entry.
+Three more serve the sums of series and polynomials: ``add_row``,
+``sub_row`` and ``neg_row`` make a new row in one pass, a table lookup
+per entry (a - b reads -b first), or the computed digit loop above
+``TABLE_LIMIT``.
 """
 
 from __future__ import annotations
@@ -266,6 +270,32 @@ class Fq:
             fm = t[f]
             return [fm[c] for c in row]
         return [self._mul_digits(f, c) for c in row]
+
+    # -- row operations: one pass per row, for series and polynomial sums --
+    # Like zip, each stops at the end of its shorter argument.
+
+    def add_row(self, a, b) -> list[int]:
+        """The row a + b, entry by entry, as a new list."""
+        t = self._add
+        if t is not None:
+            return [t[x][y] for x, y in zip(a, b)]
+        return list(map(self._add_digits, a, b))
+
+    def sub_row(self, a, b) -> list[int]:
+        """The row a - b, entry by entry, as a new list."""
+        t = self._add
+        if t is not None:
+            neg = self._neg
+            return [t[x][neg[y]] for x, y in zip(a, b)]
+        add, neg = self._add_digits, self._neg_digits
+        return [add(x, neg(y)) for x, y in zip(a, b)]
+
+    def neg_row(self, a) -> list[int]:
+        """The row -a, entry by entry, as a new list."""
+        t = self._neg
+        if t is not None:
+            return [t[x] for x in a]
+        return list(map(self._neg_digits, a))
 
     # -- digit loops: serve fields above TABLE_LIMIT --
 

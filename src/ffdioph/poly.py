@@ -66,26 +66,35 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Poly") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("mixed-field polynomial arithmetic")
+
+    # sums share the field's row operations with LaurentSeries: one pass over
+    # the common low coefficients, then the longer operand's tail as it is
+    # (negated in a - b when it is b's)
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
         F = self.field
         a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
+        n = min(len(a), len(b))
+        out = F.add_row(a, b)
+        out += a[n:]
+        out += b[n:]
         return Poly(F, out)
 
     def __neg__(self) -> "Poly":
-        F = self.field
-        return Poly(F, [F.neg(c) for c in self.coeffs])
+        return Poly(self.field, self.field.neg_row(self.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._check(other)
+        F = self.field
+        a, b = self.coeffs, other.coeffs
+        n = min(len(a), len(b))
+        out = F.sub_row(a, b)
+        out += a[n:]
+        out += F.neg_row(b[n:])
+        return Poly(F, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)

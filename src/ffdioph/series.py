@@ -6,6 +6,12 @@ below the stored range is exactly zero).  A finite floor means digits below
 it are unknown, and every operation propagates that ignorance so that no
 exact-looking digit is ever fabricated.
 
+Sums are digitwise: ``+`` and ``-`` read both operands as one aligned
+``digits`` window each, from the higher top down to the higher floor (or, for
+two exact operands, the lowest stored digit), and make one ``Fq`` row call,
+``add_row`` or ``sub_row``, over the pair; unary ``-`` is one ``neg_row``.
+Products go through ``poly.mul_coeffs``.
+
 All absolute values are handled in the degree domain: an element of size
 e^k is represented by the integer k (see ``DegValue``), never by a float.
 """
@@ -94,29 +100,33 @@ class LaurentSeries:
 
     def __init__(self, field: Fq, top, coeffs, floor):
         # normalize: strip leading zeros, detect known-zero, trim exact tails
-        coeffs = list(coeffs)
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            top -= 1
-        if not coeffs:
-            top = NEG_INF
+        coeffs = tuple(coeffs)
+        n = len(coeffs)
+        lead = 0
+        while lead < n and not coeffs[lead]:
+            lead += 1
+        if lead == n:
+            top, coeffs = NEG_INF, ()
+        elif lead:
+            top -= lead
+            coeffs = coeffs[lead:]
         if floor == NEG_INF:
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-            if not coeffs:
-                top = NEG_INF
-        else:
-            if top != NEG_INF:
-                want = top - floor + 1
-                if len(coeffs) < want:
-                    coeffs.extend([0] * (want - len(coeffs)))
-                elif len(coeffs) > want:
-                    raise ValueError("coefficients extend below the stated floor")
-        if top != NEG_INF and floor != NEG_INF and floor > top:
-            raise ValueError("floor must not exceed the leading exponent")
+            if coeffs and not coeffs[-1]:
+                end = len(coeffs) - 1
+                while not coeffs[end - 1]:
+                    end -= 1
+                coeffs = coeffs[:end]
+        elif top != NEG_INF:
+            # a floor above top makes missing negative: even the leading
+            # digit would lie below the floor
+            missing = top - floor + 1 - len(coeffs)
+            if missing > 0:
+                coeffs += (0,) * missing
+            elif missing < 0:
+                raise ValueError("coefficients extend below the stated floor")
         self.field = field
         self.top = top
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs
         self.floor = floor
 
     # -- constructors ----------------------------------------------------
@@ -199,17 +209,22 @@ class LaurentSeries:
         """
         if hi < lo:
             return []
-        if self.floor != NEG_INF and lo < self.floor:
+        if lo < self.floor:
             raise PrecisionExhaustedError(
                 f"digit at exponent {lo} is below the floor {self.floor}"
             )
-        width = hi - lo + 1
-        if self.top == NEG_INF:
-            return [0] * width
-        start = self.top - hi  # index of exponent hi in coeffs
-        out = [0] * min(width, max(0, -start))
-        out.extend(self.coeffs[max(0, start) : max(0, self.top - lo + 1)])
-        out.extend([0] * (width - len(out)))
+        # indices into coeffs of exponents hi and lo - 1; stop is -inf for a
+        # known zero
+        start, stop = self.top - hi, self.top - lo + 1
+        if stop <= 0:
+            return [0] * (hi - lo + 1)
+        coeffs = self.coeffs
+        n = len(coeffs)
+        if start >= 0 and stop <= n:
+            return list(coeffs[start:stop])
+        out = [0] * -start
+        out.extend(coeffs[max(0, start) : stop])
+        out.extend([0] * (stop - max(n, start)))
         return out
 
     def terms(self) -> dict[int, int]:
@@ -222,35 +237,35 @@ class LaurentSeries:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "LaurentSeries") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("mixed-field series arithmetic")
 
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
+    def _digitwise(self, other: "LaurentSeries", row) -> "LaurentSeries":
+        """The series whose digits are ``row`` (a field row operation) of the
+        two operands' digits, both read as one aligned window top..lo."""
         self._check(other)
         floor = max(self.floor, other.floor)
-        tops = [t for t in (self.top, other.top) if t != NEG_INF]
-        if not tops:
+        top = max(self.top, other.top)
+        if top == NEG_INF:
             return LaurentSeries.zero(self.field, floor)
-        top = max(tops)
         if floor != NEG_INF:
             lo = floor
         else:
-            lo = min(
-                s._stored_lo() for s in (self, other) if s.top != NEG_INF
-            )
-        F = self.field
-        # both operands as aligned slices of exponents top..lo, one add per digit
-        coeffs = list(map(F.add, self.digits(top, lo), other.digits(top, lo)))
-        return LaurentSeries(F, top, coeffs, floor)
-
-    def __neg__(self) -> "LaurentSeries":
-        F = self.field
+            lo = min(s._stored_lo() for s in (self, other) if s.coeffs)
         return LaurentSeries(
-            F, self.top, [F.neg(c) for c in self.coeffs], self.floor
+            self.field, top, row(self.digits(top, lo), other.digits(top, lo)), floor
         )
 
+    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
+        return self._digitwise(other, self.field.add_row)
+
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
+        return self._digitwise(other, self.field.sub_row)
+
+    def __neg__(self) -> "LaurentSeries":
+        return LaurentSeries(
+            self.field, self.top, self.field.neg_row(self.coeffs), self.floor
+        )
 
     def _effective_top(self):
         """Largest exponent that may carry a nonzero digit."""

@@ -239,3 +239,37 @@ def test_row_ops_equal_per_element_ops(name):
         assert p == p_before
         assert F.scaled(f, p) == [F.mul(f, c) for c in p]
         assert p == p_before
+
+
+SUM_ROW_FIELDS = {
+    **TABLE_FIELDS,
+    "F131": Fq(131),
+    "F256": Fq(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),  # X^8 + X^4 + X^3 + X + 1
+}
+
+
+@pytest.mark.parametrize("name", list(SUM_ROW_FIELDS))
+def test_sum_row_ops_equal_per_element_ops(name):
+    # add_row, sub_row and neg_row against add, sub and neg entry by entry: on
+    # random rows, on empty rows and on rows of all q - 1, over every tabled
+    # field and over a prime field and an extension above TABLE_LIMIT
+    F = SUM_ROW_FIELDS[name]
+    assert (F._add is None) == (F.q > TABLE_LIMIT)
+    rng = random.Random(f"sum-row-ops:{name}")
+    top, ramp = [F.q - 1] * 9, [k % F.q for k in range(9)]
+    rows = [([], []), (top, top), (top, ramp), (ramp, top)]
+    for _ in range(40):
+        n = rng.randrange(0, 12)
+        rows.append(tuple([rng.randrange(F.q) for _ in range(n)] for _ in "ab"))
+    for a, b in rows:
+        a_before, b_before = list(a), list(b)
+        assert F.add_row(a, b) == [F.add(x, y) for x, y in zip(a, b)]
+        assert F.sub_row(a, b) == [F.sub(x, y) for x, y in zip(a, b)]
+        assert F.neg_row(a) == [F.neg(x) for x in a]
+        assert (a, b) == (a_before, b_before)
+        # tuples read like lists, and a new list comes back each time
+        assert F.add_row(tuple(a), tuple(b)) == F.add_row(a, b)
+        assert F.neg_row(a) is not a
+    # like zip, a pair of rows is read as far as the shorter one reaches
+    assert F.add_row([1, 1, 1], [1]) == [F.add(1, 1)]
+    assert F.sub_row([1], [0, 1, 1]) == [1]

@@ -94,6 +94,25 @@ def test_degree_multiplicative(field, ac, bc):
         assert prod.deg == a.deg + b.deg
 
 
+SUM_FIELDS = [Fq(2), Fq(3), Fq(2, 2), Fq(131)]  # F131: the computed row ops
+
+
+@given(st.sampled_from(SUM_FIELDS), st.lists(st.integers(0, 130), max_size=6),
+       st.lists(st.integers(0, 130), max_size=6))
+@example(Fq(3), [1, 2, 1], [1, 2, 1])  # a - a: every coefficient cancels
+@example(Fq(3), [2, 0, 1], [1, 2, 1])  # the leading coefficients cancel
+@example(Fq(131), [], [5, 0, 130])  # zero minus a longer operand
+def test_sums_match_coefficient_oracle(field, ac, bc):
+    # +, - and unary - coefficient by coefficient through the scalar ops
+    a = Poly(field, [c % field.q for c in ac])
+    b = Poly(field, [c % field.q for c in bc])
+    n = max(len(a.coeffs), len(b.coeffs))
+    assert a + b == Poly(field, [field.add(a.coeff(k), b.coeff(k)) for k in range(n)])
+    assert a - b == Poly(field, [field.sub(a.coeff(k), b.coeff(k)) for k in range(n)])
+    assert -b == Poly(field, [field.neg(c) for c in b.coeffs])
+    assert a - b == a + (-b) and (a - b) + b == a
+
+
 def test_zero_degree_is_minus_infinity():
     assert Poly.zero(F2).deg == NEG_INF
     assert Poly.one(F2).deg == 0

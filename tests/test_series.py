@@ -316,6 +316,65 @@ def test_add_mul_match_terms_oracle(pair):
         assert (got.terms(), got.floor) == want
 
 
+F131 = Fq(131)  # above TABLE_LIMIT: the row ops run the computed digit loop
+
+
+def _oracle_sub(field, f, g):
+    """(terms, floor) of f - g, term by term from the operands' terms."""
+    floor = max(f.floor, g.floor)
+    out = {e: c for e, c in f.terms().items() if e >= floor}
+    for e, c in g.terms().items():
+        if e >= floor:
+            out[e] = field.sub(out.get(e, 0), c)
+    return {e: c for e, c in out.items() if c}, floor
+
+
+_sub_pairs = st.sampled_from([F2, F3, F4, F131]).flatmap(
+    lambda field: st.tuples(_series(field), _series(field))
+)
+_F3_TRUNC = S("X + 2X^-2 + X^-3", F3, floor=-5)
+_F3_EXACT = S("2X^3 + X^-1", F3)
+
+
+@given(_sub_pairs)
+@example((S("X^2 + 2X^-1", F3), S("X^3 + X^-5", F3, floor=-6)))  # f's range ends above g's floor
+@example((S("X^3 + X^-5", F3, floor=-6), S("X^2 + 2X^-1", F3)))  # the same, swapped
+@example((_F3_TRUNC, _F3_TRUNC))  # f - f at a finite floor: a known zero that keeps it
+@example((_F3_EXACT, _F3_EXACT))  # f - f on exact input: an exact zero
+@example((S("X^3 + X^2 + 2X + X^-2", F3), S("X^3 + X^2 + 2X + 2X^-3", F3)))  # 4 digits cancel
+@example((S("5X^2 + 130X^-1", F131), S("5X^2 + 7X^-4", F131, floor=-4)))  # computed branch
+@example((LaurentSeries.zero(F131, floor=-3), S("X^-1", F131)))  # known zero minus exact
+def test_sub_neg_match_terms_oracle(pair):
+    f, g = pair
+    field = f.field
+    d = f - g
+    assert (d.terms(), d.floor) == _oracle_sub(field, f, g)
+    for s in (f, g):
+        n = -s
+        assert (n.terms(), n.floor) == ({e: field.neg(c) for e, c in s.terms().items()}, s.floor)
+    assert d == f + (-g)
+    if f == g:
+        assert d.is_known_zero() and d.floor == f.floor
+
+
+@pytest.mark.parametrize("make", [lambda: Fq(3), lambda: Fq(2, 2)], ids=["F3", "F4"])
+def test_equal_fields_built_apart_combine(make):
+    # two distinct but equal contexts mix freely; only a different field raises
+    A, B = make(), make()
+    assert A is not B and A == B
+    f, g = S("X + X^-2", A), S("X^-1 + X^-2", B, floor=-3)
+    assert (f + g).terms() == _oracle_add(A, f, g)[0]
+    assert (f - g).terms() == _oracle_sub(A, f, g)[0]
+    assert (f * g).terms() == _oracle_mul(A, f, g)[0]
+    assert (Poly(A, [1, 1]) - Poly(B, [0, 1])).coeffs == (1,)
+    h = S("X^-1", F2)
+    for op in (lambda: f + h, lambda: f - h, lambda: f * h):
+        with pytest.raises(ValueError, match="mixed-field series arithmetic"):
+            op()
+    with pytest.raises(ValueError, match="mixed-field polynomial arithmetic"):
+        Poly(A, [1]) - Poly(F2, [1])
+
+
 def test_censored_zero_degree():
     z = LaurentSeries.zero(F2, floor=-5)
     assert z.deg() == DegValue.censored_at(-6)
@@ -332,6 +391,22 @@ def test_coeff_below_floor_raises():
     f = S("X^-1", floor=-3)
     with pytest.raises(PrecisionExhaustedError):
         f.coeff(-4)
+
+
+def test_constructor_normalizes_stored_digits():
+    # leading zeros move top down, an exact series drops its trailing zeros,
+    # a truncated one is padded down to its floor, and all zeros give a known
+    # zero at the floor
+    f = LaurentSeries(F3, 2, [0, 0, 1, 0, 2, 0, 0], NEG_INF)
+    assert (f.top, f.coeffs) == (0, (1, 0, 2))
+    g = LaurentSeries(F3, 2, [0, 1, 2], -3)
+    assert (g.top, g.coeffs, g.floor) == (1, (1, 2, 0, 0, 0), -3)
+    z = LaurentSeries(F3, 4, (0, 0), -2)
+    assert z.is_known_zero() and (z.top, z.coeffs, z.floor) == (NEG_INF, (), -2)
+    # a digit below the floor, also when the floor is above top
+    for top, coeffs, floor in ((0, [1, 0, 1], -1), (-3, [1], -1)):
+        with pytest.raises(ValueError, match="below the stated floor"):
+            LaurentSeries(F3, top, coeffs, floor)
 
 
 def _read(read):
