@@ -7,6 +7,8 @@ Subcommands:
     verify      run a named suite (or "all") with pass/fail exit semantics
     gen         generate the configured matrix/shift and write literals
 
+The three suite subcommands are `verify` with their own suite name.
+
 Exit codes: 0 all checks pass, 1 hard invariant violated, 2 precision
 exhausted, 3 invalid input.
 """
@@ -16,13 +18,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ExperimentConfig
+from .config import SUITES, ExperimentConfig
 from .errors import ConfigError, FFDiophError, ParseError, PrecisionExhaustedError
 from .generators import generate_matrix, generate_theta
-from .runner import jsonable, report_json, run_config, write_outputs
+from .runner import jsonable, report_json, run_config, write_file, write_outputs
 
 _VERIFY_ALIASES = {"tset": "audit-tset"}
-_VERIFY_SUITES = ("dirichlet", "transference", "limsup", "audit-tset", "estimate")
 
 
 def _add_common_flags(sp: argparse.ArgumentParser) -> None:
@@ -36,14 +37,12 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--instances", type=int, help="override the instance count")
 
 
-def _load_config(args, suite: str | None) -> ExperimentConfig:
+def _load_config(args) -> ExperimentConfig:
     if args.config:
         cfg = ExperimentConfig.from_json_file(args.config)
     else:
         cfg = ExperimentConfig.from_dict({})
     overrides = {}
-    if suite is not None:
-        overrides["suite"] = suite
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.tmax is not None:
@@ -54,7 +53,7 @@ def _load_config(args, suite: str | None) -> ExperimentConfig:
         overrides["tol_bz"] = args.tol
     if args.workers is not None:
         overrides["workers"] = args.workers
-    if getattr(args, "instances", None) is not None:
+    if args.instances is not None:
         overrides["instances"] = args.instances
     return cfg.replace(**overrides) if overrides else cfg
 
@@ -77,24 +76,17 @@ def _emit(report: dict, exit_code: int, args) -> int:
     return exit_code
 
 
-def _cmd_suite(args, suite: str) -> int:
-    cfg = _load_config(args, suite)
-    report, code = run_config(cfg)
-    return _emit(report, code, args)
-
-
 def _cmd_verify(args) -> int:
     name = _VERIFY_ALIASES.get(args.suite_name, args.suite_name)
     if name == "all":
-        names = list(_VERIFY_SUITES)
-    elif name in _VERIFY_SUITES:
+        names = list(SUITES)
+    elif name in SUITES:
         names = [name]
     else:
         raise ConfigError(
-            f"unknown suite {args.suite_name!r}; pick from "
-            f"{sorted(_VERIFY_SUITES + ('all',))}"
+            f"unknown suite {args.suite_name!r}; pick from {sorted(SUITES + ('all',))}"
         )
-    cfg = _load_config(args, None)
+    cfg = _load_config(args)
     # every suite's config is checked before any suite runs
     sub_cfgs = [cfg.replace(suite=suite) for suite in names]
     sub_reports = []
@@ -116,7 +108,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    cfg = _load_config(args, None)
+    cfg = _load_config(args)
     F = cfg.fq()
     Y = generate_matrix(cfg.Y, F, cfg.m, cfg.n, cfg.floor, cfg.seed, "gen/Y")
     theta = generate_theta(cfg.theta, F, cfg.m, cfg.floor, cfg.seed)
@@ -130,12 +122,7 @@ def _cmd_gen(args) -> int:
     }
     out = report_json(payload)
     if args.out:
-        import os
-
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "generated.json")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(out)
+        path = write_file(args.out, "generated.json", out.encode("ascii"))
         print(f"wrote {path}")
     else:
         sys.stdout.write(out)
@@ -150,9 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("estimate", "dirichlet", "audit-tset"):
         sp = sub.add_parser(name, help=f"run the {name} suite")
+        sp.set_defaults(suite_name=name)
         _add_common_flags(sp)
     sp = sub.add_parser("verify", help="run a named suite with exit semantics")
-    sp.add_argument("suite_name", help="|".join(sorted(_VERIFY_SUITES + ("all",))))
+    sp.add_argument("suite_name", help="|".join(sorted(SUITES + ("all",))))
     _add_common_flags(sp)
     sp = sub.add_parser("gen", help="generate the configured instance")
     _add_common_flags(sp)
@@ -163,11 +151,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
         if args.command == "gen":
             return _cmd_gen(args)
-        return _cmd_suite(args, args.command)
+        return _cmd_verify(args)
     except (ConfigError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -3,8 +3,8 @@
 
 Schema (every key is optional; `ExperimentConfig` declares the defaults):
 
-    suite          str      which suite to run; one of
-                            estimate | dirichlet | audit-tset | transference | limsup
+    suite          str      which suite to run, one of SUITES:
+                            dirichlet | transference | limsup | audit-tset | estimate
     seed           int      master seed; all randomness derives from it
     workers        int      parallel worker processes; never affects output bytes
     field          str      field spec, "p=2" or "p=3" or "p=2,d=2,modulus=..."
@@ -13,7 +13,9 @@ Schema (every key is optional; `ExperimentConfig` declares the defaults):
     floor          int      precision floor, at most -2*T_max; in the
                             transference suite also at most -2*mult_T_max
     T_max          int      profile horizon
-    Y              spec     matrix spec; see generators; no float anywhere in it
+    Y              spec     matrix spec; see generators; no float anywhere in it;
+                            read by the estimate and transference suites,
+                            while dirichlet and limsup draw their own matrices
     theta          spec     shift spec, no float; in the transference suite
                             the default "0" draws a random shift per
                             instance, while "zero" and 0 give the zero shift
@@ -51,8 +53,11 @@ from .errors import ConfigError, ParseError
 from .field import Fq, parse_field_spec
 from .record import Record, fresh
 
+# every suite, in the order `verify all` runs them
+SUITES = ("dirichlet", "transference", "limsup", "audit-tset", "estimate")
+
 _CHOICES = {
-    "suite": ("estimate", "dirichlet", "audit-tset", "transference", "limsup"),
+    "suite": SUITES,
     "method": ("kernel", "brute"),
     "profile_kind": ("standard", "multiplicative"),
     "mode": ("multiplicative", "dual"),

@@ -126,6 +126,22 @@ def rational_series(field: Fq, num: Poly, den: Poly, floor: int) -> LaurentSerie
     return LaurentSeries.from_poly(num).div_poly(den, floor)
 
 
+def _spec_field(spec: dict, key: str, convert):
+    """convert(spec[key]); a missing or mistyped field is bad input.  Only
+    the read and the conversion are inside the try, so that a fault in what
+    is built from the value is not relabelled as one."""
+    try:
+        return convert(spec[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"spec {spec!r} has a bad or missing {key!r}: {exc!r}") from exc
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{type(value).__name__} is not a string")
+    return value
+
+
 def generate_series(spec, field: Fq, floor: int, rng: random.Random | None = None):
     """Build one series from a structured spec (dict or literal string)."""
     if isinstance(spec, str):
@@ -134,15 +150,16 @@ def generate_series(spec, field: Fq, floor: int, rng: random.Random | None = Non
         raise ConfigError(f"bad series spec: {spec!r}")
     kind = spec["kind"]
     if kind == "literal":
-        return parse_series_literal(spec["text"], field)
+        return parse_series_literal(_spec_field(spec, "text", _text), field)
     if kind == "rational":
-        num = parse_poly_literal(spec["num"], field)
-        den = parse_poly_literal(spec["den"], field)
+        num = parse_poly_literal(_spec_field(spec, "num", _text), field)
+        den = parse_poly_literal(_spec_field(spec, "den", _text), field)
         return rational_series(field, num, den, floor)
     if kind == "lacunary":
-        return lacunary_series(field, int(spec["base"]), floor)
+        return lacunary_series(field, _spec_field(spec, "base", int), floor)
     if kind == "cf":
-        return cf_series(field, spec["degrees"], floor)
+        degrees = _spec_field(spec, "degrees", lambda ds: [int(d) for d in ds])
+        return cf_series(field, degrees, floor)
     if kind == "random":
         if rng is None:
             raise ConfigError("random series spec needs an rng")
@@ -156,7 +173,7 @@ def generate_matrix(
     """Matrix of series; entry (i, j) draws from substream (seed, tag, i, j)."""
     kind = spec.get("kind") if isinstance(spec, dict) else "literal"
     if kind == "grid":
-        entries = spec["entries"]
+        entries = _spec_field(spec, "entries", lambda rows: [list(r) for r in rows])
         if len(entries) != m or any(len(r) != n for r in entries):
             raise ConfigError("grid entries must be an m x n array")
     elif not isinstance(spec, (str, dict)):

@@ -9,9 +9,9 @@ bytes reproducible.
 
 from __future__ import annotations
 
-import io
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -221,7 +221,7 @@ def _profile_prefix(prof: ExponentProfile, T_max: int) -> ExponentProfile:
 def _transference_instance(cfg: ExperimentConfig, idx: int) -> dict:
     F = cfg.fq()
     Y = generate_matrix(
-        {"kind": "random"}, F, cfg.m, cfg.n, cfg.floor, cfg.seed, f"transference/{idx}/Y"
+        cfg.Y, F, cfg.m, cfg.n, cfg.floor, cfg.seed, f"transference/{idx}/Y"
     )
     theta = generate_theta(
         cfg.theta if cfg.theta != "0" else {"kind": "random"},
@@ -516,41 +516,36 @@ def report_json_bytes(report: dict) -> bytes:
     return report_json(report).encode("ascii")
 
 
-def profile_csv_bytes(rows: list[dict]) -> bytes:
-    import csv
+# the columns of a profile CSV table: the keys of profile_rows' rows
+_CSV_COLUMNS = ("T", "B", "minus_B_over_T_num", "minus_B_over_T_den", "censored")
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["T", "B", "minus_B_over_T_num", "minus_B_over_T_den", "censored"])
+
+def profile_csv_bytes(rows: list[dict]) -> bytes:
+    """profile_rows' rows as CSV: None is an empty field and the censored flag
+    is true or false, so no field needs quoting."""
+    lines = [",".join(_CSV_COLUMNS)]
     for r in rows:
-        writer.writerow(
-            [
-                r["T"],
-                r["B"],
-                "" if r["minus_B_over_T_num"] is None else r["minus_B_over_T_num"],
-                "" if r["minus_B_over_T_den"] is None else r["minus_B_over_T_den"],
-                "true" if r["censored"] else "false",
-            ]
-        )
-    return buf.getvalue().encode("ascii")
+        fields = ["" if r[c] is None else str(r[c]) for c in _CSV_COLUMNS[:-1]]
+        lines.append(",".join(fields) + (",true" if r["censored"] else ",false"))
+    return "".join(line + "\n" for line in lines).encode("ascii")
+
+
+def write_file(out_dir, name: str, data: bytes) -> str:
+    """Write data to out_dir/name, making the directory; returns the path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return path
 
 
 def write_outputs(report: dict, out_dir, fmt: str = "json") -> list[str]:
     """Write report.json (always) plus CSV profile tables when fmt='csv'."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    path = os.path.join(out_dir, "report.json")
-    with open(path, "wb") as fh:
-        fh.write(report_json_bytes(report))
-    written.append(path)
+    written = [write_file(out_dir, "report.json", report_json_bytes(report))]
     if fmt == "csv":
         for r in report.get("results", []):
             rows = r.get("profile")
             if rows:
-                cpath = os.path.join(out_dir, f"profile_{r['index']:04d}.csv")
-                with open(cpath, "wb") as fh:
-                    fh.write(profile_csv_bytes(rows))
-                written.append(cpath)
+                name = f"profile_{r['index']:04d}.csv"
+                written.append(write_file(out_dir, name, profile_csv_bytes(rows)))
     return written

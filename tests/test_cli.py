@@ -258,3 +258,85 @@ def test_package_import_loads_no_dataclasses():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, cwd=SRC.parent, timeout=60
     )
     assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "rational", "num": "1"},
+        {"kind": "rational", "num": 1, "den": "X + 1"},
+        {"kind": "literal", "text": 5},
+        {"kind": "cf", "degrees": 3},
+        {"kind": "lacunary", "base": [2]},
+        {"kind": "grid"},
+        {"kind": "grid", "entries": [3]},
+    ],
+    ids=["missing-key", "num-not-str", "text-not-str", "degrees-not-list", "base-not-int",
+         "grid-missing-entries", "grid-row-not-list"],
+)
+def test_malformed_spec_exits_3_naming_it(tmp_path, capsys, spec):
+    # a missing or mistyped spec field is bad input, not a broken invariant
+    from ffdioph import cli
+
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"Y": spec, "T_max": 4, "floor": -8, "instances": 1}))
+    assert cli.main(["estimate", "--config", str(path)]) == 3
+    assert f"spec {spec!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suite, raw, flags",
+    [
+        ("estimate", {"instances": 2, "T_max": 8, "floor": -20, "seed": 11}, ["--format", "csv"]),
+        ("dirichlet", {"instances": 3, "dims": [2, 2], "T_max": 8, "floor": -30, "seed": 4}, []),
+        ("audit-tset", {"dims": [2, 1], "sigma_bound": 6, "uv_budget": 8}, []),
+    ],
+    ids=["estimate-csv", "dirichlet", "audit-tset"],
+)
+def test_suite_subcommand_is_verify_of_that_suite(tmp_path, capsys, suite, raw, flags):
+    from ffdioph import cli
+
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    outputs = []
+    for command in ([suite], ["verify", suite]):
+        out = tmp_path / "-".join(command)
+        code = cli.main([*command, "--config", str(path), "--out", str(out), *flags])
+        assert f"[PASS] suite {suite}" in capsys.readouterr().err
+        outputs.append((code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and "report.json" in outputs[0][1]
+    assert (suite == "estimate") == ("profile_0001.csv" in outputs[0][1])
+
+
+def test_profile_csv_is_the_csv_module_rendering():
+    import csv
+    import io
+
+    rows = [
+        {"T": 1, "B": "-inf", "minus_B_over_T_num": None, "minus_B_over_T_den": None, "censored": False},
+        {"T": 2, "B": -3, "minus_B_over_T_num": 3, "minus_B_over_T_den": 2, "censored": True},
+        {"T": 3, "B": 0, "minus_B_over_T_num": 0, "minus_B_over_T_den": 1, "censored": False},
+        {"T": 12, "B": "-inf", "minus_B_over_T_num": None, "minus_B_over_T_den": None, "censored": True},
+    ]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["T", "B", "minus_B_over_T_num", "minus_B_over_T_den", "censored"])
+    for r in rows:
+        writer.writerow(
+            [
+                r["T"],
+                r["B"],
+                "" if r["minus_B_over_T_num"] is None else r["minus_B_over_T_num"],
+                "" if r["minus_B_over_T_den"] is None else r["minus_B_over_T_den"],
+                "true" if r["censored"] else "false",
+            ]
+        )
+    assert runner.profile_csv_bytes(rows) == buf.getvalue().encode("ascii")
+    assert runner.profile_csv_bytes([]) == b"T,B,minus_B_over_T_num,minus_B_over_T_den,censored\n"
+
+
+def test_suite_list_is_the_runner_tasks_and_the_tset_audit():
+    from ffdioph import config
+
+    assert set(config.SUITES) == set(runner._SUITE_TASKS) | {"audit-tset"}

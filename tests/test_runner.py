@@ -49,3 +49,21 @@ def test_basis_runs_per_instance(monkeypatch, raw, per_instance):
     report, code = runner.run_config(ExperimentConfig.from_dict({**raw, "instances": 3}))
     assert code == 0 and not any("internal_error" in r for r in report["results"])
     assert runs == per_instance * 3
+
+
+def test_transference_profiles_the_configured_Y(monkeypatch):
+    # the suite draws Y from the config's spec, as the estimate suite does
+    from ffdioph.generators import cf_series
+
+    real, seen = runner.profile, []
+
+    def spy(Y, *args, **kwargs):
+        seen.append(Y)
+        return real(Y, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "profile", spy)
+    raw = {"suite": "transference", "Y": {"kind": "cf", "degrees": [1, 2]}, "T_max": 12,
+           "mult_T_max": 6, "floor": -40, "instances": 2}
+    report, code = runner.run_config(ExperimentConfig.from_dict(raw))
+    assert code == 0 and not any("internal_error" in r for r in report["results"])
+    assert seen and all(Y == SeriesMatrix([[cf_series(F2, [1, 2], -40)]]) for Y in seen)
